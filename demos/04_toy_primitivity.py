@@ -13,7 +13,6 @@ from random import Random
 
 from ksgroup.gf2 import vec_to_hex
 from ksgroup.invariants import (
-    PermutationOracle,
     is_affine,
     ks_oracle,
     primitivity_check,
@@ -26,8 +25,7 @@ rng = Random(2024)
 print("non-affine word maps:")
 for trial in range(5):
     rho = random_nonaffine_word_permutation(3, rng)
-    base_oracle = PermutationOracle.from_table(rho.to_table(), "rho")
-    base = primitivity_check([base_oracle], 3, method="unionfind")
+    base = primitivity_check([rho], 3, method="unionfind")
     lifted = primitivity_check([ks_oracle(rho, 1)], 12, method="subspace")
     marker = ""
     if base.status == "primitive":
@@ -38,7 +36,7 @@ for trial in range(5):
 print("\naffine word maps (lifted blocks shown as basis rows):")
 for trial in range(3):
     rho = random_affine_word_permutation(3, rng)
-    assert is_affine(PermutationOracle(3, rho.forward, rho.backward, "rho"))
+    assert is_affine(rho)
     lifted = primitivity_check([ks_oracle(rho, 1)], 12, method="subspace")
     line = f"  trial {trial}: lifted {lifted.status}"
     if lifted.witness is not None:

@@ -2,20 +2,21 @@
 
 Layout:
 
-* ``gf2``          exact subspace linear algebra (int-packed bit vectors)
+* ``gf2``          exact subspace linear algebra (int-packed bit vectors); the
+                   one incremental elimination kernel and random-member sampler
 * ``sbox``         differential uniformity and subspace anti-invariance
-* ``keyschedule``  the four-word key-schedule operator and AES-128 expansion
+* ``keyschedule``  ``PermutationOracle`` (the bijection type), the four-word
+                   key-schedule operator and AES-128 expansion
 * ``fips197``      independent word-level reference expansion
 * ``goursat``      decomposition of subspaces of direct products
 * ``invariants``   linear blocks, minimal blocks, primitivity, closure search
 * ``cli``          the ``ksgroup`` command
 """
 
-from .gf2 import Subspace, enumerate_subspaces, gaussian_binomial, span
+from .gf2 import Subspace, enumerate_subspaces, gaussian_binomial
 from .goursat import GoursatDecomposition, GoursatTower, decompose, reconstruct, tower_decompose
 from .invariants import (
     BlockVerdict,
-    PermutationOracle,
     closure_search,
     is_affine,
     is_linear_block,
@@ -27,7 +28,7 @@ from .invariants import (
     verify_lp_subspace,
 )
 from .keyschedule import (
-    WordPerm,
+    PermutationOracle,
     aes128_expand_key,
     aes_core,
     ks_apply,
@@ -53,7 +54,6 @@ __all__ = [
     "PermutationOracle",
     "SBox",
     "Subspace",
-    "WordPerm",
     "aes128_expand_key",
     "aes_core",
     "anti_invariance_order",
@@ -73,7 +73,6 @@ __all__ = [
     "min_block",
     "primitivity_check",
     "reconstruct",
-    "span",
     "spn_primitivity_certificate",
     "tower_decompose",
     "translate",

@@ -24,13 +24,11 @@ from .invariants import (
     lp_pattern_subspace,
     closure_search,
     is_affine,
-    normalized_oracle,
     primitivity_check,
     random_affine_word_permutation,
     random_nonaffine_word_permutation,
     spn_primitivity_certificate,
     verify_lp_subspace,
-    PermutationOracle,
 )
 from .keyschedule import (
     aes128_expand_key,
@@ -96,6 +94,8 @@ def cmd_sbox_audit(args) -> int:
             print(f"invalid S-box: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         source = args.table
+    if not 0 <= args.max_delta <= sb.s - 1:
+        raise InputError(f"--max-delta must be in 0..{sb.s - 1} for a {sb.s}-bit S-box")
     audit = audit_sbox(sb, max_delta=args.max_delta)
     report = {
         "schema": SCHEMA,
@@ -163,6 +163,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.samples < 0 or args.stable_rounds < 0:
+        raise InputError("--samples and --stable-rounds must be non-negative")
     rho = aes_core().normalized()
     constants = None
     normalized_composite = False
@@ -175,7 +177,7 @@ def cmd_search(args) -> int:
     if args.with_constants:
         # the composite with constants does not fix 0; the search needs the
         # offset-normalized form and the report says so
-        oracle = normalized_oracle(oracle)
+        oracle = oracle.normalized()
         normalized_composite = True
     rng = Random(args.seed)
     if args.seed_in_lp:
@@ -205,8 +207,12 @@ def cmd_search(args) -> int:
         seed=args.seed,
         budget_ms=budget,
     )
-    proper = not result.reached_full
-    status = "proper-subspace" if proper else "full-space"
+    # a proper subspace is claimed only when certified; a search stopped by
+    # the budget or the round cap, or failing the fresh check, is inconclusive
+    if result.reached_full:
+        status = "full-space"
+    else:
+        status = "proper-subspace" if result.proper else "inconclusive"
     report = {
         "schema": SCHEMA,
         "command": "search",
@@ -222,7 +228,7 @@ def cmd_search(args) -> int:
         "dim": result.subspace.dim,
         "rounds": result.rounds,
         "fresh_invariance_ok": result.fresh_invariance_ok,
-        "witness_basis": _subspace_hex(result.subspace) if proper else None,
+        "witness_basis": _subspace_hex(result.subspace) if result.proper else None,
     }
     _emit(report, args.output, [
         f"closure search against power {args.power}: {status}",
@@ -237,8 +243,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_primitivity(args) -> int:
-    if args.n * 4 > 20 and args.rho != "aes":
-        raise InputError("toy verdicts need 4n <= 20 bits")
+    if args.samples < 0:
+        raise InputError("--samples must be non-negative")
+    if args.rho != "aes":
+        if args.n * 4 > 20:
+            raise InputError("toy verdicts need 4n <= 20 bits")
+        least = 3 if args.rho == "random" else 1  # every map of F_2^n is affine for n <= 2
+        if args.n < least:
+            raise InputError(f"--rho {args.rho} needs --n >= {least}")
     rng = Random(args.seed)
     if args.rho == "random":
         rho = random_nonaffine_word_permutation(args.n, rng)
@@ -253,7 +265,7 @@ def cmd_primitivity(args) -> int:
     if args.rho == "aes":
         # 2^128 points: the exhaustive verdict refuses; sampled mode probes
         # with closure searches and still reports Inconclusive, never a guess
-        lifted = primitivity_check([ks_oracle(rho, 1)], 4 * rho.n)
+        lifted = primitivity_check([ks_oracle(rho, 1)], 4 * rho.m)
         probes = None
         if args.mode == "sampled":
             budget = args.budget_ms if args.budget_ms is not None else _default_budget_ms()
@@ -261,11 +273,11 @@ def cmd_primitivity(args) -> int:
             probes = {"seeds": 0, "proper_found": 0}
             for _ in range(max(1, args.samples // 256)):
                 res = closure_search(
-                    oracle, [rng.getrandbits(4 * rho.n) or 1],
+                    oracle, [rng.getrandbits(4 * rho.m) or 1],
                     seed=rng.getrandbits(30), budget_ms=budget,
                 )
                 probes["seeds"] += 1
-                if not res.reached_full:
+                if res.proper:
                     probes["proper_found"] += 1
         report = {
             "schema": SCHEMA,
@@ -278,7 +290,7 @@ def cmd_primitivity(args) -> int:
             "closure_probes": probes,
             "runtime_ms": (time.perf_counter() - t0) * 1000,
         }
-        lines = [f"lifted check at 4n={4 * rho.n}: {lifted.status} ({lifted.reason})"]
+        lines = [f"lifted check at 4n={4 * rho.m}: {lifted.status} ({lifted.reason})"]
         if probes:
             lines.append(
                 f"closure probes: {probes['proper_found']}/{probes['seeds']} found a proper subspace"
@@ -286,9 +298,8 @@ def cmd_primitivity(args) -> int:
         _emit(report, args.output, lines)
         return EXIT_OK
 
-    base_oracle = PermutationOracle.from_table(rho.to_table(), rho.descriptor)
-    base = primitivity_check([base_oracle], args.n, method="unionfind")
-    affine = is_affine(base_oracle)
+    base = primitivity_check([rho], args.n, method="unionfind")
+    affine = is_affine(rho)
     lifted = primitivity_check([ks_oracle(rho, 1)], 4 * args.n)
     consistent = True
     if base.status == "primitive" and not affine:
@@ -352,6 +363,8 @@ def cmd_goursat(args) -> int:
 
 
 def cmd_lp_verify(args) -> int:
+    if args.samples < 0:
+        raise InputError("--samples must be non-negative")
     rep = verify_lp_subspace(samples=args.samples, seed=args.seed, run_closure=not args.no_closure)
     report = {
         "schema": SCHEMA,
@@ -379,6 +392,8 @@ def cmd_lp_verify(args) -> int:
 
 
 def cmd_certificate(args) -> int:
+    if not 2 <= args.delta <= AES_SBOX.s - 1:
+        raise InputError(f"--delta must be in 2..{AES_SBOX.s - 1}")
     rows = tuple(
         _apply_rot_power(1 << i, args.rot_power) for i in range(32)
     )

@@ -5,7 +5,9 @@ bit i, so the *first* coordinate of a tuple is the low-order bit.  Packed
 this way, vector addition is ``^`` and all routines below stay allocation
 free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
-equality of two ``Subspace`` objects is subspace equality.
+equality of two ``Subspace`` objects is subspace equality.  All
+incremental elimination goes through ``rref_insert`` and all random
+members are drawn by ``random_member``.
 
 Text I/O writes one basis vector per line as hex of the underlying byte
 sequence (byte 0 = coordinates 0..7 printed first).
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
+from random import Random
 
 MAX_ENUM_DIM = 8
 
@@ -35,6 +38,40 @@ def check_vector(m: int, v: int) -> None:
 def _pivot(v: int) -> int:
     """Index of the lowest set bit of a nonzero int."""
     return (v & -v).bit_length() - 1
+
+
+def rref_insert(rows: dict[int, int], vectors: Iterable[int]) -> list[int]:
+    """Insert vectors into ``rows`` ({pivot: row}, kept in reduced
+    row-echelon form) and return the nonzero residuals in insertion order.
+
+    A residual is the unique v + s with s in the span so far that is zero
+    on every pivot, so it does not depend on how the rows are stored.
+    """
+    new = []
+    for v in vectors:
+        # one pass suffices: a canonical row holds no other row's pivot
+        for p, row in rows.items():
+            if (v >> p) & 1:
+                v ^= row
+        if v:
+            p = _pivot(v)
+            for q, row in rows.items():
+                if (row >> p) & 1:
+                    rows[q] = row ^ v
+            rows[p] = v
+            new.append(v)
+    return new
+
+
+def random_member(rows: Sequence[int], rng: Random) -> int:
+    """Sum of a random subset of ``rows``: one ``getrandbits(len(rows))``
+    draw, bit j selecting row j, so replays with the same seed agree."""
+    mask = rng.getrandbits(len(rows))
+    x = 0
+    for j, row in enumerate(rows):
+        if (mask >> j) & 1:
+            x ^= row
+    return x
 
 
 def vec_to_hex(v: int, m: int) -> str:
@@ -62,36 +99,31 @@ class Subspace:
     are immutable and hashable.
     """
 
-    __slots__ = ("m", "basis")
+    __slots__ = ("m", "basis", "pivots")
 
     def __init__(self, m: int, vectors: Iterable[int] = ()) -> None:
         if m < 0:
             raise ValueError("ambient dimension must be non-negative")
-        rows: dict[int, int] = {}
+        vectors = list(vectors)
         for v in vectors:
             check_vector(m, v)
-            # one pass suffices: a canonical row holds no other row's pivot
-            for p, row in rows.items():
-                if (v >> p) & 1:
-                    v ^= row
-            if v:
-                p = _pivot(v)
-                for q, row in rows.items():
-                    if (row >> p) & 1:
-                        rows[q] = row ^ v
-                rows[p] = v
+        rows: dict[int, int] = {}
+        rref_insert(rows, vectors)
+        pivots = tuple(sorted(rows))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "basis", tuple(rows[p] for p in sorted(rows)))
+        object.__setattr__(self, "basis", tuple(rows[p] for p in pivots))
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _from_rref(cls, m: int, basis: Sequence[int]) -> "Subspace":
-        """Trusted constructor for rows already in canonical RREF."""
+    def _from_rref(cls, m: int, basis: Sequence[int], pivots: Sequence[int]) -> "Subspace":
+        """Trusted constructor for rows already in canonical RREF, with their pivots."""
         obj = cls.__new__(cls)
         object.__setattr__(obj, "m", m)
         object.__setattr__(obj, "basis", tuple(basis))
+        object.__setattr__(obj, "pivots", tuple(pivots))
         return obj
 
     @classmethod
@@ -100,15 +132,11 @@ class Subspace:
 
     @classmethod
     def full(cls, m: int) -> "Subspace":
-        return cls._from_rref(m, tuple(1 << i for i in range(m)))
+        return cls._from_rref(m, [1 << i for i in range(m)], range(m))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(_pivot(row) for row in self.basis)
 
     @property
     def is_trivial(self) -> bool:
@@ -118,8 +146,8 @@ class Subspace:
     def reduce(self, v: int) -> int:
         """Remainder of v after elimination against the basis."""
         check_vector(self.m, v)
-        for row in self.basis:
-            if (v >> _pivot(row)) & 1:
+        for p, row in zip(self.pivots, self.basis):
+            if (v >> p) & 1:
                 v ^= row
         return v
 
@@ -189,11 +217,6 @@ class Subspace:
         return f"Subspace(m={self.m}, dim={self.dim}, basis=[{rows}])"
 
 
-def span(m: int, vectors: Iterable[int]) -> Subspace:
-    """Canonicalize a family of vectors into its span."""
-    return Subspace(m, vectors)
-
-
 def gaussian_binomial(m: int, k: int) -> int:
     """Number of k-dimensional subspaces of F_2^m."""
     if not 0 <= k <= m:
@@ -203,11 +226,6 @@ def gaussian_binomial(m: int, k: int) -> int:
         num *= (1 << m) - (1 << i)
         den *= (1 << k) - (1 << i)
     return num // den
-
-
-def subspace_count(m: int, dims: Iterable[int] | None = None) -> int:
-    wanted = range(m + 1) if dims is None else sorted(set(dims))
-    return sum(gaussian_binomial(m, k) for k in wanted)
 
 
 def enumerate_subspaces(m: int, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
@@ -242,7 +260,7 @@ def enumerate_subspaces(m: int, dims: Iterable[int] | None = None) -> Iterator[S
                     t &= t - 1
                     i, c = slots[j]
                     rows[i] |= 1 << c
-                found.append(tuple(rows))
+                found.append((tuple(rows), pivots))
         found.sort()
-        for basis in found:
-            yield Subspace._from_rref(m, basis)
+        for basis, pivots in found:
+            yield Subspace._from_rref(m, basis, pivots)

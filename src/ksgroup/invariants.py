@@ -33,10 +33,11 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import CapacityError, Subspace
+from .gf2 import CapacityError, Subspace, random_member, rref_insert
 from .keyschedule import (
+    MAX_EXHAUSTIVE_POINTS,
+    PermutationOracle,
     State,
-    WordPerm,
     flatten_state,
     ks_power,
     translate,
@@ -44,56 +45,9 @@ from .keyschedule import (
 )
 from .sbox import AffineMap, SBox
 
-MAX_EXHAUSTIVE_POINTS = 1 << 20
-
 
 # ---------------------------------------------------------------------
 # Oracles
-
-
-class PermutationOracle:
-    """Forward/backward evaluation of a bijection on F_2^m."""
-
-    __slots__ = ("m", "forward", "backward", "descriptor", "_table")
-
-    def __init__(
-        self,
-        m: int,
-        forward: Callable[[int], int],
-        backward: Callable[[int], int],
-        descriptor: str = "oracle",
-    ) -> None:
-        self.m = m
-        self.forward = forward
-        self.backward = backward
-        self.descriptor = descriptor
-        self._table: tuple[int, ...] | None = None
-        for x in (0, 1, (1 << m) - 1):
-            if backward(forward(x)) != x:
-                raise ValueError(f"backward(forward({x:#x})) != {x:#x}")
-
-    def __repr__(self) -> str:
-        return f"PermutationOracle(m={self.m}, {self.descriptor})"
-
-    @classmethod
-    def from_table(cls, table: Sequence[int], descriptor: str = "table") -> "PermutationOracle":
-        m = (len(table) - 1).bit_length()
-        if (1 << m) != len(table):
-            raise ValueError("table length is not a power of two")
-        fwd = tuple(table)
-        bwd = [0] * len(table)
-        for x, y in enumerate(fwd):
-            bwd[y] = x
-        oracle = cls(m, fwd.__getitem__, tuple(bwd).__getitem__, descriptor)
-        oracle._table = fwd
-        return oracle
-
-    def table(self) -> tuple[int, ...]:
-        if self._table is None:
-            if (1 << self.m) > MAX_EXHAUSTIVE_POINTS:
-                raise CapacityError(f"refusing to tabulate 2^{self.m} points")
-            self._table = tuple(self.forward(x) for x in range(1 << self.m))
-        return self._table
 
 
 def translation_oracle(m: int, t: int) -> PermutationOracle:
@@ -101,7 +55,7 @@ def translation_oracle(m: int, t: int) -> PermutationOracle:
 
 
 def ks_oracle(
-    rho: WordPerm,
+    rho: PermutationOracle,
     power: int = 1,
     constants: Sequence[State] | None = None,
 ) -> PermutationOracle:
@@ -112,7 +66,7 @@ def ks_oracle(
     application (e.g. per-round constants); the list length must equal
     ``power``.
     """
-    n = rho.n
+    n = rho.m
     m = 4 * n
     if constants is not None:
         if power < 1:
@@ -140,20 +94,6 @@ def ks_oracle(
 
     tag = f"ks({rho.descriptor})^{power}" + ("+constants" if constants else "")
     return PermutationOracle(m, fwd, bwd, tag)
-
-
-def normalized_oracle(oracle: PermutationOracle) -> PermutationOracle:
-    """Compose with the translation by the image of 0 so that 0 is fixed."""
-    c = oracle.forward(0)
-    if c == 0:
-        return oracle
-    fwd, bwd = oracle.forward, oracle.backward
-    return PermutationOracle(
-        oracle.m,
-        lambda x: fwd(x) ^ c,
-        lambda y: bwd(y ^ c),
-        oracle.descriptor + "+fix0",
-    )
 
 
 # ---------------------------------------------------------------------
@@ -210,13 +150,8 @@ def is_linear_block(
 
     if mode == "sampled":
         rng = Random(seed)
-        members = u.basis
         for i in range(samples):
-            uu = 0
-            mask = rng.getrandbits(len(members))
-            for j in range(len(members)):
-                if (mask >> j) & 1:
-                    uu ^= members[j]
+            uu = random_member(u.basis, rng)
             v = rng.getrandbits(oracle.m)
             d = oracle.forward(uu ^ v) ^ oracle.forward(v)
             if not u.contains(d):
@@ -314,38 +249,19 @@ def min_block_subspace(tables: Sequence[np.ndarray], m: int, v: int) -> Subspace
     table f(x+w)+f(x); differences outside the current span are absorbed
     immediately, so no rescans are needed.
     """
-    n_points = 1 << m
-    xs = np.arange(n_points, dtype=np.uint32)
+    xs = np.arange(1 << m, dtype=np.uint32)
     rows: dict[int, int] = {}
-
-    def insert(vec: int) -> int:
-        for p, row in rows.items():
-            if (vec >> p) & 1:
-                vec ^= row
-        if vec:
-            p = (vec & -vec).bit_length() - 1
-            for q, row in list(rows.items()):
-                if (row >> p) & 1:
-                    rows[q] = row ^ vec
-            rows[p] = vec
-        return vec
-
-    queue = [v]
-    insert(v)
+    queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
         w = queue.pop()
         for table in tables:
             diffs = table[xs ^ np.uint32(w)] ^ table
-            basis = [rows[p] for p in sorted(rows)]
-            reduced = _reduce_array(diffs, basis)
-            for d in np.unique(reduced):
-                if d:
-                    r = insert(int(d))
-                    if r:
-                        queue.append(r)
+            reduced = _reduce_array(diffs, [rows[p] for p in sorted(rows)])
+            queue += rref_insert(rows, (int(d) for d in np.unique(reduced) if d))
             if len(rows) == m:
                 break
-    return Subspace(m, rows.values())
+    pivots = sorted(rows)
+    return Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
 
 
 # ---------------------------------------------------------------------
@@ -449,6 +365,13 @@ class ClosureResult:
     samples_per_round: int
     fresh_invariance_ok: bool
     descriptor: str
+    stop_reason: str  # "full" | "stable" | "budget" | "max-rounds"
+
+    @property
+    def proper(self) -> bool:
+        """A proper invariant subspace is claimed only when the search
+        stopped because the span was stable and a fresh sample agreed."""
+        return self.stop_reason == "stable" and self.fresh_invariance_ok
 
 
 def closure_search(
@@ -463,7 +386,8 @@ def closure_search(
 ) -> ClosureResult:
     """Grow span(seeds) by inserting images of random members until the
     dimension is stable for ``stable_rounds`` consecutive rounds or the
-    space is full.
+    space is full; ``stop_reason`` also records a stop by ``budget_ms`` or
+    ``max_rounds``.
 
     Requires f(0) = 0 (normalize the operator first) so that the closure
     is a subspace story rather than a coset story.
@@ -471,56 +395,42 @@ def closure_search(
     if oracle.forward(0) != 0:
         raise ValueError("operator must fix 0; use a normalized word permutation")
     m = oracle.m
-    rows: dict[int, int] = {}
-
-    def insert(vec: int) -> bool:
-        for p, row in rows.items():
-            if (vec >> p) & 1:
-                vec ^= row
-        if vec:
-            rows[(vec & -vec).bit_length() - 1] = vec
-            return True
-        return False
-
+    seeds = list(seeds)
     for s in seeds:
         if not 0 <= s < (1 << m):
             raise ValueError(f"seed {s:#x} does not fit in {m} bits")
-        insert(s)
+    rows: dict[int, int] = {}
+    # members are sampled over the residuals in insertion order, not over
+    # the RREF rows, so that a seeded search replays the same draws
+    residuals = rref_insert(rows, seeds)
 
     rng = Random(seed)
     t0 = time.perf_counter()
     rounds = stable = evals = 0
     while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
         if budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms:
+            stop_reason = "budget"
             break
         grew = False
-        basis = list(rows.values())
         for _ in range(samples_per_round):
-            u = 0
-            mask = rng.getrandbits(len(basis)) if basis else 0
-            for j in range(len(basis)):
-                if (mask >> j) & 1:
-                    u ^= basis[j]
-            for img in (oracle.forward(u), oracle.backward(u)):
-                evals += 1
-                if insert(img):
-                    grew = True
-                    basis = list(rows.values())
+            u = random_member(residuals, rng)
+            new = rref_insert(rows, (oracle.forward(u), oracle.backward(u)))
+            evals += 2
+            if new:
+                grew = True
+                residuals += new
             if len(rows) == m:
                 break
         rounds += 1
         stable = 0 if grew else stable + 1
+    else:
+        stop_reason = "full" if len(rows) == m else "stable" if stable >= stable_rounds else "max-rounds"
 
-    result = Subspace(m, rows.values())
+    pivots = sorted(rows)
+    result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
     fresh_ok = True
-    basis = result.basis
     for _ in range(fresh_samples):
-        u = 0
-        mask = rng.getrandbits(len(basis)) if basis else 0
-        for j in range(len(basis)):
-            if (mask >> j) & 1:
-                u ^= basis[j]
-        if not result.contains(oracle.forward(u)):
+        if not result.contains(oracle.forward(random_member(result.basis, rng))):
             fresh_ok = False
             break
     return ClosureResult(
@@ -533,6 +443,7 @@ def closure_search(
         samples_per_round=samples_per_round,
         fresh_invariance_ok=fresh_ok,
         descriptor=oracle.descriptor,
+        stop_reason=stop_reason,
     )
 
 
@@ -608,13 +519,13 @@ def is_affine_sampled(oracle: PermutationOracle, samples: int = 10_000, seed: in
     return True
 
 
-def random_word_permutation(n: int, rng: Random) -> WordPerm:
+def random_word_permutation(n: int, rng: Random) -> PermutationOracle:
     table = list(range(1 << n))
     rng.shuffle(table)
-    return WordPerm.from_table(table, f"random-table(n={n})")
+    return PermutationOracle.from_table(table, f"random-table(n={n})")
 
 
-def random_nonaffine_word_permutation(n: int, rng: Random, max_tries: int = 1000) -> WordPerm:
+def random_nonaffine_word_permutation(n: int, rng: Random, max_tries: int = 1000) -> PermutationOracle:
     """Rejection-sample shuffled tables until one is not affine.
 
     Impossible at n <= 2: every permutation of F_2^2 is affine, so toy
@@ -624,15 +535,15 @@ def random_nonaffine_word_permutation(n: int, rng: Random, max_tries: int = 1000
         raise ValueError("every permutation of F_2^n is affine for n <= 2")
     for _ in range(max_tries):
         rho = random_word_permutation(n, rng)
-        if not is_affine(PermutationOracle.from_table(rho.to_table(), rho.descriptor)):
+        if not is_affine(rho):
             return rho
     raise RuntimeError("no non-affine table found (should not happen)")
 
 
-def random_affine_word_permutation(n: int, rng: Random) -> WordPerm:
+def random_affine_word_permutation(n: int, rng: Random) -> PermutationOracle:
     amap = AffineMap.random(n, rng)
     inv = amap.inverse()
-    return WordPerm(n, amap, inv, f"affine(n={n})")
+    return PermutationOracle(n, amap, inv, f"affine(n={n})")
 
 
 # ---------------------------------------------------------------------
@@ -775,20 +686,12 @@ def verify_lp_subspace(
     oracle = ks_oracle(aes_core().normalized(), power=4)
     rng = Random(seed)
 
-    def sample_member(u: Subspace) -> int:
-        x = 0
-        mask = rng.getrandbits(u.dim)
-        for j in range(u.dim):
-            if (mask >> j) & 1:
-                x ^= u.basis[j]
-        return x
-
     screening = {}
     resolved = None
     for name in LP_CONVENTIONS:
         u = lp_pattern_subspace(name)
         fails = sum(
-            0 if u.contains(oracle.forward(sample_member(u))) else 1
+            0 if u.contains(oracle.forward(random_member(u.basis, rng))) else 1
             for _ in range(screen_samples)
         )
         screening[name] = fails
@@ -801,7 +704,7 @@ def verify_lp_subspace(
     if resolved is not None:
         u = lp_pattern_subspace(resolved)
         for _ in range(samples):
-            if not u.contains(oracle.forward(sample_member(u))):
+            if not u.contains(oracle.forward(random_member(u.basis, rng))):
                 failures += 1
         if run_closure:
             seed_vec = u.basis[0]

@@ -22,11 +22,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
+from .gf2 import CapacityError
 from .sbox import AES_SBOX, SBox
 
 State = tuple[int, int, int, int]
 
 WORD_BITS = 32
+
+MAX_EXHAUSTIVE_POINTS = 1 << 20
 
 
 class WidthMismatch(ValueError):
@@ -96,114 +99,114 @@ def unflatten_state(x: int, n: int = WORD_BITS) -> State:
 # Word permutations
 
 
-class WordPerm:
-    """A bijection of F_2^n with forward and backward evaluation."""
+class PermutationOracle:
+    """A bijection of F_2^m with forward and backward evaluation."""
 
-    __slots__ = ("n", "forward", "backward", "descriptor")
+    __slots__ = ("m", "forward", "backward", "descriptor", "_table")
 
     def __init__(
         self,
-        n: int,
+        m: int,
         forward: Callable[[int], int],
         backward: Callable[[int], int],
         descriptor: str = "custom",
     ) -> None:
-        self.n = n
+        self.m = m
         self.forward = forward
         self.backward = backward
         self.descriptor = descriptor
-        for x in (0, 1, (1 << n) - 1):
+        self._table: tuple[int, ...] | None = None
+        for x in (0, 1, (1 << m) - 1):
             if backward(forward(x)) != x:
                 raise ValueError(f"backward is not the inverse of forward at {x:#x}")
 
-    def __call__(self, x: int) -> int:
-        return self.forward(x)
-
     def __repr__(self) -> str:
-        return f"WordPerm(n={self.n}, {self.descriptor})"
+        return f"PermutationOracle(m={self.m}, {self.descriptor})"
 
     @classmethod
-    def from_table(cls, table: Sequence[int], descriptor: str = "table") -> "WordPerm":
-        n = (len(table) - 1).bit_length()
-        if (1 << n) != len(table) or sorted(table) != list(range(len(table))):
-            raise ValueError("table is not a permutation of 0..2^n-1")
+    def from_table(cls, table: Sequence[int], descriptor: str = "table") -> "PermutationOracle":
+        m = (len(table) - 1).bit_length()
+        if (1 << m) != len(table) or sorted(table) != list(range(len(table))):
+            raise ValueError("table is not a permutation of 0..2^m-1")
         fwd = tuple(table)
         bwd = [0] * len(table)
         for x, y in enumerate(fwd):
             bwd[y] = x
-        bwd = tuple(bwd)
-        return cls(n, fwd.__getitem__, bwd.__getitem__, descriptor)
+        oracle = cls(m, fwd.__getitem__, tuple(bwd).__getitem__, descriptor)
+        oracle._table = fwd
+        return oracle
 
-    @classmethod
-    def rotate_substitute(cls, sbox: SBox, bricks: int, descriptor: str | None = None) -> "WordPerm":
-        """Rotate bricks left by one, then apply the S-box to every brick."""
-        s = sbox.s
-        n = s * bricks
-        table = sbox.table
-        inv_table = sbox.inverse().table
-        mask = (1 << s) - 1
-
-        def fwd(x: int) -> int:
-            x = rot_bricks_left(x, s, bricks)
-            y = 0
-            for j in range(bricks):
-                y |= table[(x >> (s * j)) & mask] << (s * j)
-            return y
-
-        def bwd(y: int) -> int:
-            x = 0
-            for j in range(bricks):
-                x |= inv_table[(y >> (s * j)) & mask] << (s * j)
-            return rot_bricks_right(x, s, bricks)
-
-        return cls(n, fwd, bwd, descriptor or f"rot+sbox(s={s},b={bricks})")
-
-    def normalized(self) -> "WordPerm":
+    def normalized(self) -> "PermutationOracle":
         """Compose with the translation by the image of 0 so that 0 maps to 0."""
         c = self.forward(0)
         if c == 0:
             return self
         fwd, bwd = self.forward, self.backward
-        return WordPerm(
-            self.n,
+        return PermutationOracle(
+            self.m,
             lambda x: fwd(x) ^ c,
             lambda y: bwd(y ^ c),
             self.descriptor + "+fix0",
         )
 
-    def to_table(self) -> tuple[int, ...]:
-        if self.n > 16:
-            raise ValueError(f"refusing to tabulate 2^{self.n} entries")
-        return tuple(self.forward(x) for x in range(1 << self.n))
+    def table(self) -> tuple[int, ...]:
+        """The forward map on 0..2^m-1, computed once."""
+        if self._table is None:
+            if (1 << self.m) > MAX_EXHAUSTIVE_POINTS:
+                raise CapacityError(f"refusing to tabulate 2^{self.m} points")
+            self._table = tuple(self.forward(x) for x in range(1 << self.m))
+        return self._table
+
+    # the benchmark harness in perfbench/ still calls the old name
+    to_table = table
 
 
-_AES_CORE: WordPerm | None = None
+def rotate_substitute(sbox: SBox, bricks: int, descriptor: str | None = None) -> PermutationOracle:
+    """Rotate bricks left by one, then apply the S-box to every brick."""
+    s = sbox.s
+    n = s * bricks
+    table = sbox.table
+    inv_table = sbox.inverse().table
+    mask = (1 << s) - 1
+
+    def fwd(x: int) -> int:
+        x = rot_bricks_left(x, s, bricks)
+        y = 0
+        for j in range(bricks):
+            y |= table[(x >> (s * j)) & mask] << (s * j)
+        return y
+
+    def bwd(y: int) -> int:
+        x = 0
+        for j in range(bricks):
+            x |= inv_table[(y >> (s * j)) & mask] << (s * j)
+        return rot_bricks_right(x, s, bricks)
+
+    return PermutationOracle(n, fwd, bwd, descriptor or f"rot+sbox(s={s},b={bricks})")
 
 
-def aes_core() -> WordPerm:
+_AES_CORE: PermutationOracle | None = None
+
+
+def aes_core() -> PermutationOracle:
     """RotWord followed by SubBytes on each byte of a 32-bit word."""
     global _AES_CORE
     if _AES_CORE is None:
-        _AES_CORE = WordPerm.rotate_substitute(AES_SBOX, 4, "aes-core")
+        _AES_CORE = rotate_substitute(AES_SBOX, 4, "aes-core")
     return _AES_CORE
-
-
-def key_schedule_core(word: int) -> int:
-    """One-shot form of aes_core() for a single 32-bit word."""
-    return aes_core().forward(word)
 
 
 # ---------------------------------------------------------------------
 # The operator on four words
 
 
-def _check_state(rho: WordPerm, st: State) -> None:
-    limit = 1 << rho.n
+def _check_state(rho: PermutationOracle, st: State) -> None:
+    limit = 1 << rho.m
     if len(st) != 4 or any(not 0 <= w < limit for w in st):
-        raise WidthMismatch(f"state {st!r} does not fit four {rho.n}-bit words")
+        raise WidthMismatch(f"state {st!r} does not fit four {rho.m}-bit words")
 
 
-def ks_apply(rho: WordPerm, st: State) -> State:
+def ks_apply(rho: PermutationOracle, st: State) -> State:
     _check_state(rho, st)
     t = rho.forward(st[3])
     a = st[0] ^ t
@@ -212,13 +215,13 @@ def ks_apply(rho: WordPerm, st: State) -> State:
     return (a, b, c, c ^ st[3])
 
 
-def ks_inverse(rho: WordPerm, st: State) -> State:
+def ks_inverse(rho: PermutationOracle, st: State) -> State:
     _check_state(rho, st)
     v1, v2, v3, v4 = st
     return (v1 ^ rho.forward(v3 ^ v4), v1 ^ v2, v2 ^ v3, v3 ^ v4)
 
 
-def ks_power(rho: WordPerm, st: State, i: int) -> State:
+def ks_power(rho: PermutationOracle, st: State, i: int) -> State:
     step = ks_apply if i >= 0 else ks_inverse
     for _ in range(abs(i)):
         st = step(rho, st)
@@ -229,32 +232,6 @@ def translate(st: State, t: State) -> State:
     if len(st) != 4 or len(t) != 4:
         raise WidthMismatch("states must have four words")
     return (st[0] ^ t[0], st[1] ^ t[1], st[2] ^ t[2], st[3] ^ t[3])
-
-
-# The operator written as a formal 4x4 matrix of word maps; entry (i, j)
-# is applied to input word i and folded into output word j.  Kept as a
-# second evaluation path so the closed formula above can be cross-checked.
-OPERATOR_MATRIX: tuple[tuple[str, ...], ...] = (
-    ("1", "1", "1", "1"),
-    ("0", "1", "1", "1"),
-    ("0", "0", "1", "1"),
-    ("rho", "rho", "rho", "1+rho"),
-)
-
-
-def ks_apply_matrix(rho: WordPerm, st: State) -> State:
-    _check_state(rho, st)
-    out = [0, 0, 0, 0]
-    for i, row in enumerate(OPERATOR_MATRIX):
-        v = st[i]
-        for j, entry in enumerate(row):
-            if entry == "1":
-                out[j] ^= v
-            elif entry == "rho":
-                out[j] ^= rho.forward(v)
-            elif entry == "1+rho":
-                out[j] ^= v ^ rho.forward(v)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------
@@ -273,16 +250,11 @@ def round_constant(i: int) -> int:
     return rc
 
 
-def round_constant_word(i: int) -> int:
-    """The widened constant (rc_i, 0, 0, 0): rc in the first byte."""
-    return round_constant(i)
-
-
 def aes128_round_key_step(st: State, i: int) -> State:
     if not 1 <= i <= 10:
         raise ValueError(f"round index must be 1..10, got {i}")
-    rcw = round_constant_word(i)
-    return translate(ks_apply(aes_core(), st), (rcw, rcw, rcw, rcw))
+    rc = round_constant(i)
+    return translate(ks_apply(aes_core(), st), (rc, rc, rc, rc))
 
 
 def aes128_expand_key(master: State) -> list[State]:
@@ -297,6 +269,6 @@ def aes_round_constant_states(rounds: int, first: int = 1) -> list[State]:
     """Per-round translation states (rc, rc, rc, rc) for composed steps."""
     out = []
     for r in range(rounds):
-        rcw = round_constant_word(first + r)
-        out.append((rcw, rcw, rcw, rcw))
+        rc = round_constant(first + r)
+        out.append((rc, rc, rc, rc))
     return out

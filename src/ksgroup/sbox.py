@@ -218,23 +218,12 @@ def _matrix_apply(rows: Sequence[int], x: int) -> int:
 
 
 def _matrix_inverse(rows: Sequence[int], s: int) -> tuple[int, ...]:
-    aug = [(rows[i], 1 << i) for i in range(s)]
-    piv: dict[int, tuple[int, int]] = {}
-    for v, t in aug:
-        for p, (pv, pt) in piv.items():
-            if (v >> p) & 1:
-                v ^= pv
-                t ^= pt
-        if not v:
-            raise SBoxError("matrix is singular")
-        p = (v & -v).bit_length() - 1
-        for q in list(piv):
-            qv, qt = piv[q]
-            if (qv >> p) & 1:
-                piv[q] = (qv ^ v, qt ^ t)
-        piv[p] = (v, t)
-    # piv[p] = (e_p, row of the inverse)
-    return tuple(piv[p][1] for p in range(s))
+    """RREF of the rows (M_i | e_i) in F_2^{2s} is (e_i | row i of M^-1)
+    exactly when M is invertible."""
+    aug = Subspace(2 * s, (rows[i] | (1 << (s + i)) for i in range(s)))
+    if [row & ((1 << s) - 1) for row in aug.basis] != [1 << i for i in range(s)]:
+        raise SBoxError("matrix is singular")
+    return tuple(row >> s for row in aug.basis)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from ksgroup.invariants import (
     verify_lp_subspace,
 )
 from ksgroup.keyschedule import (
-    WordPerm,
     aes128_round_key_step,
     aes_core,
     ks_apply,
@@ -132,7 +131,7 @@ def test_criterion_5_operator_identities():
     rng = Random(55)
     table = list(range(8))
     rng.shuffle(table)
-    toy = WordPerm.from_table(table, "toy")
+    toy = PermutationOracle.from_table(table, "toy")
     for x in range(1 << 12):
         st = unflatten_state(x, 3)
         assert ks_inverse(toy, ks_apply(toy, st)) == st
@@ -197,7 +196,7 @@ def test_criterion_7_toy_primitivity_reduction():
         attempts += 1
         rho = random_nonaffine_word_permutation(3, rng)
         base = primitivity_check(
-            [PermutationOracle.from_table(rho.to_table(), "rho")], 3, method="unionfind"
+            [PermutationOracle.from_table(rho.table(), "rho")], 3, method="unionfind"
         )
         if base.status != "primitive":
             continue

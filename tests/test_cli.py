@@ -142,6 +142,16 @@ def test_search_with_constants_needs_positive_power(capsys):
     assert run(["search", "--power", "-2", "--with-constants"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["--budget-ms", "0"], ["--samples", "0"]])
+def test_search_uncertified_stop_is_inconclusive(capsys, extra):
+    # power 1 has no proper invariant subspace; a search cut short by the
+    # budget, or one that never samples, has certified nothing
+    rc, rep = run_json(capsys, ["search", "--power", "1", "--seed", "2"] + extra)
+    assert rc == 0
+    assert rep["status"] == "inconclusive"
+    assert rep["witness_basis"] is None
+
+
 # ---------------------------------------------------------------------
 # primitivity
 
@@ -190,6 +200,15 @@ def test_primitivity_replay_determinism(capsys):
     _, rep1 = run_json(capsys, argv)
     _, rep2 = run_json(capsys, argv)
     assert strip_runtime(rep1) == strip_runtime(rep2)
+
+
+def test_primitivity_probes_count_only_certified_subspaces(capsys):
+    rc, rep = run_json(capsys, [
+        "primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "512",
+        "--budget-ms", "0",
+    ])
+    assert rc == 0
+    assert rep["closure_probes"] == {"seeds": 2, "proper_found": 0}
 
 
 # ---------------------------------------------------------------------
@@ -250,3 +269,24 @@ def test_certificate_rot2_fails_bricks(capsys):
     assert rc == 0
     failing = [c["name"] for c in rep["clauses"] if not c["passed"]]
     assert failing == ["brick-sums"]
+
+
+# ---------------------------------------------------------------------
+# bad input: exit 2 with a message, never a traceback
+
+
+@pytest.mark.parametrize("argv", [
+    ["sbox-audit", "--aes", "--max-delta", "9"],
+    ["certificate", "--delta", "1"],
+    ["primitivity", "--n", "0"],
+    ["primitivity", "--n", "2"],
+    ["primitivity", "--n", "0", "--rho", "affine"],
+    ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "-1"],
+    ["lp-verify", "--samples", "-5"],
+    ["search", "--power", "1", "--samples", "-1"],
+], ids=" ".join)
+def test_bad_input_exits_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""

@@ -10,7 +10,6 @@ from ksgroup.gf2 import (
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
-    span,
     vec_from_hex,
     vec_to_hex,
 )

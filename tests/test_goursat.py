@@ -198,3 +198,14 @@ def test_tower_of_lp_subspace_runs():
     assert rep["roundtrip_ok"]
     assert rep["dim"] == 32
     assert rep["top"]["right_kernel_dim"] <= 32
+
+
+def test_level_roundtrip_can_fail():
+    # each level is compared with the subspace it decomposed, so a report
+    # against any other source reads false
+    from ksgroup.goursat import _level_report
+
+    u = lp_pattern_subspace()
+    g = decompose(u, 64, 64)
+    assert _level_report(g, u)["roundtrip_ok"] is True
+    assert _level_report(g, Subspace(128, u.basis[1:]))["roundtrip_ok"] is False

@@ -27,7 +27,7 @@ from ksgroup.invariants import (
     translation_oracle,
     verify_lp_subspace,
 )
-from ksgroup.keyschedule import WordPerm, aes_core, rot_bricks_left
+from ksgroup.keyschedule import aes_core, rot_bricks_left
 from ksgroup.sbox import AES_SBOX, AffineMap, SBox
 
 # ---------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_min_block_capacity_error():
 def test_min_block_matches_exhaustive_scan_identity_rho():
     # identity word map at n=2: the lifted operator is linear, so blocks
     # through 0 are exactly its invariant subspaces; scan all of F_2^8
-    rho = WordPerm.from_table(list(range(4)), "identity")
+    rho = PermutationOracle.from_table(list(range(4)), "identity")
     oracle = ks_oracle(rho, 1)
     table = oracle.table()
     invariant = [
@@ -213,7 +213,7 @@ def test_min_block_agrees_with_subspace_closure_nonlinear():
 def test_min_block_primitive_toy_reaches_full_space():
     rho, oracle = toy_ks_oracle(3, 21)
     base = primitivity_check(
-        [PermutationOracle.from_table(rho.to_table(), "rho")], 3, method="unionfind"
+        [PermutationOracle.from_table(rho.table(), "rho")], 3, method="unionfind"
     )
     if base.status == "primitive":
         for v in (1, 77, 4000):
@@ -230,7 +230,7 @@ def test_base_verdict_inversion_gf8():
     from ksgroup.sbox import inversion_sbox
 
     inv = inversion_sbox(3, 0b1011)
-    rho = WordPerm.from_table(inv.table, "inversion-gf8")
+    rho = PermutationOracle.from_table(inv.table, "inversion-gf8")
     oracle = PermutationOracle.from_table(inv.table, "inversion-gf8")
     base = primitivity_check([oracle], 3, method="unionfind")
     assert base.pairs_checked <= 7
@@ -307,6 +307,23 @@ def test_closure_zero_seed_stays_zero():
 def test_closure_requires_fixed_zero():
     with pytest.raises(ValueError):
         closure_search(ks_oracle(aes_core(), 1), [1])
+
+
+def test_closure_stop_reasons():
+    oracle = ks_oracle(aes_core().normalized(), 1)
+    full = closure_search(oracle, [1], seed=1)
+    assert (full.stop_reason, full.reached_full, full.proper) == ("full", True, False)
+    for kwargs, reason in (
+        ({"budget_ms": 0}, "budget"),
+        ({"max_rounds": 0}, "max-rounds"),
+        ({"samples_per_round": 0, "stable_rounds": 3}, "stable"),
+    ):
+        res = closure_search(oracle, [1], **kwargs)
+        assert res.stop_reason == reason
+        assert not res.proper  # dim 1 is not invariant: nothing certified
+    lp = lp_pattern_subspace()
+    res = closure_search(ks_oracle(aes_core().normalized(), 4), [lp.basis[0]])
+    assert res.stop_reason == "stable" and res.proper
 
 
 def test_closure_contains_seed_span():

@@ -6,16 +6,14 @@ import pytest
 
 from ksgroup import fips197
 from ksgroup.keyschedule import (
+    PermutationOracle,
     State,
     WidthMismatch,
-    WordPerm,
     aes128_expand_key,
     aes128_round_key_step,
     aes_core,
     flatten_state,
-    key_schedule_core,
     ks_apply,
-    ks_apply_matrix,
     ks_inverse,
     ks_power,
     rot_bricks_left,
@@ -48,6 +46,31 @@ APPENDIX_WORDS = [
 ]
 
 
+# The operator written as a formal 4x4 matrix of word maps; entry (i, j)
+# is applied to input word i and folded into output word j.  A second
+# evaluation path, so the closed formula of ks_apply can be cross-checked.
+OPERATOR_MATRIX = (
+    ("1", "1", "1", "1"),
+    ("0", "1", "1", "1"),
+    ("0", "0", "1", "1"),
+    ("rho", "rho", "rho", "1+rho"),
+)
+
+
+def ks_apply_matrix(rho, st: State) -> State:
+    out = [0, 0, 0, 0]
+    for i, row in enumerate(OPERATOR_MATRIX):
+        v = st[i]
+        for j, entry in enumerate(row):
+            if entry == "1":
+                out[j] ^= v
+            elif entry == "rho":
+                out[j] ^= rho.forward(v)
+            elif entry == "1+rho":
+                out[j] ^= v ^ rho.forward(v)
+    return tuple(out)
+
+
 def fips_state(round_key) -> State:
     return tuple(word_from_bytes(w) for w in round_key)
 
@@ -59,7 +82,7 @@ def toy_rho(n, seed, require_nonaffine_zero_fix=False):
     if require_nonaffine_zero_fix:
         z = table.index(0)
         table[0], table[z] = table[z], table[0]
-    return WordPerm.from_table(table, f"toy-{n}")
+    return PermutationOracle.from_table(table, f"toy-{n}")
 
 
 # ---------------------------------------------------------------------
@@ -81,7 +104,7 @@ def test_fips_oracle_rejects_bad_key_length():
 
 
 def test_core_of_zero_is_sbox_of_zero_everywhere():
-    v = key_schedule_core(0)
+    v = aes_core().forward(0)
     assert word_to_bytes(v) == (S[0],) * 4
 
 
@@ -90,7 +113,7 @@ def test_core_byte_pattern():
     for _ in range(100):
         b0, b1, b2, b3 = (rng.getrandbits(8) for _ in range(4))
         v = word_from_bytes((b0, b1, b2, b3))
-        assert word_to_bytes(key_schedule_core(v)) == (S[b1], S[b2], S[b3], S[b0])
+        assert word_to_bytes(aes_core().forward(v)) == (S[b1], S[b2], S[b3], S[b0])
 
 
 def test_core_bijectivity_sampled():
@@ -209,7 +232,7 @@ def test_matrix_form_agrees_with_formula():
 def test_apply_linear_when_rho_linear():
     rng = random.Random(40)
     lin = AffineMap.random(4, rng, with_offset=False)
-    rho = WordPerm(4, lin, lin.inverse(), "linear")
+    rho = PermutationOracle(4, lin, lin.inverse(), "linear")
     for _ in range(200):
         x = unflatten_state(rng.getrandbits(16), 4)
         y = unflatten_state(rng.getrandbits(16), 4)
