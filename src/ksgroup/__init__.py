@@ -9,7 +9,8 @@ Layout:
                    key-schedule operator and AES-128 expansion
 * ``fips197``      independent word-level reference expansion
 * ``goursat``      decomposition of subspaces of direct products
-* ``invariants``   linear blocks, minimal blocks, primitivity, closure search
+* ``invariants``   linear blocks, subspace minimal blocks, primitivity,
+                   closure search
 * ``cli``          the ``ksgroup`` command
 """
 
@@ -22,7 +23,6 @@ from .invariants import (
     is_linear_block,
     ks_oracle,
     lp_pattern_subspace,
-    min_block,
     primitivity_check,
     spn_primitivity_certificate,
     verify_lp_subspace,
@@ -70,7 +70,6 @@ __all__ = [
     "ks_oracle",
     "ks_power",
     "lp_pattern_subspace",
-    "min_block",
     "primitivity_check",
     "reconstruct",
     "spn_primitivity_certificate",

@@ -47,6 +47,7 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 BUDGET_ENV = "KSGROUP_BUDGET_MS"
+PROBE_SAMPLES = 256  # sampled primitivity: one closure probe per this many samples
 
 
 class InputError(Exception):
@@ -94,7 +95,7 @@ def cmd_sbox_audit(args) -> int:
             print(f"invalid S-box: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         source = args.table
-    if not 0 <= args.max_delta <= sb.s - 1:
+    if args.max_delta is not None and not 0 <= args.max_delta <= sb.s - 1:
         raise InputError(f"--max-delta must be in 0..{sb.s - 1} for a {sb.s}-bit S-box")
     audit = audit_sbox(sb, max_delta=args.max_delta)
     report = {
@@ -165,6 +166,10 @@ def cmd_expand(args) -> int:
 def cmd_search(args) -> int:
     if args.samples < 0 or args.stable_rounds < 0:
         raise InputError("--samples and --stable-rounds must be non-negative")
+    if args.n_seeds < 1:
+        raise InputError("--n-seeds must be at least 1")
+    if args.budget_ms is not None and args.budget_ms < 0:
+        raise InputError("--budget-ms must be non-negative")
     rho = aes_core().normalized()
     constants = None
     normalized_composite = False
@@ -183,7 +188,7 @@ def cmd_search(args) -> int:
     if args.seed_in_lp:
         u = lp_pattern_subspace()
         seeds = []
-        for _ in range(max(1, args.n_seeds)):
+        for _ in range(args.n_seeds):
             x = 0
             for row in u.basis:
                 if rng.getrandbits(1):
@@ -196,8 +201,10 @@ def cmd_search(args) -> int:
             raise InputError(f"bad seed hex: {exc}") from None
         if any(not 0 <= s < (1 << 128) for s in seeds):
             raise InputError("seeds must be 128-bit values")
+        if not any(seeds):
+            raise InputError("the seeds span only 0; give a nonzero seed")
     else:
-        seeds = [rng.getrandbits(128) or 1 for _ in range(max(1, args.n_seeds))]
+        seeds = [rng.getrandbits(128) or 1 for _ in range(args.n_seeds)]
     budget = args.budget_ms if args.budget_ms is not None else _default_budget_ms()
     result = closure_search(
         oracle,
@@ -245,6 +252,10 @@ def cmd_search(args) -> int:
 def cmd_primitivity(args) -> int:
     if args.samples < 0:
         raise InputError("--samples must be non-negative")
+    if args.budget_ms is not None and args.budget_ms < 0:
+        raise InputError("--budget-ms must be non-negative")
+    if args.rho == "aes" and args.mode == "sampled" and args.samples < PROBE_SAMPLES:
+        raise InputError(f"sampled mode runs one closure probe per {PROBE_SAMPLES} --samples")
     if args.rho != "aes":
         if args.n * 4 > 20:
             raise InputError("toy verdicts need 4n <= 20 bits")
@@ -271,7 +282,7 @@ def cmd_primitivity(args) -> int:
             budget = args.budget_ms if args.budget_ms is not None else _default_budget_ms()
             oracle = ks_oracle(rho.normalized(), power=1)
             probes = {"seeds": 0, "proper_found": 0}
-            for _ in range(max(1, args.samples // 256)):
+            for _ in range(args.samples // PROBE_SAMPLES):
                 res = closure_search(
                     oracle, [rng.getrandbits(4 * rho.m) or 1],
                     seed=rng.getrandbits(30), budget_ms=budget,
@@ -298,7 +309,7 @@ def cmd_primitivity(args) -> int:
         _emit(report, args.output, lines)
         return EXIT_OK
 
-    base = primitivity_check([rho], args.n, method="unionfind")
+    base = primitivity_check([rho], args.n)
     affine = is_affine(rho)
     lifted = primitivity_check([ks_oracle(rho, 1)], 4 * args.n)
     consistent = True
@@ -437,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sbox-audit", help="differential uniformity and anti-invariance")
     p.add_argument("table", nargs="?", help="hex table file")
     p.add_argument("--aes", action="store_true", help="audit the builtin AES table")
-    p.add_argument("--max-delta", type=int, default=2)
+    p.add_argument("--max-delta", type=int, default=None,
+                   help="highest anti-invariance order to test (default min(2, s-1))")
     p.set_defaults(func=cmd_sbox_audit)
 
     p = sub.add_parser("expand", help="AES-128 key expansion")
@@ -465,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                    help="sampled adds closure probes at widths beyond the exhaustive budget")
-    p.add_argument("--samples", type=int, default=512)
+    p.add_argument("--samples", type=int, default=512,
+                   help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples")
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_primitivity)

@@ -7,14 +7,11 @@ Contents:
   checked exhaustively (every point against every basis direction) or by
   random sampling.  Exhaustive answers are exact; over budget the check
   refuses rather than guessing.
-* ``min_block`` -- classical minimal-block computation: a union-find over
-  all 2^m points grown from the seed pair (0, v) under the generators.
-  No linearity is assumed; that the returned block is a subspace when the
-  translations are among the generators is *verified*, not presupposed.
-* ``min_block_subspace`` -- the fast path for groups containing every
-  translation: the block through 0 must then be a subspace W with
-  f(x+w)+f(x) in W for all x, so it can be grown by vectorized scans over
-  difference tables.  Cross-checked against ``min_block`` in the tests.
+* ``min_block_subspace`` -- the minimal block through {0, v}.  Every
+  translation is in the group, so that block is a subspace W with
+  f(x+w)+f(x) in W for all x, and it is grown by vectorized scans over
+  difference tables.  The tests check it against a union-find over all
+  2^m points (Atkinson 1975), which assumes no linearity.
 * ``primitivity_check`` -- minimal blocks for every v != 0; Primitive only
   when all of them are the full space, Imprimitive verdicts carry a
   witness that is re-certified with ``is_linear_block``.
@@ -33,7 +30,7 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import CapacityError, Subspace, random_member, rref_insert
+from .gf2 import Subspace, random_member, rref_insert
 from .keyschedule import (
     MAX_EXHAUSTIVE_POINTS,
     PermutationOracle,
@@ -115,7 +112,6 @@ def is_linear_block(
     mode: str = "exhaustive",
     samples: int = 4096,
     seed: int = 0,
-    max_points: int = MAX_EXHAUSTIVE_POINTS,
 ) -> LinearBlockCheck:
     """Does f map every coset U+v onto the coset U+f(v)?
 
@@ -130,7 +126,7 @@ def is_linear_block(
 
     if mode == "exhaustive":
         n_points = 1 << oracle.m
-        if n_points > max_points:
+        if n_points > MAX_EXHAUSTIVE_POINTS:
             return LinearBlockCheck(
                 ok=None, mode=mode, checked=0,
                 reason=f"2^{oracle.m} points exceed the exhaustive budget",
@@ -171,72 +167,7 @@ def _reduce_array(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# Minimal blocks: generic union-find, no linearity assumptions
-
-
-@dataclass(frozen=True)
-class MinBlockResult:
-    points: tuple[int, ...]  # the block containing 0, sorted
-    subspace: Subspace | None  # set when the block is closed under addition
-    unions: int
-
-
-def min_block(
-    oracles: Sequence[PermutationOracle],
-    m: int,
-    v: int,
-    include_translations: bool = True,
-    max_points: int = MAX_EXHAUSTIVE_POINTS,
-) -> MinBlockResult:
-    """Finest block system of <oracles (+ translations)> merging 0 with v,
-    grown pairwise over all 2^m points (union-find).
-
-    The block containing 0 is returned; whether it forms a subspace is
-    checked on the result (with translations present it always should).
-    """
-    n_points = 1 << m
-    if n_points > max_points:
-        raise CapacityError(f"2^{m} points exceed the union-find budget")
-    if not 0 < v < n_points:
-        raise ValueError("seed point must be a nonzero m-bit value")
-
-    parent = list(range(n_points))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    gens: list[Callable[[int], int]] = [o.forward for o in oracles]
-    if include_translations:
-        gens += [(lambda x, t=1 << i: x ^ t) for i in range(m)]
-
-    unions = 0
-    stack = [(0, v)]
-    parent[find(v)] = find(0)
-    while stack:
-        x, y = stack.pop()
-        for g in gens:
-            a, b = g(x), g(y)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-                unions += 1
-                stack.append((a, b))
-
-    root = find(0)
-    block = tuple(x for x in range(n_points) if find(x) == root)
-    sp = Subspace(m, block)
-    return MinBlockResult(
-        points=block,
-        subspace=sp if (1 << sp.dim) == len(block) else None,
-        unions=unions,
-    )
-
-
-# ---------------------------------------------------------------------
-# Minimal blocks: fast path exploiting that translations are generators
+# Minimal blocks: translations are generators, so blocks are subspaces
 
 
 def min_block_subspace(tables: Sequence[np.ndarray], m: int, v: int) -> Subspace:
@@ -274,79 +205,38 @@ class BlockVerdict:
     witness: Subspace | None
     points: int
     pairs_checked: int
-    method: str
-    samples: int = 0
-    seed: int | None = None
-    runtime_ms: float = 0.0
     reason: str = ""
     witness_certified: bool | None = None
 
 
-def primitivity_check(
-    oracles: Sequence[PermutationOracle],
-    m: int,
-    method: str = "auto",
-    max_points: int = MAX_EXHAUSTIVE_POINTS,
-    certify_witness: bool = True,
-) -> BlockVerdict:
+def primitivity_check(oracles: Sequence[PermutationOracle], m: int) -> BlockVerdict:
     """Exhaustive minimal-block search for <oracles, T_m> over every v != 0.
 
-    "unionfind" runs the generic pairwise algorithm per seed pair;
-    "subspace" runs the vectorized closure that is valid because every
-    translation is in the group.  Both stop at the first proper block.
-    Imprimitive witnesses are re-certified with is_linear_block against
-    every oracle before the verdict is returned.
+    Each seed's block is grown by ``min_block_subspace`` and the search
+    stops at the first proper one.  An Imprimitive witness is re-certified
+    with the exhaustive ``is_linear_block`` against every oracle before the
+    verdict is returned.
     """
-    t0 = time.perf_counter()
     n_points = 1 << m
-    if n_points > max_points:
+    if n_points > MAX_EXHAUSTIVE_POINTS:
         return BlockVerdict(
             status="inconclusive", witness=None, points=n_points, pairs_checked=0,
-            method=method, reason=f"2^{m} points exceed the exhaustive budget",
+            reason=f"2^{m} points exceed the exhaustive budget",
         )
-    if method == "auto":
-        method = "unionfind" if m <= 10 else "subspace"
-
-    witness: Subspace | None = None
-    pairs = 0
-    if method == "subspace":
-        tables = [np.array(o.table(), dtype=np.uint32) for o in oracles]
-        for v in range(1, n_points):
-            pairs += 1
-            w = min_block_subspace(tables, m, v)
-            if not w.is_trivial:
-                witness = w
-                break
-    elif method == "unionfind":
-        for v in range(1, n_points):
-            pairs += 1
-            res = min_block(oracles, m, v, include_translations=True, max_points=max_points)
-            if 1 < len(res.points) < n_points:
-                if res.subspace is None:
-                    raise AssertionError("block through 0 is not a subspace despite translations")
-                witness = res.subspace
-                break
+    tables = [np.array(o.table(), dtype=np.uint32) for o in oracles]
+    for v in range(1, n_points):
+        witness = min_block_subspace(tables, m, v)
+        if not witness.is_trivial:
+            break
     else:
-        raise ValueError(f"unknown method {method!r}")
-
-    runtime = (time.perf_counter() - t0) * 1000
-    if witness is None:
         return BlockVerdict(
-            status="primitive", witness=None, points=n_points,
-            pairs_checked=pairs, method=method, runtime_ms=runtime,
+            status="primitive", witness=None, points=n_points, pairs_checked=n_points - 1,
         )
-    certified = None
-    if certify_witness:
-        certified = all(
-            is_linear_block(o, witness, mode="exhaustive", max_points=max_points).ok
-            for o in oracles
-        )
-        if not certified:
-            raise AssertionError("imprimitivity witness failed the linear-block re-check")
+    if not all(is_linear_block(o, witness).ok for o in oracles):
+        raise AssertionError("imprimitivity witness failed the linear-block re-check")
     return BlockVerdict(
         status="imprimitive", witness=witness, points=n_points,
-        pairs_checked=pairs, method=method, runtime_ms=runtime,
-        witness_certified=certified,
+        pairs_checked=v, witness_certified=True,
     )
 
 
@@ -370,8 +260,9 @@ class ClosureResult:
     @property
     def proper(self) -> bool:
         """A proper invariant subspace is claimed only when the search
-        stopped because the span was stable and a fresh sample agreed."""
-        return self.stop_reason == "stable" and self.fresh_invariance_ok
+        stopped because the span was stable and a fresh sample agreed; the
+        zero span certifies nothing."""
+        return self.stop_reason == "stable" and self.fresh_invariance_ok and self.subspace.dim > 0
 
 
 def closure_search(
@@ -491,13 +382,12 @@ def brick_invariant_sums(rows: Sequence[int], s: int, b: int) -> list[tuple[int,
 # Affineness
 
 
-def is_affine(oracle: PermutationOracle, max_points: int = 1 << 24) -> bool:
+def is_affine(oracle: PermutationOracle) -> bool:
     """Exact test: subtract f(0) and compare against the linearization
     built from the basis images.  Equivalent to f(x+y+z) = f(x)+f(y)+f(z)
-    for all triples."""
+    for all triples.  Above 2^20 points ``table()`` raises CapacityError;
+    use ``is_affine_sampled`` there."""
     m = oracle.m
-    if (1 << m) > max_points:
-        raise CapacityError(f"exact affineness needs 2^{m} evaluations; use sampled")
     t = oracle.table()
     c = t[0]
     expected = [0] * (1 << m)
@@ -668,10 +558,12 @@ class LPReport:
     closure_contained: bool | None = None
 
 
+LP_SCREEN_SAMPLES = 64  # per convention, in the quick pass
+
+
 def verify_lp_subspace(
     samples: int = 10_000,
     seed: int = 0,
-    screen_samples: int = 64,
     run_closure: bool = True,
 ) -> LPReport:
     """Check u * f in U for random u in U, f = four applications of the
@@ -692,7 +584,7 @@ def verify_lp_subspace(
         u = lp_pattern_subspace(name)
         fails = sum(
             0 if u.contains(oracle.forward(random_member(u.basis, rng))) else 1
-            for _ in range(screen_samples)
+            for _ in range(LP_SCREEN_SAMPLES)
         )
         screening[name] = fails
         if fails == 0 and resolved is None:

@@ -50,6 +50,17 @@ def test_sbox_audit_inversion_file(tmp_path, capsys):
     assert rep["delta"] == 2
 
 
+@pytest.mark.parametrize("table", ["1 0", "3 1 0 2"])
+def test_sbox_audit_small_width_default_max_delta(tmp_path, capsys, table):
+    # the default tests anti-invariance up to min(2, s-1), so a 1- or 2-bit
+    # table is audited rather than refused
+    path = tmp_path / "small.hex"
+    path.write_text(table)
+    rc, rep = run_json(capsys, ["sbox-audit", str(path)])
+    assert rc == 0
+    assert rep["anti_invariance_max_tested"] == rep["s"] - 1
+
+
 def test_sbox_audit_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.hex"
     path.write_text("zz 00 01 02")
@@ -284,6 +295,16 @@ def test_certificate_rot2_fails_bricks(capsys):
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "-1"],
     ["lp-verify", "--samples", "-5"],
     ["search", "--power", "1", "--samples", "-1"],
+    ["search", "--power", "1", "--seeds", "0"],
+    ["search", "--power", "1", "--seeds", "0,00"],
+    ["search", "--power", "1", "--n-seeds", "0"],
+    ["search", "--power", "1", "--n-seeds", "-3"],
+    ["search", "--power", "1", "--seed-in-lp", "--n-seeds", "0"],
+    ["search", "--power", "1", "--budget-ms", "-1"],
+    ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "100"],
+    ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "0"],
+    ["primitivity", "--rho", "aes", "--mode", "sampled", "--budget-ms", "-1"],
+    ["primitivity", "--n", "3", "--budget-ms", "-5"],
 ], ids=" ".join)
 def test_bad_input_exits_2(capsys, argv):
     assert run(argv) == 2

@@ -1,12 +1,15 @@
 """Linear-block checks, minimal blocks, closure search, certificates."""
 
 import random
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ksgroup.gf2 import CapacityError, Subspace, enumerate_subspaces
+from ksgroup.gf2 import Subspace, enumerate_subspaces
 from ksgroup.invariants import (
     LP_CONVENTIONS,
     PermutationOracle,
@@ -18,7 +21,6 @@ from ksgroup.invariants import (
     ks_oracle,
     linear_rows,
     lp_pattern_subspace,
-    min_block,
     min_block_subspace,
     primitivity_check,
     random_affine_word_permutation,
@@ -95,6 +97,55 @@ def deterministic_closure(table, m, v):
     return Subspace(m, rows.values())
 
 
+@dataclass(frozen=True)
+class MinBlockResult:
+    points: tuple[int, ...]  # the block containing 0, sorted
+    subspace: Subspace | None  # set when the block is closed under addition
+
+
+def min_block(oracles, m, v):
+    """Brute-force reference (Atkinson 1975): the finest block system of
+    <oracles, translations> merging 0 with v, grown pairwise over all 2^m
+    points by union-find.  Assumes no linearity: whether the block through
+    0 is a subspace is read off the result."""
+    n_points = 1 << m
+    parent = list(range(n_points))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    gens = [o.forward for o in oracles] + [(lambda x, t=1 << i: x ^ t) for i in range(m)]
+    stack = [(0, v)]
+    parent[find(v)] = find(0)
+    while stack:
+        x, y = stack.pop()
+        for g in gens:
+            a, b = g(x), g(y)
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[rb] = ra
+                stack.append((a, b))
+
+    root = find(0)
+    block = tuple(x for x in range(n_points) if find(x) == root)
+    sp = Subspace(m, block)
+    return MinBlockResult(points=block, subspace=sp if (1 << sp.dim) == len(block) else None)
+
+
+def unionfind_primitivity(oracles, m):
+    """(status, witness, pairs_checked) of the seed-by-seed union-find scan
+    that primitivity_check must reproduce."""
+    for v in range(1, 1 << m):
+        res = min_block(oracles, m, v)
+        if len(res.points) < 1 << m:
+            assert res.subspace is not None  # with translations, blocks are subspaces
+            return "imprimitive", res.subspace, v
+    return "primitive", None, (1 << m) - 1
+
+
 def random_member(rng, s: Subspace) -> int:
     x = 0
     for row in s.basis:
@@ -139,7 +190,7 @@ def test_exhaustive_matches_brute_coset_oracle():
 
 def test_exhaustive_true_case_from_affine_witness():
     _, oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([oracle], 12, method="subspace")
+    verdict = primitivity_check([oracle], 12)
     assert verdict.status == "imprimitive"
     assert brute_coset_check(oracle.table(), verdict.witness)
     assert is_linear_block(oracle, verdict.witness).ok
@@ -163,7 +214,7 @@ def test_sampled_finds_violations():
 
 
 # ---------------------------------------------------------------------
-# min_block (union-find)
+# minimal blocks against the union-find reference
 
 
 def test_translations_only_minimal_block_is_span_v():
@@ -171,11 +222,6 @@ def test_translations_only_minimal_block_is_span_v():
         res = min_block([], 4, v)
         assert res.points == (0, v)
         assert res.subspace == Subspace(4, [v])
-
-
-def test_min_block_capacity_error():
-    with pytest.raises(CapacityError):
-        min_block([], 40, 1)
 
 
 def test_min_block_matches_exhaustive_scan_identity_rho():
@@ -212,9 +258,7 @@ def test_min_block_agrees_with_subspace_closure_nonlinear():
 
 def test_min_block_primitive_toy_reaches_full_space():
     rho, oracle = toy_ks_oracle(3, 21)
-    base = primitivity_check(
-        [PermutationOracle.from_table(rho.table(), "rho")], 3, method="unionfind"
-    )
+    base = primitivity_check([PermutationOracle.from_table(rho.table(), "rho")], 3)
     if base.status == "primitive":
         for v in (1, 77, 4000):
             res = min_block([oracle], 12, v)
@@ -232,10 +276,10 @@ def test_base_verdict_inversion_gf8():
     inv = inversion_sbox(3, 0b1011)
     rho = PermutationOracle.from_table(inv.table, "inversion-gf8")
     oracle = PermutationOracle.from_table(inv.table, "inversion-gf8")
-    base = primitivity_check([oracle], 3, method="unionfind")
+    base = primitivity_check([oracle], 3)
     assert base.pairs_checked <= 7
     assert base.status in ("primitive", "imprimitive")
-    lifted = primitivity_check([ks_oracle(rho, 1)], 12, method="subspace")
+    lifted = primitivity_check([ks_oracle(rho, 1)], 12)
     aff = is_affine(oracle)
     assert aff is False
     if base.status == "primitive":
@@ -248,7 +292,7 @@ def test_affine_rho_lifts_imprimitive_with_certified_witness():
     found = 0
     for _ in range(12):
         rho = random_affine_word_permutation(3, rng)
-        verdict = primitivity_check([ks_oracle(rho, 1)], 12, method="subspace")
+        verdict = primitivity_check([ks_oracle(rho, 1)], 12)
         if verdict.status == "imprimitive":
             found += 1
             assert verdict.witness_certified
@@ -258,17 +302,55 @@ def test_affine_rho_lifts_imprimitive_with_certified_witness():
     assert found >= 3
 
 
-def test_unionfind_and_subspace_methods_agree():
-    # n=2 keeps the union-find run over all 255 pairs cheap
-    for seed in (1, 2, 3):
-        rng = Random(seed)
-        rho = random_affine_word_permutation(2, rng)  # n=2: all perms affine
-        oracle = ks_oracle(rho, 1)
-        a = primitivity_check([oracle], 8, method="unionfind")
-        b = primitivity_check([oracle], 8, method="subspace")
-        assert a.status == b.status
-        if a.status == "imprimitive":
-            assert a.witness == b.witness  # both scan v in the same order
+@st.composite
+def bijection_families(draw, max_m=6):
+    """One or two bijections of F_2^m.  About half of them permute the
+    cosets of the span of the low k bits (a map on the high part and a
+    per-coset map on the low part), so that imprimitive groups are common."""
+    m = draw(st.integers(1, max_m))
+    tables = []
+    for _ in range(draw(st.integers(1, 2))):
+        rng = Random(draw(st.integers(0, 2**32)))
+        if draw(st.booleans()):
+            table = list(range(1 << m))
+            rng.shuffle(table)
+        else:
+            k = draw(st.integers(0, m))
+            high = list(range(1 << (m - k)))
+            rng.shuffle(high)
+            low = []
+            for _ in high:
+                perm = list(range(1 << k))
+                rng.shuffle(perm)
+                low.append(perm)
+            table = [(high[x >> k] << k) | low[x >> k][x & ((1 << k) - 1)] for x in range(1 << m)]
+        tables.append(table)
+    return m, tables
+
+
+# n=2: every word map is affine; its lift to 2^8 points is the case where
+# the primitivity verdict used to switch between two methods
+LIFTED_AFFINE_N2 = [
+    (8, [list(ks_oracle(random_affine_word_permutation(2, Random(seed)), 1).table())])
+    for seed in (1, 2, 3)
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(bijection_families())
+@example(LIFTED_AFFINE_N2[0])
+@example(LIFTED_AFFINE_N2[1])
+@example(LIFTED_AFFINE_N2[2])
+def test_subspace_blocks_match_unionfind_reference(family):
+    m, tables = family
+    oracles = [PermutationOracle.from_table(t, "t") for t in tables]
+    arrays = [np.array(t, dtype=np.uint32) for t in tables]
+    for v in range(1, 1 << m):
+        assert min_block_subspace(arrays, m, v) == min_block(oracles, m, v).subspace
+    status, witness, pairs = unionfind_primitivity(oracles, m)
+    verdict = primitivity_check(oracles, m)
+    assert (verdict.status, verdict.witness, verdict.pairs_checked) == (status, witness, pairs)
+    assert verdict.witness_certified is (True if witness is not None else None)
 
 
 def test_over_budget_inconclusive():
@@ -280,7 +362,7 @@ def test_over_budget_inconclusive():
 def test_witness_cosets_permuted_by_translations():
     # any block system found for <f, T> is in particular one for T alone
     _, oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([oracle], 12, method="subspace")
+    verdict = primitivity_check([oracle], 12)
     assert verdict.status == "imprimitive"
     u = verdict.witness
     members = set(u.elements())
@@ -302,6 +384,7 @@ def test_closure_zero_seed_stays_zero():
     res = closure_search(oracle, [0], samples_per_round=32, stable_rounds=4)
     assert res.subspace == Subspace.zero(12)
     assert res.fresh_invariance_ok
+    assert not res.proper
 
 
 def test_closure_requires_fixed_zero():
@@ -379,7 +462,7 @@ def test_closure_matches_deterministic_closure_on_invariant_case():
     # raw operator yields the witness block; its offset-normalized form
     # fixes 0, and the witness is an invariant subspace for that form
     rho, raw_oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([raw_oracle], 12, method="subspace")
+    verdict = primitivity_check([raw_oracle], 12)
     norm_oracle = ks_oracle(rho.normalized(), 1)
     table = norm_oracle.table()
     seed_vec = verdict.witness.basis[0]
