@@ -6,9 +6,9 @@ The two properties that drive the primitivity certificate, computed for
 the AES SubBytes table and a couple of toy tables for contrast.
 """
 
+from ksgroup.keyschedule import PermutationOracle
 from ksgroup.sbox import (
     AES_SBOX,
-    SBox,
     anti_invariance_order,
     ddt,
     differential_profile,
@@ -22,7 +22,7 @@ print(f"AES S-box: differential uniformity {profile.delta}, "
       f"smallest derivative image {profile.min_derivative_image}")
 
 # The identity is as bad as it gets (every derivative is constant) ...
-print("identity on 3 bits:", differential_profile(SBox.identity(3)).delta)
+print("identity on 3 bits:", differential_profile(PermutationOracle.from_table(range(8))).delta)
 
 # ... while field inversion in an odd dimension is as good as it gets.
 inv = inversion_sbox(3, 0b1011)
@@ -43,7 +43,7 @@ print(f"AES (normalized): anti-invariance order {res.order} "
 
 # A linear bijection maps hyperplanes onto hyperplanes, so its order is 0
 # and the first hyperplane witnesses it.
-lin = SBox([x for x in range(16)])
+lin = PermutationOracle.from_table(range(16))
 res = anti_invariance_order(lin, max_delta=1)
 print(f"identity on 4 bits: order {res.order}, witness dim "
       f"{res.witness.dim if res.witness else None}")

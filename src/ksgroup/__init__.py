@@ -4,9 +4,11 @@ Layout:
 
 * ``gf2``          exact subspace linear algebra (int-packed bit vectors); the
                    one incremental elimination kernel and random-member sampler
-* ``sbox``         differential uniformity and subspace anti-invariance
-* ``keyschedule``  ``PermutationOracle`` (the bijection type), the four-word
-                   key-schedule operator and AES-128 expansion
+* ``keyschedule``  ``PermutationOracle`` (the one bijection type, S-boxes
+                   included), the AES S-box, the four-word key-schedule
+                   operator and AES-128 expansion
+* ``sbox``         differential uniformity and subspace anti-invariance of
+                   S-box tables
 * ``fips197``      independent word-level reference expansion
 * ``goursat``      decomposition of subspaces of direct products
 * ``invariants``   linear blocks, subspace minimal blocks, primitivity,
@@ -28,6 +30,7 @@ from .invariants import (
     verify_lp_subspace,
 )
 from .keyschedule import (
+    AES_SBOX,
     PermutationOracle,
     aes128_expand_key,
     aes_core,
@@ -37,9 +40,7 @@ from .keyschedule import (
     translate,
 )
 from .sbox import (
-    AES_SBOX,
     AffineMap,
-    SBox,
     anti_invariance_order,
     ddt,
     differential_uniformity,
@@ -52,7 +53,6 @@ __all__ = [
     "GoursatDecomposition",
     "GoursatTower",
     "PermutationOracle",
-    "SBox",
     "Subspace",
     "aes128_expand_key",
     "aes_core",

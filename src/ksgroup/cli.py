@@ -17,7 +17,7 @@ import sys
 import time
 from random import Random
 
-from .gf2 import Subspace, vec_to_hex
+from .gf2 import CapacityError, Subspace, vec_to_hex
 from .goursat import tower_report
 from .invariants import (
     ks_oracle,
@@ -54,9 +54,21 @@ class InputError(Exception):
     pass
 
 
-def _default_budget_ms() -> float | None:
-    raw = os.environ.get(BUDGET_ENV)
-    return float(raw) if raw else None
+def _budget_ms(args) -> float | None:
+    """``--budget-ms``, else ``KSGROUP_BUDGET_MS``, else no budget; the
+    value in use must be a non-negative number."""
+    source, raw = "--budget-ms", args.budget_ms
+    if raw is None:
+        source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
+        if not raw:
+            return None
+    try:
+        budget = float(raw)
+    except ValueError:
+        raise InputError(f"{source} must be a number, got {raw!r}") from None
+    if not budget >= 0:  # also refuses NaN
+        raise InputError(f"{source} must be non-negative")
+    return budget
 
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
@@ -95,9 +107,12 @@ def cmd_sbox_audit(args) -> int:
             print(f"invalid S-box: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
         source = args.table
-    if args.max_delta is not None and not 0 <= args.max_delta <= sb.s - 1:
-        raise InputError(f"--max-delta must be in 0..{sb.s - 1} for a {sb.s}-bit S-box")
-    audit = audit_sbox(sb, max_delta=args.max_delta)
+    if args.max_delta is not None and not 0 <= args.max_delta <= sb.m - 1:
+        raise InputError(f"--max-delta must be in 0..{sb.m - 1} for a {sb.m}-bit S-box")
+    try:
+        audit = audit_sbox(sb, max_delta=args.max_delta)
+    except CapacityError as exc:
+        raise InputError(f"anti-invariance of a {sb.m}-bit S-box: {exc}; use --max-delta 0") from None
     report = {
         "schema": SCHEMA,
         "command": "sbox-audit",
@@ -168,8 +183,7 @@ def cmd_search(args) -> int:
         raise InputError("--samples and --stable-rounds must be non-negative")
     if args.n_seeds < 1:
         raise InputError("--n-seeds must be at least 1")
-    if args.budget_ms is not None and args.budget_ms < 0:
-        raise InputError("--budget-ms must be non-negative")
+    budget = _budget_ms(args)
     rho = aes_core().normalized()
     constants = None
     normalized_composite = False
@@ -205,7 +219,6 @@ def cmd_search(args) -> int:
             raise InputError("the seeds span only 0; give a nonzero seed")
     else:
         seeds = [rng.getrandbits(128) or 1 for _ in range(args.n_seeds)]
-    budget = args.budget_ms if args.budget_ms is not None else _default_budget_ms()
     result = closure_search(
         oracle,
         seeds,
@@ -252,8 +265,7 @@ def cmd_search(args) -> int:
 def cmd_primitivity(args) -> int:
     if args.samples < 0:
         raise InputError("--samples must be non-negative")
-    if args.budget_ms is not None and args.budget_ms < 0:
-        raise InputError("--budget-ms must be non-negative")
+    budget = _budget_ms(args)
     if args.rho == "aes" and args.mode == "sampled" and args.samples < PROBE_SAMPLES:
         raise InputError(f"sampled mode runs one closure probe per {PROBE_SAMPLES} --samples")
     if args.rho != "aes":
@@ -279,7 +291,6 @@ def cmd_primitivity(args) -> int:
         lifted = primitivity_check([ks_oracle(rho, 1)], 4 * rho.m)
         probes = None
         if args.mode == "sampled":
-            budget = args.budget_ms if args.budget_ms is not None else _default_budget_ms()
             oracle = ks_oracle(rho.normalized(), power=1)
             probes = {"seeds": 0, "proper_found": 0}
             for _ in range(args.samples // PROBE_SAMPLES):
@@ -403,8 +414,8 @@ def cmd_lp_verify(args) -> int:
 
 
 def cmd_certificate(args) -> int:
-    if not 2 <= args.delta <= AES_SBOX.s - 1:
-        raise InputError(f"--delta must be in 2..{AES_SBOX.s - 1}")
+    if not 2 <= args.delta <= AES_SBOX.m - 1:
+        raise InputError(f"--delta must be in 2..{AES_SBOX.m - 1}")
     rows = tuple(
         _apply_rot_power(1 << i, args.rot_power) for i in range(32)
     )

@@ -8,9 +8,9 @@ except the SubBytes table, so the two can cross-check each other.
 
 from __future__ import annotations
 
-from .sbox import AES_SBOX
+from .keyschedule import AES_SBOX
 
-_S = AES_SBOX.table
+_S = AES_SBOX.table()
 
 RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 

@@ -74,6 +74,16 @@ def random_member(rows: Sequence[int], rng: Random) -> int:
     return x
 
 
+def matrix_apply(rows: Sequence[int], x: int) -> int:
+    """x times the matrix whose row i is the image of e_i."""
+    y = 0
+    while x:
+        low = x & -x
+        y ^= rows[low.bit_length() - 1]
+        x ^= low
+    return y
+
+
 def vec_to_hex(v: int, m: int) -> str:
     check_vector(m, v)
     return v.to_bytes((m + 7) // 8, "little").hex()

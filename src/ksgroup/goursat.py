@@ -28,21 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import Subspace, vec_to_hex
+from .gf2 import Subspace, matrix_apply, vec_to_hex
 
 
 class GoursatInvariantError(ValueError):
     """A GoursatDecomposition field violates a structural requirement."""
-
-
-def apply_hom(hom: tuple[int, ...], a: int) -> int:
-    """Evaluate the row-per-coordinate matrix at a (row i = image of e_i)."""
-    y = 0
-    while a:
-        low = a & -a
-        y ^= hom[low.bit_length() - 1]
-        a ^= low
-    return y
 
 
 @dataclass(frozen=True)
@@ -67,10 +57,10 @@ class GoursatDecomposition:
              "right_kernel is not contained in right_image"),
             (len(self.hom) == self.m1,
              "hom must have one row per coordinate of factor 1"),
-            (all(self.right_image.contains(apply_hom(self.hom, a))
+            (all(self.right_image.contains(matrix_apply(self.hom, a))
                  for a in self.left_image.basis),
              "hom does not map left_image into right_image"),
-            (all(self.right_kernel.contains(apply_hom(self.hom, b))
+            (all(self.right_kernel.contains(matrix_apply(self.hom, b))
                  for b in self.left_kernel.basis),
              "hom does not map left_kernel into right_kernel"),
             (self.left_image.dim - self.left_kernel.dim
@@ -121,7 +111,7 @@ def decompose(u: Subspace, m1: int, m2: int) -> GoursatDecomposition:
 def reconstruct(g: GoursatDecomposition) -> Subspace:
     """The subspace {(a, a*hom + d)}; inverse of decompose on valid data."""
     g.validate()
-    rows = [a | (apply_hom(g.hom, a) << g.m1) for a in g.left_image.basis]
+    rows = [a | (matrix_apply(g.hom, a) << g.m1) for a in g.left_image.basis]
     rows += [d << g.m1 for d in g.right_kernel.basis]
     out = Subspace(g.m1 + g.m2, rows)
     if out.dim != g.left_image.dim + g.right_kernel.dim:

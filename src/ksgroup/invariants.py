@@ -40,7 +40,7 @@ from .keyschedule import (
     translate,
     unflatten_state,
 )
-from .sbox import AffineMap, SBox
+from .sbox import AffineMap
 
 
 # ---------------------------------------------------------------------
@@ -468,13 +468,13 @@ class PrimitivityCertificate:
 
 
 def spn_primitivity_certificate(
-    sbox: SBox,
+    sbox: PermutationOracle,
     rows: Sequence[int],
     delta: int,
 ) -> PrimitivityCertificate:
     from .sbox import anti_invariance_order, differential_uniformity
 
-    s = sbox.s
+    s = sbox.m
     n = len(rows)
     if n % s:
         raise ValueError(f"linear layer width {n} is not a multiple of s={s}")

@@ -69,7 +69,7 @@ def test_criterion_2_aes_one_anti_invariant():
     assert len(hyperplanes) == 255
     failing = 0
     for w in hyperplanes:
-        image = {f(x) for x in w.elements()}
+        image = {f.forward(x) for x in w.elements()}
         if len(image) < (1 << Subspace(8, image).dim):
             failing += 1
     order = anti_invariance_order(f, 1).order

@@ -44,7 +44,7 @@ def test_sbox_audit_inversion_file(tmp_path, capsys):
     from ksgroup.sbox import inversion_sbox
 
     path = tmp_path / "inv8.hex"
-    path.write_text(",".join(f"{x:x}" for x in inversion_sbox(3, 0b1011).table))
+    path.write_text(",".join(f"{x:x}" for x in inversion_sbox(3, 0b1011).table()))
     rc, rep = run_json(capsys, ["sbox-audit", str(path)])
     assert rc == 0
     assert rep["delta"] == 2
@@ -59,6 +59,28 @@ def test_sbox_audit_small_width_default_max_delta(tmp_path, capsys, table):
     rc, rep = run_json(capsys, ["sbox-audit", str(path)])
     assert rc == 0
     assert rep["anti_invariance_max_tested"] == rep["s"] - 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--max-delta", "1"]], ids=["default", "max-delta-1"])
+def test_sbox_audit_too_wide_to_enumerate_exit_2(tmp_path, capsys, extra):
+    # subspaces are enumerated up to 8 bits; a 9-bit table needs them for
+    # any anti-invariance order above 0
+    path = tmp_path / "wide9.hex"
+    path.write_text(" ".join(f"{x:x}" for x in range(512)))
+    assert run(["sbox-audit", str(path)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""
+
+
+def test_sbox_audit_wide_table_max_delta_0(tmp_path, capsys):
+    path = tmp_path / "wide9.hex"
+    path.write_text(" ".join(f"{x:x}" for x in range(512)))
+    rc, rep = run_json(capsys, ["sbox-audit", str(path), "--max-delta", "0"])
+    assert rc == 0
+    assert rep["s"] == 9
+    assert rep["delta"] == 512
+    assert rep["anti_invariance_max_tested"] == 0
 
 
 def test_sbox_audit_malformed_exit_2(tmp_path, capsys):
@@ -307,6 +329,20 @@ def test_certificate_rot2_fails_bricks(capsys):
     ["primitivity", "--n", "3", "--budget-ms", "-5"],
 ], ids=" ".join)
 def test_bad_input_exits_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["search", "--power", "1"],
+    ["primitivity", "--rho", "aes", "--mode", "sampled"],
+], ids=" ".join)
+def test_bad_budget_env_exits_2(monkeypatch, capsys, argv, value):
+    # KSGROUP_BUDGET_MS is checked like --budget-ms
+    monkeypatch.setenv("KSGROUP_BUDGET_MS", value)
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("input error:")

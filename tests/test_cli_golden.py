@@ -2,8 +2,10 @@
 ``runtime_ms``) to the ones recorded in ``golden_cli.json``.
 
 Each entry holds an argv, the exit code and the ``--output json`` report
-with ``runtime_ms`` removed; ``{lp_subspace}`` stands for a file holding
-the four-round pattern subspace.  The cases cover every subcommand.  Most
+with ``runtime_ms`` removed.  A placeholder in ``FILES`` stands for a file
+of that name in the working directory, written before the run: the
+four-round pattern subspace and two S-box tables (the reports echo the
+table's file name as ``source``).  The cases cover every subcommand.  Most
 verdicts do not depend on which random members are drawn, so the
 ``search --samples 1 --stable-rounds 2`` case is there to pin the
 sampler's draw order: its round count changes when the order does.
@@ -19,16 +21,24 @@ from ksgroup.invariants import lp_pattern_subspace
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
+FILES = {
+    "{lp_subspace}": ("lp.sub", lp_pattern_subspace().to_text()),
+    # f(0) != 0 and a fixed point; the 4-bit table has a 2-dim witness
+    "{sbox3}": ("sbox3.hex", "2 1 4 5 3 7 6 0"),
+    "{sbox4}": ("sbox4.hex", "a 0 c 6 3 1 2 d 4 b e 5 9 8 7 f"),
+}
+
 
 def dump(report):
     return json.dumps(report, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
-def test_report_matches_golden(case, tmp_path, capsys):
-    path = tmp_path / "lp.sub"
-    path.write_text(lp_pattern_subspace().to_text())
-    argv = [str(path) if a == "{lp_subspace}" else a for a in case["argv"]]
+def test_report_matches_golden(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.values():
+        (tmp_path / name).write_text(text)
+    argv = [FILES[a][0] if a in FILES else a for a in case["argv"]]
     rc = run(["--output", "json"] + argv)
     report = json.loads(capsys.readouterr().out)
     report.pop("runtime_ms", None)

@@ -27,7 +27,7 @@ from ksgroup.keyschedule import (
 )
 from ksgroup.sbox import AES_SBOX, AffineMap
 
-S = AES_SBOX.table
+S = AES_SBOX.table()
 
 # FIPS-197 Appendix A expanded key for 2b7e1516 28aed2a6 abf71588 09cf4f3c.
 APPENDIX_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
