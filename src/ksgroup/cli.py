@@ -1,11 +1,12 @@
-"""Command-line front door.
+"""Command-line front door: ``ksgroup`` or ``python3 -m ksgroup.cli``.
 
-Subcommands: sbox-audit, expand, search, primitivity, goursat, lp-verify.
 JSON output is the stable contract (``schema: 1``, seed and config always
 embedded so any run can be replayed); text output is human-oriented only.
-
-Exit codes: 0 = completed (an Inconclusive verdict is a completed run),
-2 = input error, 3 = structural violation in the inputs.
+Each ``cmd_*`` returns its report and text lines; ``run`` alone stamps
+``schema`` and ``command``, prints, and picks the exit code: 0 = completed
+(an Inconclusive verdict is a completed run), 2 = ``InputError`` (argparse
+rejections included), 3 = ``StructureError`` (a structural violation in
+the inputs).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import time
 from random import Random
 
+from . import fips197
 from .gf2 import CapacityError, Subspace, vec_to_hex
 from .goursat import tower_report
 from .invariants import (
@@ -42,16 +44,33 @@ from .keyschedule import (
 from .sbox import AES_SBOX, SBoxError, SBoxFormatError, audit_sbox, parse_sbox_text
 
 SCHEMA = 1
-EXIT_OK = 0
-EXIT_INPUT = 2
-EXIT_INVARIANT = 3
-
 BUDGET_ENV = "KSGROUP_BUDGET_MS"
 PROBE_SAMPLES = 256  # sampled primitivity: one closure probe per this many samples
 
 
 class InputError(Exception):
-    pass
+    """Bad input: ``run`` prints it after ``input error:`` and exits 2."""
+
+
+class StructureError(Exception):
+    """Inputs that violate a structural requirement: ``run`` exits 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise InputError(message)
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer that is at least ``low``."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _budget_ms(args) -> float | None:
@@ -71,12 +90,12 @@ def _budget_ms(args) -> float | None:
     return budget
 
 
-def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _read(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from None
 
 
 def _subspace_hex(u: Subspace) -> list[str]:
@@ -87,7 +106,7 @@ def _subspace_hex(u: Subspace) -> list[str]:
 # sbox-audit
 
 
-def cmd_sbox_audit(args) -> int:
+def cmd_sbox_audit(args) -> tuple[dict, list[str]]:
     if args.aes:
         sb = AES_SBOX
         source = "builtin-aes"
@@ -95,17 +114,11 @@ def cmd_sbox_audit(args) -> int:
         if not args.table:
             raise InputError("provide an S-box file or --aes")
         try:
-            with open(args.table) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(str(exc)) from None
-        try:
-            sb = parse_sbox_text(text)
+            sb = parse_sbox_text(_read(args.table))
         except SBoxFormatError as exc:
             raise InputError(f"parse error: {exc}") from None
         except SBoxError as exc:
-            print(f"invalid S-box: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
+            raise StructureError(f"invalid S-box: {exc}") from None
         source = args.table
     if args.max_delta is not None and not 0 <= args.max_delta <= sb.m - 1:
         raise InputError(f"--max-delta must be in 0..{sb.m - 1} for a {sb.m}-bit S-box")
@@ -114,8 +127,6 @@ def cmd_sbox_audit(args) -> int:
     except CapacityError as exc:
         raise InputError(f"anti-invariance of a {sb.m}-bit S-box: {exc}; use --max-delta 0") from None
     report = {
-        "schema": SCHEMA,
-        "command": "sbox-audit",
         "source": source,
         "s": audit.s,
         "delta": audit.delta,
@@ -128,22 +139,21 @@ def cmd_sbox_audit(args) -> int:
         "normalization_offset": audit.normalization_offset,
         "fixed_points": list(audit.fixed_points),
     }
-    _emit(report, args.output, [
+    return report, [
         f"s-box width: {audit.s} bits ({source})",
         f"differential uniformity: {audit.delta}",
         f"smallest derivative image: {audit.min_derivative_image}",
         f"anti-invariance order: {audit.anti.order} (tested up to {audit.anti.max_tested})"
         + ("" if audit.normalization_offset == 0
            else f", after normalizing away f(0)={audit.normalization_offset:#04x}"),
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------
 # expand
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> tuple[dict, list[str]]:
     try:
         master = state_from_hex(args.key)
     except ValueError as exc:
@@ -151,18 +161,13 @@ def cmd_expand(args) -> int:
     keys = aes128_expand_key(master)
     model_checked = None
     if args.check_model:
-        from . import fips197
-
         ref = fips197.round_keys(bytes.fromhex(args.key))
         model_checked = all(
             keys[r] == tuple(word_from_bytes(w) for w in ref[r]) for r in range(11)
         )
         if not model_checked:
-            print("operator model disagrees with the FIPS-197 recurrence", file=sys.stderr)
-            return EXIT_INVARIANT
+            raise StructureError("operator model disagrees with the FIPS-197 recurrence")
     report = {
-        "schema": SCHEMA,
-        "command": "expand",
         "key": args.key,
         "round_keys": [[word_to_hex(w) for w in st] for st in keys],
         "model_checked": model_checked,
@@ -170,34 +175,24 @@ def cmd_expand(args) -> int:
     lines = [f"round {r:2d}: " + " ".join(word_to_hex(w) for w in st) for r, st in enumerate(keys)]
     if model_checked is not None:
         lines.append(f"operator model agrees with FIPS-197 recurrence: {model_checked}")
-    _emit(report, args.output, lines)
-    return EXIT_OK
+    return report, lines
 
 
 # ---------------------------------------------------------------------
 # search
 
 
-def cmd_search(args) -> int:
-    if args.samples < 0 or args.stable_rounds < 0:
-        raise InputError("--samples and --stable-rounds must be non-negative")
-    if args.n_seeds < 1:
-        raise InputError("--n-seeds must be at least 1")
+def cmd_search(args) -> tuple[dict, list[str]]:
     budget = _budget_ms(args)
-    rho = aes_core().normalized()
-    constants = None
-    normalized_composite = False
     if args.with_constants:
         if args.power < 1:
             raise InputError("--with-constants needs a positive --power")
-        constants = aes_round_constant_states(args.power)
-        rho = aes_core()
-    oracle = ks_oracle(rho, power=args.power, constants=constants)
-    if args.with_constants:
         # the composite with constants does not fix 0; the search needs the
         # offset-normalized form and the report says so
-        oracle = oracle.normalized()
-        normalized_composite = True
+        constants = aes_round_constant_states(args.power)
+        oracle = ks_oracle(aes_core(), power=args.power, constants=constants).normalized()
+    else:
+        oracle = ks_oracle(aes_core().normalized(), power=args.power)
     rng = Random(args.seed)
     if args.seed_in_lp:
         u = lp_pattern_subspace()
@@ -234,11 +229,9 @@ def cmd_search(args) -> int:
     else:
         status = "proper-subspace" if result.proper else "inconclusive"
     report = {
-        "schema": SCHEMA,
-        "command": "search",
         "power": args.power,
         "with_constants": bool(args.with_constants),
-        "normalized_composite": normalized_composite,
+        "normalized_composite": bool(args.with_constants),
         "seed": args.seed,
         "seed_in_lp": bool(args.seed_in_lp),
         "budget_ms": budget,
@@ -250,23 +243,23 @@ def cmd_search(args) -> int:
         "fresh_invariance_ok": result.fresh_invariance_ok,
         "witness_basis": _subspace_hex(result.subspace) if result.proper else None,
     }
-    _emit(report, args.output, [
+    return report, [
         f"closure search against power {args.power}: {status}",
         f"dimension {result.subspace.dim} after {result.rounds} rounds"
         f" (fresh invariance: {result.fresh_invariance_ok})",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------
 # primitivity
 
 
-def cmd_primitivity(args) -> int:
-    if args.samples < 0:
-        raise InputError("--samples must be non-negative")
-    budget = _budget_ms(args)
-    if args.rho == "aes" and args.mode == "sampled" and args.samples < PROBE_SAMPLES:
+def cmd_primitivity(args) -> tuple[dict, list[str]]:
+    # only the sampled AES probes spend a budget
+    sampled = args.rho == "aes" and args.mode == "sampled"
+    if not sampled and args.budget_ms is not None:
+        raise InputError("--budget-ms applies only to --rho aes --mode sampled")
+    if sampled and args.samples < PROBE_SAMPLES:
         raise InputError(f"sampled mode runs one closure probe per {PROBE_SAMPLES} --samples")
     if args.rho != "aes":
         if args.n * 4 > 20:
@@ -274,15 +267,14 @@ def cmd_primitivity(args) -> int:
         least = 3 if args.rho == "random" else 1  # every map of F_2^n is affine for n <= 2
         if args.n < least:
             raise InputError(f"--rho {args.rho} needs --n >= {least}")
+    budget = _budget_ms(args) if sampled else None
     rng = Random(args.seed)
     if args.rho == "random":
         rho = random_nonaffine_word_permutation(args.n, rng)
     elif args.rho == "affine":
         rho = random_affine_word_permutation(args.n, rng)
-    elif args.rho == "aes":
-        rho = aes_core()
     else:
-        raise InputError(f"unknown rho kind {args.rho!r}")
+        rho = aes_core()
 
     t0 = time.perf_counter()
     if args.rho == "aes":
@@ -290,24 +282,22 @@ def cmd_primitivity(args) -> int:
         # with closure searches and still reports Inconclusive, never a guess
         lifted = primitivity_check([ks_oracle(rho, 1)], 4 * rho.m)
         probes = None
-        if args.mode == "sampled":
+        if sampled:
             oracle = ks_oracle(rho.normalized(), power=1)
-            probes = {"seeds": 0, "proper_found": 0}
-            for _ in range(args.samples // PROBE_SAMPLES):
-                res = closure_search(
+            n_probes = args.samples // PROBE_SAMPLES
+            found = sum(
+                closure_search(
                     oracle, [rng.getrandbits(4 * rho.m) or 1],
                     seed=rng.getrandbits(30), budget_ms=budget,
-                )
-                probes["seeds"] += 1
-                if res.proper:
-                    probes["proper_found"] += 1
+                ).proper
+                for _ in range(n_probes)
+            )
+            probes = {"seeds": n_probes, "proper_found": found}
         report = {
-            "schema": SCHEMA,
-            "command": "primitivity",
             "rho": rho.descriptor,
             "mode": args.mode,
             "seed": args.seed,
-            "samples": args.samples if args.mode == "sampled" else 0,
+            "samples": args.samples if sampled else 0,
             "lifted": {"status": lifted.status, "reason": lifted.reason},
             "closure_probes": probes,
             "runtime_ms": (time.perf_counter() - t0) * 1000,
@@ -317,8 +307,7 @@ def cmd_primitivity(args) -> int:
             lines.append(
                 f"closure probes: {probes['proper_found']}/{probes['seeds']} found a proper subspace"
             )
-        _emit(report, args.output, lines)
-        return EXIT_OK
+        return report, lines
 
     base = primitivity_check([rho], args.n)
     affine = is_affine(rho)
@@ -327,8 +316,6 @@ def cmd_primitivity(args) -> int:
     if base.status == "primitive" and not affine:
         consistent = lifted.status == "primitive"
     report = {
-        "schema": SCHEMA,
-        "command": "primitivity",
         "n": args.n,
         "rho": rho.descriptor,
         "rho_affine": affine,
@@ -343,54 +330,42 @@ def cmd_primitivity(args) -> int:
         "reduction_consistent": consistent,
         "runtime_ms": (time.perf_counter() - t0) * 1000,
     }
-    _emit(report, args.output, [
+    return report, [
         f"rho: {rho.descriptor} (affine: {affine})",
         f"base group on 2^{args.n} points: {base.status}",
         f"lifted group on 2^{4 * args.n} points: {lifted.status}",
         f"reduction prediction consistent: {consistent}",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------
 # goursat
 
 
-def cmd_goursat(args) -> int:
+def cmd_goursat(args) -> tuple[dict, list[str]]:
     try:
-        with open(args.subspace) as fh:
-            u = Subspace.from_text(fh.read())
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+        u = Subspace.from_text(_read(args.subspace))
     except ValueError as exc:
         raise InputError(f"parse error: {exc}") from None
     if u.m % 4:
-        print(f"ambient dimension {u.m} is not divisible by 4", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise StructureError(f"ambient dimension {u.m} is not divisible by 4")
     report = tower_report(u, with_hom=args.with_hom)
-    report["schema"] = SCHEMA
-    report["command"] = "goursat"
     top = report["top"]
-    _emit(report, args.output, [
+    return report, [
         f"subspace of F_2^{u.m}, dim {u.dim}",
         f"top split dims: image {top['left_image_dim']}/{top['left_kernel_dim']}"
         f" vs {top['right_image_dim']}/{top['right_kernel_dim']}",
         f"round-trip ok: {report['roundtrip_ok']}",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------
 # lp-verify
 
 
-def cmd_lp_verify(args) -> int:
-    if args.samples < 0:
-        raise InputError("--samples must be non-negative")
+def cmd_lp_verify(args) -> tuple[dict, list[str]]:
     rep = verify_lp_subspace(samples=args.samples, seed=args.seed, run_closure=not args.no_closure)
     report = {
-        "schema": SCHEMA,
-        "command": "lp-verify",
         "samples": rep.samples,
         "seed": rep.seed,
         "resolved_convention": rep.resolved_convention,
@@ -400,29 +375,24 @@ def cmd_lp_verify(args) -> int:
         "closure_dim": rep.closure_dim,
         "closure_contained": rep.closure_contained,
     }
-    _emit(report, args.output, [
+    return report, [
         f"pattern subspace dim {rep.subspace_dim}",
         f"resolved convention: {rep.resolved_convention}",
         f"failures: {rep.failures}/{rep.samples}",
         f"closure inside the subspace: dim {rep.closure_dim}, contained {rep.closure_contained}",
-    ])
-    return EXIT_OK
+    ]
 
 
 # ---------------------------------------------------------------------
 # certificate (exposed for completeness alongside sbox-audit)
 
 
-def cmd_certificate(args) -> int:
+def cmd_certificate(args) -> tuple[dict, list[str]]:
     if not 2 <= args.delta <= AES_SBOX.m - 1:
         raise InputError(f"--delta must be in 2..{AES_SBOX.m - 1}")
-    rows = tuple(
-        _apply_rot_power(1 << i, args.rot_power) for i in range(32)
-    )
+    rows = tuple(_apply_rot_power(1 << i, args.rot_power) for i in range(32))
     cert = spn_primitivity_certificate(AES_SBOX, rows, delta=args.delta)
     report = {
-        "schema": SCHEMA,
-        "command": "certificate",
         "delta": args.delta,
         "rot_power": args.rot_power,
         "passed": cert.passed,
@@ -431,11 +401,10 @@ def cmd_certificate(args) -> int:
             for c in cert.clauses
         ],
     }
-    _emit(report, args.output, [
+    return report, [
         f"certificate (delta={args.delta}, rotation power {args.rot_power}): "
         + ("PASS" if cert.passed else f"FAIL ({', '.join(cert.failing())})")
-    ] + [f"  {c.name}: {'ok' if c.passed else 'FAIL'} - {c.detail}" for c in cert.clauses])
-    return EXIT_OK
+    ] + [f"  {c.name}: {'ok' if c.passed else 'FAIL'} - {c.detail}" for c in cert.clauses]
 
 
 def _apply_rot_power(x: int, power: int) -> int:
@@ -449,7 +418,7 @@ def _apply_rot_power(x: int, power: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ksgroup",
         description="algebraic analysis of AES-like key schedules",
     )
@@ -474,11 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-in-lp", action="store_true",
                    help="draw seeds inside the known pattern subspace")
     p.add_argument("--seeds", help="comma-separated 128-bit hex seeds")
-    p.add_argument("--n-seeds", type=int, default=1)
+    p.add_argument("--n-seeds", type=_int_at_least(1), default=1)
     p.add_argument("--with-constants", action="store_true",
                    help="re-enable per-round constants")
-    p.add_argument("--samples", type=int, default=256, help="samples per round")
-    p.add_argument("--stable-rounds", type=int, default=64)
+    p.add_argument("--samples", type=_int_at_least(0), default=256, help="samples per round")
+    p.add_argument("--stable-rounds", type=_int_at_least(0), default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-ms", type=float, default=None)
     p.set_defaults(func=cmd_search)
@@ -488,9 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                    help="sampled adds closure probes at widths beyond the exhaustive budget")
-    p.add_argument("--samples", type=int, default=512,
+    p.add_argument("--samples", type=_int_at_least(0), default=512,
                    help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples")
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=float, default=None,
+                   help="sampled mode: time budget of each closure probe")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_primitivity)
 
@@ -500,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_goursat)
 
     p = sub.add_parser("lp-verify", help="verify the four-round pattern subspace")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_int_at_least(0), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-closure", action="store_true")
     p.set_defaults(func=cmd_lp_verify)
@@ -515,14 +485,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand, print its report and return the exit code."""
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        report, lines = args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return 2
+    except StructureError as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    if args.output == "json":
+        report = {"schema": SCHEMA, "command": args.command, **report}
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

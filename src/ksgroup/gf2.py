@@ -2,12 +2,13 @@
 
 A vector of F_2^m is a plain Python int below 2**m: coordinate i lives in
 bit i, so the *first* coordinate of a tuple is the low-order bit.  Packed
-this way, vector addition is ``^`` and all routines below stay allocation
+this way, vector addition is ``^`` and the vector routines stay allocation
 free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
 equality of two ``Subspace`` objects is subspace equality.  All
 incremental elimination goes through ``rref_insert`` and all random
-members are drawn by ``random_member``.
+members are drawn by ``random_member``; every difference table of a map
+given as a numpy table is scanned by ``derivative``.
 
 Text I/O writes one basis vector per line as hex of the underlying byte
 sequence (byte 0 = coordinates 0..7 printed first).
@@ -15,9 +16,12 @@ sequence (byte 0 = coordinates 0..7 printed first).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from random import Random
+
+import numpy as np
 
 MAX_ENUM_DIM = 8
 
@@ -82,6 +86,19 @@ def matrix_apply(rows: Sequence[int], x: int) -> int:
         y ^= rows[low.bit_length() - 1]
         x ^= low
     return y
+
+
+@functools.cache
+def _points(n: int) -> np.ndarray:
+    """0..n-1 as a read-only index array, built once per table size."""
+    xs = np.arange(n, dtype=np.uint32)
+    xs.flags.writeable = False
+    return xs
+
+
+def derivative(table: np.ndarray, a: int) -> np.ndarray:
+    """f(x + a) + f(x) for every point x, from a uint32 table of f."""
+    return table[_points(len(table)) ^ np.uint32(a)] ^ table
 
 
 def vec_to_hex(v: int, m: int) -> str:

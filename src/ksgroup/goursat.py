@@ -163,12 +163,13 @@ def _level_report(g: GoursatDecomposition, source: Subspace, with_hom: bool = Tr
 def tower_report(u: Subspace, with_hom: bool = False) -> dict:
     """JSON-ready summary of the full tower over a subspace of V^4."""
     tower = tower_decompose(u)
+    top = _level_report(tower.top, u, with_hom)
     return {
         "ambient": u.m,
         "word_bits": tower.n,
         "dim": u.dim,
-        "top": _level_report(tower.top, u, with_hom),
+        "top": top,
         "left_image_split": _level_report(tower.left_image_split, tower.top.left_image, with_hom),
         "right_kernel_split": _level_report(tower.right_kernel_split, tower.top.right_kernel, with_hom),
-        "roundtrip_ok": reconstruct(tower.top) == u,
+        "roundtrip_ok": top["roundtrip_ok"],
     }

@@ -30,7 +30,7 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import Subspace, random_member, rref_insert
+from .gf2 import Subspace, derivative, random_member, rref_insert
 from .keyschedule import (
     MAX_EXHAUSTIVE_POINTS,
     PermutationOracle,
@@ -100,7 +100,6 @@ def ks_oracle(
 @dataclass(frozen=True)
 class LinearBlockCheck:
     ok: bool | None  # None = inconclusive (over budget), never a guess
-    mode: str
     checked: int
     witness: tuple[int, int] | None = None  # (x, u) with f(x+u)+f(x) outside U
     reason: str = ""
@@ -122,27 +121,24 @@ def is_linear_block(
     if oracle.m != u.m:
         raise ValueError("oracle and subspace dimensions differ")
     if u.is_trivial:
-        return LinearBlockCheck(ok=True, mode=mode, checked=0, reason="trivial partition")
+        return LinearBlockCheck(ok=True, checked=0, reason="trivial partition")
 
     if mode == "exhaustive":
         n_points = 1 << oracle.m
         if n_points > MAX_EXHAUSTIVE_POINTS:
             return LinearBlockCheck(
-                ok=None, mode=mode, checked=0,
-                reason=f"2^{oracle.m} points exceed the exhaustive budget",
+                ok=None, checked=0, reason=f"2^{oracle.m} points exceed the exhaustive budget",
             )
         table = np.array(oracle.table(), dtype=np.uint32)
-        xs = np.arange(n_points, dtype=np.uint32)
         checked = 0
         for w in u.basis:
-            diffs = table[xs ^ np.uint32(w)] ^ table
-            reduced = _reduce_array(diffs, u.basis)
+            reduced = _reduce_array(derivative(table, w), u.basis)
             checked += n_points
             bad = np.nonzero(reduced)[0]
             if bad.size:
                 x = int(bad[0])
-                return LinearBlockCheck(ok=False, mode=mode, checked=checked, witness=(x, w))
-        return LinearBlockCheck(ok=True, mode=mode, checked=checked)
+                return LinearBlockCheck(ok=False, checked=checked, witness=(x, w))
+        return LinearBlockCheck(ok=True, checked=checked)
 
     if mode == "sampled":
         rng = Random(seed)
@@ -151,8 +147,8 @@ def is_linear_block(
             v = rng.getrandbits(oracle.m)
             d = oracle.forward(uu ^ v) ^ oracle.forward(v)
             if not u.contains(d):
-                return LinearBlockCheck(ok=False, mode=mode, checked=i + 1, witness=(v, uu))
-        return LinearBlockCheck(ok=True, mode=mode, checked=samples)
+                return LinearBlockCheck(ok=False, checked=i + 1, witness=(v, uu))
+        return LinearBlockCheck(ok=True, checked=samples)
 
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -180,14 +176,12 @@ def min_block_subspace(tables: Sequence[np.ndarray], m: int, v: int) -> Subspace
     table f(x+w)+f(x); differences outside the current span are absorbed
     immediately, so no rescans are needed.
     """
-    xs = np.arange(1 << m, dtype=np.uint32)
     rows: dict[int, int] = {}
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
         w = queue.pop()
         for table in tables:
-            diffs = table[xs ^ np.uint32(w)] ^ table
-            reduced = _reduce_array(diffs, [rows[p] for p in sorted(rows)])
+            reduced = _reduce_array(derivative(table, w), [rows[p] for p in sorted(rows)])
             queue += rref_insert(rows, (int(d) for d in np.unique(reduced) if d))
             if len(rows) == m:
                 break
@@ -247,15 +241,14 @@ def primitivity_check(oracles: Sequence[PermutationOracle], m: int) -> BlockVerd
 @dataclass(frozen=True)
 class ClosureResult:
     subspace: Subspace
-    seed: int
     rounds: int
     evaluations: int
-    reached_full: bool
-    stable_rounds: int
-    samples_per_round: int
     fresh_invariance_ok: bool
-    descriptor: str
     stop_reason: str  # "full" | "stable" | "budget" | "max-rounds"
+
+    @property
+    def reached_full(self) -> bool:
+        return self.subspace.dim == self.subspace.m
 
     @property
     def proper(self) -> bool:
@@ -325,16 +318,8 @@ def closure_search(
             fresh_ok = False
             break
     return ClosureResult(
-        subspace=result,
-        seed=seed,
-        rounds=rounds,
-        evaluations=evals,
-        reached_full=result.dim == m,
-        stable_rounds=stable_rounds,
-        samples_per_round=samples_per_round,
-        fresh_invariance_ok=fresh_ok,
-        descriptor=oracle.descriptor,
-        stop_reason=stop_reason,
+        subspace=result, rounds=rounds, evaluations=evals,
+        fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,
     )
 
 
@@ -454,9 +439,6 @@ class PrimitivityCertificate:
     with a brick-permuting linear layer generates, together with the
     translations, a primitive group whenever all three clauses hold."""
 
-    s: int
-    bricks: int
-    delta: int
     clauses: tuple[CertificateClause, ...]
 
     @property
@@ -503,10 +485,7 @@ def spn_primitivity_certificate(
         detail=f"{len(sums)} invariant brick sums" + (f", first {sums[0]}" if sums else ""),
         witness=sums[0] if sums else None,
     )
-    return PrimitivityCertificate(
-        s=s, bricks=b, delta=delta,
-        clauses=(clause_du, clause_anti, clause_bricks),
-    )
+    return PrimitivityCertificate(clauses=(clause_du, clause_anti, clause_bricks))
 
 
 # ---------------------------------------------------------------------

@@ -9,11 +9,13 @@ spectrum, no algebraic degree.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from random import Random
 
-from .gf2 import Subspace, enumerate_subspaces, matrix_apply
+import numpy as np
+
+from .gf2 import Subspace, derivative, enumerate_subspaces, matrix_apply
 from .keyschedule import AES_SBOX, PermutationOracle  # noqa: F401  (AES_SBOX is re-exported)
 
 
@@ -54,19 +56,17 @@ def inversion_sbox(s: int, modulus: int) -> PermutationOracle:
 # Difference distribution
 
 
-def ddt_row(sb: PermutationOracle, a: int) -> list[int]:
-    """Row a of the difference distribution table: counts of f(x)+f(x+a)."""
-    t = sb.table()
-    n = len(t)
-    row = [0] * n
-    for x in range(n):
-        row[t[x] ^ t[x ^ a]] += 1
-    return row
+def _ddt_rows(sb: PermutationOracle) -> Iterator[np.ndarray]:
+    """Rows a = 0, 1, ... of the difference distribution table: counts of
+    f(x)+f(x+a), from one numpy copy of the table."""
+    t = np.array(sb.table(), dtype=np.uint32)
+    for a in range(len(t)):
+        yield np.bincount(derivative(t, a), minlength=len(t))
 
 
 def ddt(sb: PermutationOracle) -> list[list[int]]:
     """Full 2^s x 2^s table; row sums are 2^s and every entry is even."""
-    return [ddt_row(sb, a) for a in range(1 << sb.m)]
+    return [row.tolist() for row in _ddt_rows(sb)]
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,11 @@ def differential_profile(sb: PermutationOracle) -> DifferentialProfile:
     n = 1 << sb.m
     delta = 0
     min_image = n
-    for a in range(1, n):
-        row = ddt_row(sb, a)
-        delta = max(delta, max(row))
-        min_image = min(min_image, sum(1 for c in row if c))
+    rows = _ddt_rows(sb)
+    next(rows)  # a = 0: every x has difference 0
+    for row in rows:
+        delta = max(delta, int(row.max()))
+        min_image = min(min_image, int(np.count_nonzero(row)))
     # |Im(d_a f)| >= 2^s / delta must hold for every row
     if min_image * delta < n:
         raise AssertionError("derivative image bound violated; table corrupt?")

@@ -1,6 +1,10 @@
 """CLI contract: subcommands, exit codes, JSON schema, replay determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +91,13 @@ def test_sbox_audit_malformed_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.hex"
     path.write_text("zz 00 01 02")
     assert run(["sbox-audit", str(path)]) == 2
+
+
+def test_sbox_audit_binary_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "binary.hex"
+    path.write_bytes(b"\xff\xfe\x80")
+    assert run(["sbox-audit", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_sbox_audit_non_bijective_exit_3(tmp_path, capsys):
@@ -327,6 +338,13 @@ def test_certificate_rot2_fails_bricks(capsys):
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "0"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--budget-ms", "-1"],
     ["primitivity", "--n", "3", "--budget-ms", "-5"],
+    # only sampled AES primitivity spends a budget
+    ["primitivity", "--n", "2", "--rho", "affine", "--seed", "1", "--budget-ms", "0"],
+    ["primitivity", "--rho", "aes", "--budget-ms", "5"],
+    # argparse's own rejections
+    ["primitivity", "--rho", "bogus"],
+    ["search", "--samples", "abc"],
+    [],
 ], ids=" ".join)
 def test_bad_input_exits_2(capsys, argv):
     assert run(argv) == 2
@@ -347,3 +365,31 @@ def test_bad_budget_env_exits_2(monkeypatch, capsys, argv, value):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error:")
     assert captured.out == ""
+
+
+def test_budget_env_unread_where_no_budget_is_spent(monkeypatch, capsys):
+    monkeypatch.setenv("KSGROUP_BUDGET_MS", "abc")
+    argv = ["primitivity", "--n", "2", "--rho", "affine", "--seed", "1"]
+    golden = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    [case] = [c for c in golden if c["argv"] == argv]
+    rc, rep = run_json(capsys, argv)
+    assert rc == 0
+    assert strip_runtime(rep) == case["report"]
+
+
+# ---------------------------------------------------------------------
+# python3 -m ksgroup.cli
+
+
+def test_module_entry_point():
+    def cli(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        return subprocess.run([sys.executable, "-m", "ksgroup.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    ok = cli("expand", FIPS_KEY)
+    assert ok.returncode == 0
+    assert len(ok.stdout.splitlines()) == 11
+    bad = cli("search", "--n-seeds", "0")
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("input error:")

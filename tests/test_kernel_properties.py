@@ -1,19 +1,30 @@
 """Property tests for the shared GF(2) kernel.
 
-The elimination routine, the random-member sampler and the loops built on
-them are checked against brute-force element sets and against the loops
-they replaced, which are copied here verbatim as references.
+The elimination routine, the random-member sampler, the difference-table
+scan and the loops built on them are checked against brute-force element
+sets and against the loops they replaced, which are copied here verbatim
+as references.
 """
 
+import json
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksgroup.gf2 import Subspace, enumerate_subspaces, matrix_apply, random_member, rref_insert
+from ksgroup.gf2 import (
+    Subspace,
+    derivative,
+    enumerate_subspaces,
+    matrix_apply,
+    random_member,
+    rref_insert,
+)
 from ksgroup.goursat import decompose, reconstruct
-from ksgroup.sbox import AffineMap, SBoxError, _matrix_inverse
+from ksgroup.keyschedule import PermutationOracle
+from ksgroup.sbox import AffineMap, SBoxError, _matrix_inverse, ddt, differential_profile
 
 BOUNDED = settings(max_examples=150, deadline=None)
 
@@ -154,6 +165,30 @@ def test_sampler_draws_like_the_inline_loop(rows, seed):
     for _ in range(20):
         assert random_member(rows, new) == old_sample(rows, old)
     assert new.random() == old.random()
+
+
+# ---------------------------------------------------------------------
+# Difference tables: the numpy scan against the per-point loop
+
+
+@BOUNDED
+@given(st.integers(1, 7).flatmap(lambda m: st.permutations(range(1 << m))), st.data())
+def test_difference_table_against_loop(perm, data):
+    n = len(perm)
+    a = data.draw(st.integers(0, n - 1))
+    assert derivative(np.array(perm, dtype=np.uint32), a).tolist() == [
+        perm[x ^ a] ^ perm[x] for x in range(n)
+    ]
+    rows = [[0] * n for _ in range(n)]
+    for b in range(n):
+        for x in range(n):
+            rows[b][perm[x] ^ perm[x ^ b]] += 1
+    sb = PermutationOracle.from_table(perm)
+    assert ddt(sb) == rows
+    profile = differential_profile(sb)
+    assert profile.delta == max(max(row) for row in rows[1:])
+    assert profile.min_derivative_image == min(sum(1 for c in row if c) for row in rows[1:])
+    json.dumps([ddt(sb), profile.delta, profile.min_derivative_image])  # plain ints only
 
 
 # ---------------------------------------------------------------------
