@@ -17,10 +17,11 @@ from ksgroup.keyschedule import aes_core
 
 # Pattern verification: the slot-to-byte convention is screened first,
 # then the surviving convention is sampled in full.
-report = verify_lp_subspace(samples=5000, seed=1)
+samples = 5000
+report = verify_lp_subspace(samples=samples, seed=1)
 print(f"convention screen: {report.screening}")
 print(f"resolved: {report.resolved_convention} "
-      f"({report.failures} failures in {report.samples} samples)")
+      f"({report.failures} failures in {samples} samples)")
 print(f"closure seeded inside the subspace: dim {report.closure_dim}, "
       f"contained: {report.closure_contained}")
 

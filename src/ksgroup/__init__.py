@@ -11,8 +11,8 @@ Layout:
                    S-box tables
 * ``fips197``      independent word-level reference expansion
 * ``goursat``      decomposition of subspaces of direct products
-* ``invariants``   linear blocks, subspace minimal blocks, primitivity,
-                   closure search
+* ``invariants``   exact linear blocks, subspace minimal blocks, primitivity,
+                   the one sampled invariance check, closure search
 * ``cli``          the ``ksgroup`` command
 """
 

@@ -107,6 +107,8 @@ def _subspace_hex(u: Subspace) -> list[str]:
 
 
 def cmd_sbox_audit(args) -> tuple[dict, list[str]]:
+    if args.aes and args.table:
+        raise InputError("give an S-box file or --aes, not both")
     if args.aes:
         sb = AES_SBOX
         source = "builtin-aes"
@@ -184,6 +186,8 @@ def cmd_expand(args) -> tuple[dict, list[str]]:
 
 def cmd_search(args) -> tuple[dict, list[str]]:
     budget = _budget_ms(args)
+    if args.seed_in_lp and args.seeds:
+        raise InputError("give --seeds or --seed-in-lp, not both")
     if args.with_constants:
         if args.power < 1:
             raise InputError("--with-constants needs a positive --power")
@@ -261,18 +265,23 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
         raise InputError("--budget-ms applies only to --rho aes --mode sampled")
     if sampled and args.samples < PROBE_SAMPLES:
         raise InputError(f"sampled mode runs one closure probe per {PROBE_SAMPLES} --samples")
+    if args.rho == "aes" and args.n is not None:
+        raise InputError("--n applies only to a toy --rho; the AES word is 32 bits")
+    n = 3 if args.n is None else args.n
     if args.rho != "aes":
-        if args.n * 4 > 20:
+        if args.mode == "sampled":
+            raise InputError("--mode sampled applies only to --rho aes")
+        if n * 4 > 20:
             raise InputError("toy verdicts need 4n <= 20 bits")
         least = 3 if args.rho == "random" else 1  # every map of F_2^n is affine for n <= 2
-        if args.n < least:
+        if n < least:
             raise InputError(f"--rho {args.rho} needs --n >= {least}")
     budget = _budget_ms(args) if sampled else None
     rng = Random(args.seed)
     if args.rho == "random":
-        rho = random_nonaffine_word_permutation(args.n, rng)
+        rho = random_nonaffine_word_permutation(n, rng)
     elif args.rho == "affine":
-        rho = random_affine_word_permutation(args.n, rng)
+        rho = random_affine_word_permutation(n, rng)
     else:
         rho = aes_core()
 
@@ -309,14 +318,14 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
             )
         return report, lines
 
-    base = primitivity_check([rho], args.n)
+    base = primitivity_check([rho], n)
     affine = is_affine(rho)
-    lifted = primitivity_check([ks_oracle(rho, 1)], 4 * args.n)
+    lifted = primitivity_check([ks_oracle(rho, 1)], 4 * n)
     consistent = True
     if base.status == "primitive" and not affine:
         consistent = lifted.status == "primitive"
     report = {
-        "n": args.n,
+        "n": n,
         "rho": rho.descriptor,
         "rho_affine": affine,
         "seed": args.seed,
@@ -332,8 +341,8 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
     }
     return report, [
         f"rho: {rho.descriptor} (affine: {affine})",
-        f"base group on 2^{args.n} points: {base.status}",
-        f"lifted group on 2^{4 * args.n} points: {lifted.status}",
+        f"base group on 2^{n} points: {base.status}",
+        f"lifted group on 2^{4 * n} points: {lifted.status}",
         f"reduction prediction consistent: {consistent}",
     ]
 
@@ -366,8 +375,8 @@ def cmd_goursat(args) -> tuple[dict, list[str]]:
 def cmd_lp_verify(args) -> tuple[dict, list[str]]:
     rep = verify_lp_subspace(samples=args.samples, seed=args.seed, run_closure=not args.no_closure)
     report = {
-        "samples": rep.samples,
-        "seed": rep.seed,
+        "samples": args.samples,
+        "seed": args.seed,
         "resolved_convention": rep.resolved_convention,
         "failures": rep.failures,
         "screening": rep.screening,
@@ -378,7 +387,7 @@ def cmd_lp_verify(args) -> tuple[dict, list[str]]:
     return report, [
         f"pattern subspace dim {rep.subspace_dim}",
         f"resolved convention: {rep.resolved_convention}",
-        f"failures: {rep.failures}/{rep.samples}",
+        f"failures: {rep.failures}/{args.samples}",
         f"closure inside the subspace: dim {rep.closure_dim}, contained {rep.closure_contained}",
     ]
 
@@ -453,10 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("primitivity", help="exhaustive toy-scale block-system check")
-    p.add_argument("--n", type=int, default=3, help="word width in bits")
+    p.add_argument("--n", type=int, default=None,
+                   help="word width in bits of a toy --rho (default 3)")
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
-                   help="sampled adds closure probes at widths beyond the exhaustive budget")
+                   help="sampled (--rho aes only) adds closure probes beyond the exhaustive budget")
     p.add_argument("--samples", type=_int_at_least(0), default=512,
                    help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples")
     p.add_argument("--budget-ms", type=float, default=None,

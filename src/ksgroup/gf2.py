@@ -203,11 +203,6 @@ class Subspace:
     __add__ = sum
     __and__ = intersect
 
-    def complete_basis(self) -> list[int]:
-        """Standard vectors extending the basis to all of F_2^m, lowest index first."""
-        piv = set(self.pivots)
-        return [1 << c for c in range(self.m) if c not in piv]
-
     def elements(self) -> Iterator[int]:
         """All 2^dim members, Gray-code order (constant work per element)."""
         acc = 0

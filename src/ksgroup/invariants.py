@@ -4,9 +4,11 @@ all translations of F_2^m.
 Contents:
 
 * ``is_linear_block`` -- does a subspace's coset partition survive a map,
-  checked exhaustively (every point against every basis direction) or by
-  random sampling.  Exhaustive answers are exact; over budget the check
-  refuses rather than guessing.
+  checked exhaustively: every point against every basis direction.  The
+  answer is exact; over budget the check refuses rather than guessing.
+* ``escapes`` -- the one sampled membership check: random members of a
+  subspace whose image leaves it.  The closure's fresh check and the
+  pattern-subspace passes go through it.
 * ``min_block_subspace`` -- the minimal block through {0, v}.  Every
   translation is in the group, so that block is a subspace W with
   f(x+w)+f(x) in W for all x, and it is grown by vectorized scans over
@@ -24,7 +26,7 @@ Contents:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
@@ -45,10 +47,6 @@ from .sbox import AffineMap
 
 # ---------------------------------------------------------------------
 # Oracles
-
-
-def translation_oracle(m: int, t: int) -> PermutationOracle:
-    return PermutationOracle(m, lambda x: x ^ t, lambda x: x ^ t, f"translate({t:#x})")
 
 
 def ks_oracle(
@@ -105,52 +103,41 @@ class LinearBlockCheck:
     reason: str = ""
 
 
-def is_linear_block(
-    oracle: PermutationOracle,
-    u: Subspace,
-    mode: str = "exhaustive",
-    samples: int = 4096,
-    seed: int = 0,
-) -> LinearBlockCheck:
+def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaustive") -> LinearBlockCheck:
     """Does f map every coset U+v onto the coset U+f(v)?
 
-    Exhaustive mode checks f(x+u)+f(x) in U for every point x and every
-    basis direction u, which by telescoping covers all of U.  Sampled mode
-    draws random (u, v) pairs.
+    Checks f(x+u)+f(x) in U for every point x and every basis direction u,
+    which by telescoping covers all of U.  ``exhaustive`` is the only mode.
     """
+    if mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
     if oracle.m != u.m:
         raise ValueError("oracle and subspace dimensions differ")
     if u.is_trivial:
         return LinearBlockCheck(ok=True, checked=0, reason="trivial partition")
+    n_points = 1 << oracle.m
+    if n_points > MAX_EXHAUSTIVE_POINTS:
+        return LinearBlockCheck(
+            ok=None, checked=0, reason=f"2^{oracle.m} points exceed the exhaustive budget",
+        )
+    table = np.array(oracle.table(), dtype=np.uint32)
+    checked = 0
+    for w in u.basis:
+        reduced = _reduce_array(derivative(table, w), u.basis)
+        checked += n_points
+        bad = np.nonzero(reduced)[0]
+        if bad.size:
+            return LinearBlockCheck(ok=False, checked=checked, witness=(int(bad[0]), w))
+    return LinearBlockCheck(ok=True, checked=checked)
 
-    if mode == "exhaustive":
-        n_points = 1 << oracle.m
-        if n_points > MAX_EXHAUSTIVE_POINTS:
-            return LinearBlockCheck(
-                ok=None, checked=0, reason=f"2^{oracle.m} points exceed the exhaustive budget",
-            )
-        table = np.array(oracle.table(), dtype=np.uint32)
-        checked = 0
-        for w in u.basis:
-            reduced = _reduce_array(derivative(table, w), u.basis)
-            checked += n_points
-            bad = np.nonzero(reduced)[0]
-            if bad.size:
-                x = int(bad[0])
-                return LinearBlockCheck(ok=False, checked=checked, witness=(x, w))
-        return LinearBlockCheck(ok=True, checked=checked)
 
-    if mode == "sampled":
-        rng = Random(seed)
-        for i in range(samples):
-            uu = random_member(u.basis, rng)
-            v = rng.getrandbits(oracle.m)
-            d = oracle.forward(uu ^ v) ^ oracle.forward(v)
-            if not u.contains(d):
-                return LinearBlockCheck(ok=False, checked=i + 1, witness=(v, uu))
-        return LinearBlockCheck(ok=True, checked=samples)
-
-    raise ValueError(f"unknown mode {mode!r}")
+def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -> Iterator[int]:
+    """Draw ``samples`` random members x of U and lazily yield each one
+    whose image f(x) lies outside U."""
+    for _ in range(samples):
+        x = random_member(u.basis, rng)
+        if not u.contains(oracle.forward(x)):
+            yield x
 
 
 def _reduce_array(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
@@ -312,11 +299,7 @@ def closure_search(
 
     pivots = sorted(rows)
     result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
-    fresh_ok = True
-    for _ in range(fresh_samples):
-        if not result.contains(oracle.forward(random_member(result.basis, rng))):
-            fresh_ok = False
-            break
+    fresh_ok = next(escapes(oracle, result, fresh_samples, rng), None) is None
     return ClosureResult(
         subspace=result, rounds=rounds, evaluations=evals,
         fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,
@@ -370,8 +353,7 @@ def brick_invariant_sums(rows: Sequence[int], s: int, b: int) -> list[tuple[int,
 def is_affine(oracle: PermutationOracle) -> bool:
     """Exact test: subtract f(0) and compare against the linearization
     built from the basis images.  Equivalent to f(x+y+z) = f(x)+f(y)+f(z)
-    for all triples.  Above 2^20 points ``table()`` raises CapacityError;
-    use ``is_affine_sampled`` there."""
+    for all triples.  Above 2^20 points ``table()`` raises CapacityError."""
     m = oracle.m
     t = oracle.table()
     c = t[0]
@@ -380,18 +362,6 @@ def is_affine(oracle: PermutationOracle) -> bool:
         low = x & -x
         expected[x] = expected[x ^ low] ^ t[low] ^ c
     return all(t[x] == expected[x] ^ c for x in range(1 << m))
-
-
-def is_affine_sampled(oracle: PermutationOracle, samples: int = 10_000, seed: int = 0) -> bool:
-    """Probabilistic: True only means no violating triple was sampled."""
-    rng = Random(seed)
-    m = oracle.m
-    f = oracle.forward
-    for _ in range(samples):
-        x, y, z = (rng.getrandbits(m) for _ in range(3))
-        if f(x ^ y ^ z) != f(x) ^ f(y) ^ f(z):
-            return False
-    return True
 
 
 def random_word_permutation(n: int, rng: Random) -> PermutationOracle:
@@ -528,9 +498,7 @@ def lp_pattern_subspace(convention: str = "word-major") -> Subspace:
 @dataclass(frozen=True)
 class LPReport:
     resolved_convention: str | None
-    samples: int
     failures: int
-    seed: int
     screening: dict[str, int] = field(default_factory=dict)  # convention -> failures in quick pass
     subspace_dim: int = 32
     closure_dim: int | None = None
@@ -561,22 +529,16 @@ def verify_lp_subspace(
     resolved = None
     for name in LP_CONVENTIONS:
         u = lp_pattern_subspace(name)
-        fails = sum(
-            0 if u.contains(oracle.forward(random_member(u.basis, rng))) else 1
-            for _ in range(LP_SCREEN_SAMPLES)
-        )
+        fails = sum(1 for _ in escapes(oracle, u, LP_SCREEN_SAMPLES, rng))
         screening[name] = fails
         if fails == 0 and resolved is None:
             resolved = name
 
     failures = 0
-    closure_dim = None
-    closure_contained = None
+    closure_dim = closure_contained = None
     if resolved is not None:
         u = lp_pattern_subspace(resolved)
-        for _ in range(samples):
-            if not u.contains(oracle.forward(random_member(u.basis, rng))):
-                failures += 1
+        failures = sum(1 for _ in escapes(oracle, u, samples, rng))
         if run_closure:
             seed_vec = u.basis[0]
             res = closure_search(oracle, [seed_vec], seed=seed)
@@ -584,9 +546,7 @@ def verify_lp_subspace(
             closure_contained = all(u.contains(r) for r in res.subspace.basis)
     return LPReport(
         resolved_convention=resolved,
-        samples=samples,
         failures=failures,
-        seed=seed,
         screening=screening,
         subspace_dim=lp_pattern_subspace().dim,
         closure_dim=closure_dim,

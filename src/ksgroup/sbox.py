@@ -1,5 +1,5 @@
 """S-box property analysis: derivative counts, differential uniformity,
-subspace anti-invariance, and affine-equivalence tooling.
+subspace anti-invariance, and affine maps.
 
 An S-box is a ``PermutationOracle`` table of width s = ``m``; ``AES_SBOX``
 is defined in ``keyschedule`` and re-exported here.  Only the two
@@ -175,14 +175,6 @@ class AffineMap:
             if Subspace(s, rows).dim == s:
                 break
         return cls(s, rows, rng.getrandbits(s) if with_offset else 0)
-
-
-def apply_affine_equiv(sb: PermutationOracle, pre: AffineMap, post: AffineMap) -> PermutationOracle:
-    """The table x -> post(f(pre(x)))."""
-    if pre.s != sb.m or post.s != sb.m:
-        raise SBoxError("affine map width does not match the S-box")
-    t = sb.table()
-    return PermutationOracle.from_table([post(t[pre(x)]) for x in range(len(t))])
 
 
 # ---------------------------------------------------------------------

@@ -341,6 +341,11 @@ def test_certificate_rot2_fails_bricks(capsys):
     # only sampled AES primitivity spends a budget
     ["primitivity", "--n", "2", "--rho", "affine", "--seed", "1", "--budget-ms", "0"],
     ["primitivity", "--rho", "aes", "--budget-ms", "5"],
+    # an input that another flag would override
+    ["sbox-audit", "--aes", "/nonexistent.hex"],
+    ["search", "--seed-in-lp", "--seeds", "ff"],
+    ["primitivity", "--rho", "aes", "--n", "5"],
+    ["primitivity", "--rho", "affine", "--mode", "sampled"],
     # argparse's own rejections
     ["primitivity", "--rho", "bogus"],
     ["search", "--samples", "abc"],

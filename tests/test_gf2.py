@@ -209,34 +209,6 @@ def test_enumerate_capacity_refused():
 
 
 # ---------------------------------------------------------------------
-# Basis completion
-
-
-def test_complete_basis_zero_subspace():
-    assert Subspace.zero(3).complete_basis() == [1, 2, 4]
-
-
-def test_complete_basis_full_space():
-    assert Subspace.full(3).complete_basis() == []
-
-
-def test_complete_basis_reaches_full_rank():
-    s = Subspace(3, [0b011])  # coords 0 and 1
-    extra = s.complete_basis()
-    assert len(extra) == 2
-    assert naive_rank(list(s.basis) + extra, 3) == 3
-
-
-def test_complete_basis_random():
-    rng = random.Random(3)
-    for _ in range(50):
-        s = Subspace(7, [rng.getrandbits(7) for _ in range(3)])
-        extra = s.complete_basis()
-        assert len(extra) == 7 - s.dim
-        assert naive_rank(list(s.basis) + extra, 7) == 7
-
-
-# ---------------------------------------------------------------------
 # Text format
 
 

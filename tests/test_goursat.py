@@ -21,6 +21,11 @@ def random_subspace(rng, m, max_gens=None):
     return Subspace(m, [rng.getrandbits(m) for _ in range(k)])
 
 
+def complete_basis(u: Subspace) -> list[int]:
+    """Standard vectors extending u's basis to all of F_2^m, lowest index first."""
+    return [1 << c for c in range(u.m) if c not in u.pivots]
+
+
 # ---------------------------------------------------------------------
 # Reading off the pieces
 
@@ -113,7 +118,7 @@ def test_decomposition_invariants(seed):
         for b in g.left_kernel.basis:
             assert g.right_kernel.contains(matrix_apply(g.hom, b))
         # hom is zero on the completed basis of the left image
-        for e in g.left_image.complete_basis():
+        for e in complete_basis(g.left_image):
             assert matrix_apply(g.hom, e) == 0
 
 

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksgroup.gf2 import Subspace, enumerate_subspaces
+from ksgroup.gf2 import Subspace, enumerate_subspaces, random_member
 from ksgroup.invariants import (
     LP_CONVENTIONS,
     PermutationOracle,
     brick_invariant_sums,
     closure_search,
+    escapes,
     is_affine,
-    is_affine_sampled,
     is_linear_block,
     ks_oracle,
     linear_rows,
@@ -26,7 +26,6 @@ from ksgroup.invariants import (
     random_affine_word_permutation,
     random_nonaffine_word_permutation,
     spn_primitivity_certificate,
-    translation_oracle,
     verify_lp_subspace,
 )
 from ksgroup.keyschedule import aes_core, rot_bricks_left
@@ -45,6 +44,21 @@ def toy_ks_oracle(n, seed, affine=False, normalized=False):
     if normalized:
         rho = rho.normalized()
     return rho, ks_oracle(rho, 1)
+
+
+def translation_oracle(m, t):
+    return PermutationOracle(m, lambda x: x ^ t, lambda x: x ^ t, f"translate({t:#x})")
+
+
+def is_affine_sampled(oracle, samples, seed):
+    """Random triples: True only means no f(x+y+z) != f(x)+f(y)+f(z) was drawn."""
+    rng = Random(seed)
+    f = oracle.forward
+    for _ in range(samples):
+        x, y, z = (rng.getrandbits(oracle.m) for _ in range(3))
+        if f(x ^ y ^ z) != f(x) ^ f(y) ^ f(z):
+            return False
+    return True
 
 
 def brute_coset_check(table, u: Subspace):
@@ -146,14 +160,6 @@ def unionfind_primitivity(oracles, m):
     return "primitive", None, (1 << m) - 1
 
 
-def random_member(rng, s: Subspace) -> int:
-    x = 0
-    for row in s.basis:
-        if rng.getrandbits(1):
-            x ^= row
-    return x
-
-
 # ---------------------------------------------------------------------
 # is_linear_block
 
@@ -171,7 +177,6 @@ def test_translations_preserve_every_partition():
         oracle = translation_oracle(10, t)
         u = Subspace(10, [rng.getrandbits(10) for _ in range(3)])
         assert is_linear_block(oracle, u, mode="exhaustive").ok
-        assert is_linear_block(oracle, u, mode="sampled", samples=500).ok
 
 
 def test_exhaustive_matches_brute_coset_oracle():
@@ -203,14 +208,52 @@ def test_over_budget_is_inconclusive_not_false():
     assert "budget" in res.reason
 
 
-def test_sampled_finds_violations():
+def test_only_the_exhaustive_mode_exists():
+    _, oracle = toy_ks_oracle(3, 0)
+    with pytest.raises(ValueError, match="sampled"):
+        is_linear_block(oracle, Subspace.zero(12), mode="sampled")
+
+
+# ---------------------------------------------------------------------
+# escapes: the sampled membership check
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.permutations(range(1 << m)),
+            st.lists(st.integers(0, (1 << m) - 1), max_size=m + 1),
+        )
+    ),
+    st.integers(0, 64),
+    st.integers(0, 2**32),
+)
+def test_escapes_against_brute_force_scan(case, samples, seed):
+    m, table, gens = case
+    oracle = PermutationOracle.from_table(table, "t")
+    u = Subspace(m, gens)
+    outside = {x for x in u.elements() if not u.contains(table[x])}
+    rng, replay = Random(seed), Random(seed)
+    got = list(escapes(oracle, u, samples, rng))
+    # every draw of the same sampler that lands outside, in order
+    draws = [random_member(u.basis, replay) for _ in range(samples)]
+    assert got == [x for x in draws if x in outside]
+    assert rng.getstate() == replay.getstate()
+
+
+def test_escapes_next_draws_up_to_the_first_escape():
     _, oracle = toy_ks_oracle(3, 11)
-    rng = Random(2)
-    # a random dim-6 subspace is essentially never a block for a random rho
-    u = Subspace(12, [rng.getrandbits(12) for _ in range(6)])
-    if not brute_coset_check(oracle.table(), u):
-        res = is_linear_block(oracle, u, mode="sampled", samples=4096, seed=5)
-        assert res.ok is False
+    u = Subspace(12, [Random(2).getrandbits(12) for _ in range(6)])
+    table = oracle.table()
+    rng, replay = Random(5), Random(5)
+    first = next(escapes(oracle, u, 4096, rng))
+    x = random_member(u.basis, replay)
+    while u.contains(table[x]):
+        x = random_member(u.basis, replay)
+    assert first == x
+    assert rng.getstate() == replay.getstate()
 
 
 # ---------------------------------------------------------------------
@@ -506,7 +549,6 @@ def test_brick_width_mismatch():
 
 def test_translation_is_affine():
     assert is_affine(translation_oracle(8, 42))
-    assert is_affine_sampled(translation_oracle(16, 9), samples=1000)
 
 
 def test_aes_core_not_affine_sampled():

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksgroup import fips197
+from ksgroup.invariants import ks_oracle
 from ksgroup.keyschedule import (
     PermutationOracle,
     State,
@@ -173,6 +176,36 @@ def test_roundtrip_random_n32():
     for _ in range(2000):
         st = tuple(rng.getrandbits(32) for _ in range(4))
         assert ks_inverse(rho, ks_apply(rho, st)) == st
+
+
+@st.composite
+def toy_operator_cases(draw):
+    """A random table rho of width n <= 6, a state and a power."""
+    n = draw(st.integers(1, 6))
+    rho = PermutationOracle.from_table(draw(st.permutations(range(1 << n))), "t")
+    state = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=4, max_size=4)))
+    return rho, state, draw(st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(toy_operator_cases())
+def test_inverse_undoes_apply_on_random_tables(case):
+    rho, state, i = case
+    assert ks_inverse(rho, ks_apply(rho, state)) == state
+    assert ks_apply(rho, ks_inverse(rho, state)) == state
+    assert ks_power(rho, ks_power(rho, state, i), -i) == state
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda power: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 4), min_size=power, max_size=power),
+    st.integers(0, 2**128 - 1),
+)))
+def test_oracle_with_constants_backward_undoes_forward(case):
+    # the oracle's constructor checks only the points 0, 1 and all-ones
+    constants, x = case
+    oracle = ks_oracle(aes_core(), len(constants), constants=constants)
+    assert oracle.backward(oracle.forward(x)) == x
 
 
 def test_diagonal_inverts_to_first_word():

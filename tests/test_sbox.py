@@ -12,7 +12,6 @@ from ksgroup.sbox import (
     SBoxError,
     SBoxFormatError,
     anti_invariance_order,
-    apply_affine_equiv,
     audit_sbox,
     ddt,
     differential_profile,
@@ -24,6 +23,12 @@ from ksgroup.sbox import (
 
 # ---------------------------------------------------------------------
 # Oracles
+
+
+def apply_affine_equiv(sb, pre, post):
+    """The table x -> post(f(pre(x)))."""
+    t = sb.table()
+    return PermutationOracle.from_table([post(t[pre(x)]) for x in range(len(t))])
 
 
 def brute_ddt(table):
