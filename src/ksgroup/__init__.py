@@ -5,8 +5,8 @@ Layout:
 * ``gf2``          exact subspace linear algebra (int-packed bit vectors); the
                    one incremental elimination kernel and random-member sampler
 * ``keyschedule``  ``PermutationOracle`` (the one bijection type, S-boxes
-                   included), the AES S-box, the four-word key-schedule
-                   operator and AES-128 expansion
+                   included), the AES S-box, the key-schedule operator on
+                   packed 4n-bit states, its oracle and AES-128 expansion
 * ``sbox``         differential uniformity and subspace anti-invariance of
                    S-box tables
 * ``fips197``      independent word-level reference expansion
@@ -23,7 +23,6 @@ from .invariants import (
     closure_search,
     is_affine,
     is_linear_block,
-    ks_oracle,
     lp_pattern_subspace,
     primitivity_check,
     spn_primitivity_certificate,
@@ -36,8 +35,8 @@ from .keyschedule import (
     aes_core,
     ks_apply,
     ks_inverse,
+    ks_oracle,
     ks_power,
-    translate,
 )
 from .sbox import (
     AffineMap,
@@ -74,6 +73,5 @@ __all__ = [
     "reconstruct",
     "spn_primitivity_certificate",
     "tower_decompose",
-    "translate",
     "verify_lp_subspace",
 ]

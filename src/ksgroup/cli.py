@@ -22,10 +22,9 @@ from . import fips197
 from .gf2 import CapacityError, Subspace, vec_to_hex
 from .goursat import tower_report
 from .invariants import (
-    ks_oracle,
-    lp_pattern_subspace,
     closure_search,
     is_affine,
+    lp_pattern_subspace,
     primitivity_check,
     random_affine_word_permutation,
     random_nonaffine_word_permutation,
@@ -36,8 +35,10 @@ from .keyschedule import (
     aes128_expand_key,
     aes_core,
     aes_round_constant_states,
+    ks_oracle,
     rot_bricks_left,
     state_from_hex,
+    unflatten_state,
     word_from_bytes,
     word_to_hex,
 )
@@ -165,16 +166,14 @@ def cmd_expand(args) -> tuple[dict, list[str]]:
     if args.check_model:
         ref = fips197.round_keys(bytes.fromhex(args.key))
         model_checked = all(
-            keys[r] == tuple(word_from_bytes(w) for w in ref[r]) for r in range(11)
+            unflatten_state(x) == tuple(word_from_bytes(w) for w in fips_words)
+            for x, fips_words in zip(keys, ref)
         )
         if not model_checked:
             raise StructureError("operator model disagrees with the FIPS-197 recurrence")
-    report = {
-        "key": args.key,
-        "round_keys": [[word_to_hex(w) for w in st] for st in keys],
-        "model_checked": model_checked,
-    }
-    lines = [f"round {r:2d}: " + " ".join(word_to_hex(w) for w in st) for r, st in enumerate(keys)]
+    words = [[word_to_hex(w) for w in unflatten_state(x)] for x in keys]
+    report = {"key": args.key, "round_keys": words, "model_checked": model_checked}
+    lines = [f"round {r:2d}: " + " ".join(ws) for r, ws in enumerate(words)]
     if model_checked is not None:
         lines.append(f"operator model agrees with FIPS-197 recurrence: {model_checked}")
     return report, lines
@@ -188,6 +187,9 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     budget = _budget_ms(args)
     if args.seed_in_lp and args.seeds:
         raise InputError("give --seeds or --seed-in-lp, not both")
+    if args.seeds and args.n_seeds is not None:
+        raise InputError("give --seeds or --n-seeds, not both")
+    n_seeds = 1 if args.n_seeds is None else args.n_seeds
     if args.with_constants:
         if args.power < 1:
             raise InputError("--with-constants needs a positive --power")
@@ -201,7 +203,7 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     if args.seed_in_lp:
         u = lp_pattern_subspace()
         seeds = []
-        for _ in range(args.n_seeds):
+        for _ in range(n_seeds):
             x = 0
             for row in u.basis:
                 if rng.getrandbits(1):
@@ -217,7 +219,7 @@ def cmd_search(args) -> tuple[dict, list[str]]:
         if not any(seeds):
             raise InputError("the seeds span only 0; give a nonzero seed")
     else:
-        seeds = [rng.getrandbits(128) or 1 for _ in range(args.n_seeds)]
+        seeds = [rng.getrandbits(128) or 1 for _ in range(n_seeds)]
     result = closure_search(
         oracle,
         seeds,
@@ -261,9 +263,11 @@ def cmd_search(args) -> tuple[dict, list[str]]:
 def cmd_primitivity(args) -> tuple[dict, list[str]]:
     # only the sampled AES probes spend a budget
     sampled = args.rho == "aes" and args.mode == "sampled"
-    if not sampled and args.budget_ms is not None:
-        raise InputError("--budget-ms applies only to --rho aes --mode sampled")
-    if sampled and args.samples < PROBE_SAMPLES:
+    for flag, value in (("--budget-ms", args.budget_ms), ("--samples", args.samples)):
+        if not sampled and value is not None:
+            raise InputError(f"{flag} applies only to --rho aes --mode sampled")
+    samples = 512 if args.samples is None else args.samples
+    if sampled and samples < PROBE_SAMPLES:
         raise InputError(f"sampled mode runs one closure probe per {PROBE_SAMPLES} --samples")
     if args.rho == "aes" and args.n is not None:
         raise InputError("--n applies only to a toy --rho; the AES word is 32 bits")
@@ -293,7 +297,7 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
         probes = None
         if sampled:
             oracle = ks_oracle(rho.normalized(), power=1)
-            n_probes = args.samples // PROBE_SAMPLES
+            n_probes = samples // PROBE_SAMPLES
             found = sum(
                 closure_search(
                     oracle, [rng.getrandbits(4 * rho.m) or 1],
@@ -306,7 +310,7 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
             "rho": rho.descriptor,
             "mode": args.mode,
             "seed": args.seed,
-            "samples": args.samples if sampled else 0,
+            "samples": samples if sampled else 0,
             "lifted": {"status": lifted.status, "reason": lifted.reason},
             "closure_probes": probes,
             "runtime_ms": (time.perf_counter() - t0) * 1000,
@@ -452,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-in-lp", action="store_true",
                    help="draw seeds inside the known pattern subspace")
     p.add_argument("--seeds", help="comma-separated 128-bit hex seeds")
-    p.add_argument("--n-seeds", type=_int_at_least(1), default=1)
+    p.add_argument("--n-seeds", type=_int_at_least(1), default=None,
+                   help="random seeds to draw, without --seeds (default 1)")
     p.add_argument("--with-constants", action="store_true",
                    help="re-enable per-round constants")
     p.add_argument("--samples", type=_int_at_least(0), default=256, help="samples per round")
@@ -467,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                    help="sampled (--rho aes only) adds closure probes beyond the exhaustive budget")
-    p.add_argument("--samples", type=_int_at_least(0), default=512,
-                   help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples")
+    p.add_argument("--samples", type=_int_at_least(0), default=None,
+                   help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples (default 512)")
     p.add_argument("--budget-ms", type=float, default=None,
                    help="sampled mode: time budget of each closure probe")
     p.add_argument("--seed", type=int, default=0)

@@ -33,62 +33,8 @@ from random import Random
 import numpy as np
 
 from .gf2 import Subspace, derivative, random_member, rref_insert
-from .keyschedule import (
-    MAX_EXHAUSTIVE_POINTS,
-    PermutationOracle,
-    State,
-    flatten_state,
-    ks_power,
-    translate,
-    unflatten_state,
-)
+from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
 from .sbox import AffineMap
-
-
-# ---------------------------------------------------------------------
-# Oracles
-
-
-def ks_oracle(
-    rho: PermutationOracle,
-    power: int = 1,
-    constants: Sequence[State] | None = None,
-) -> PermutationOracle:
-    """The four-word operator induced by ``rho``, composed ``power`` times,
-    acting on flattened 4n-bit points.
-
-    ``constants`` optionally re-enables a translation after each forward
-    application (e.g. per-round constants); the list length must equal
-    ``power``.
-    """
-    n = rho.m
-    m = 4 * n
-    if constants is not None:
-        if power < 1:
-            raise ValueError("constants require a positive power")
-        if len(constants) != power:
-            raise ValueError("need one constant state per application")
-
-    def fwd(x: int) -> int:
-        st = unflatten_state(x, n)
-        if constants is None:
-            st = ks_power(rho, st, power)
-        else:
-            for r in range(power):
-                st = translate(ks_power(rho, st, 1), constants[r])
-        return flatten_state(st, n)
-
-    def bwd(x: int) -> int:
-        st = unflatten_state(x, n)
-        if constants is None:
-            st = ks_power(rho, st, -power)
-        else:
-            for r in reversed(range(power)):
-                st = ks_power(rho, translate(st, constants[r]), -1)
-        return flatten_state(st, n)
-
-    tag = f"ks({rho.descriptor})^{power}" + ("+constants" if constants else "")
-    return PermutationOracle(m, fwd, bwd, tag)
 
 
 # ---------------------------------------------------------------------
@@ -520,8 +466,6 @@ def verify_lp_subspace(
     one is verified in full; a closure search seeded inside U confirms the
     convention independently.
     """
-    from .keyschedule import aes_core
-
     oracle = ks_oracle(aes_core().normalized(), power=4)
     rng = Random(seed)
 

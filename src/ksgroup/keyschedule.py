@@ -1,22 +1,27 @@
 """The AES-128 key schedule as a word-level operator.
 
 A 32-bit word packs its four bytes little-endian: byte j of the FIPS word
-sits in bits 8j..8j+7, so the first byte is the low-order byte.  A state is
-a 4-tuple of words ``(v1, v2, v3, v4)``; the flattened 128-bit form is
-word-major (word 1 in bits 0..31).  External hex I/O uses the standard
-byte-ordered notation ("2b7e1516..." has 0x2b as the first byte), so the
-conversion helpers below reverse bytes.
+sits in bits 8j..8j+7, so the first byte is the low-order byte.  A state
+of four n-bit words is one packed 4n-bit int, word i in bits
+(i-1)n..in-1, so word 1 is the low word; ``unflatten_state`` splits it
+into the tuple ``(v1, v2, v3, v4)`` for printing and for comparison with
+FIPS-197 words.  External hex I/O uses the standard byte-ordered notation
+("2b7e1516..." has 0x2b as the first byte), i.e. the 16 bytes of the
+128-bit state, little-endian.
 
-``ks_apply`` is the chained-XOR step shared by every round: the last word
-is passed through a word permutation ``rho`` and the result is folded into
-the running XOR of the other words:
+``ks_apply`` is the chained-XOR step shared by every round,
+f(x) = A*x + E(rho(x4)): A replaces each word by the XOR of it and the
+words before it, and E(t) = (t, t, t, t) folds the image of the last
+word under a word permutation ``rho`` into every word:
 
     (v1, v2, v3, v4) -> (v1+t, v1+v2+t, v1+v2+v3+t, v1+v2+v3+v4+t),  t = rho(v4)
 
-With ``rho`` = rotate-bytes-then-SubBytes and a round-constant translation
-this is exactly one AES-128 round-key transformation, which is checked
-bit-for-bit against a word-oriented FIPS-197 reference in the tests.
-SubBytes is ``AES_SBOX``, a ``PermutationOracle`` table like every S-box.
+On packed states A is two shifted XORs and E(t) is t times
+1 + 2^n + 2^2n + 2^3n.  With ``rho`` = rotate-bytes-then-SubBytes and a
+round-constant translation this is exactly one AES-128 round-key
+transformation, which is checked bit-for-bit against a word-oriented
+FIPS-197 reference in the tests.  SubBytes is ``AES_SBOX``, a
+``PermutationOracle`` table like every S-box.
 """
 
 from __future__ import annotations
@@ -29,11 +34,14 @@ State = tuple[int, int, int, int]
 
 WORD_BITS = 32
 
+# E(t) = t * _E32 = (t, t, t, t) for a 32-bit word t
+_E32 = ((1 << 128) - 1) // ((1 << 32) - 1)
+
 MAX_EXHAUSTIVE_POINTS = 1 << 20
 
 
 class WidthMismatch(ValueError):
-    """State words do not fit the operator's word width."""
+    """A state does not fit four words of the operator's width."""
 
 
 # ---------------------------------------------------------------------
@@ -68,19 +76,15 @@ def word_to_hex(v: int) -> str:
     return v.to_bytes(4, "little").hex()
 
 
-def state_from_hex(text: str) -> State:
+def state_from_hex(text: str) -> int:
     raw = bytes.fromhex(text)
     if len(raw) != 16:
         raise ValueError(f"expected 32 hex chars, got {len(text)}")
-    return tuple(int.from_bytes(raw[4 * i : 4 * i + 4], "little") for i in range(4))
+    return int.from_bytes(raw, "little")
 
 
-def state_to_hex(st: State) -> str:
-    return b"".join(w.to_bytes(4, "little") for w in st).hex()
-
-
-def flatten_state(st: State, n: int = WORD_BITS) -> int:
-    return st[0] | (st[1] << n) | (st[2] << (2 * n)) | (st[3] << (3 * n))
+def state_to_hex(x: int) -> str:
+    return x.to_bytes(16, "little").hex()
 
 
 def unflatten_state(x: int, n: int = WORD_BITS) -> State:
@@ -215,41 +219,77 @@ def aes_core() -> PermutationOracle:
 
 
 # ---------------------------------------------------------------------
-# The operator on four words
+# The operator on packed states
 
 
-def _check_state(rho: PermutationOracle, st: State) -> None:
-    limit = 1 << rho.m
-    if len(st) != 4 or any(not 0 <= w < limit for w in st):
-        raise WidthMismatch(f"state {st!r} does not fit four {rho.m}-bit words")
+def ks_apply(rho: PermutationOracle, x: int) -> int:
+    """f(x) = A*x + E(rho(x4)) on a packed 4n-bit state."""
+    n = rho.m
+    mask = (1 << 4 * n) - 1
+    if not 0 <= x <= mask:
+        raise WidthMismatch(f"state {x:#x} does not fit four {n}-bit words")
+    t = rho.forward(x >> 3 * n)
+    x ^= (x << n) & mask
+    x ^= (x << 2 * n) & mask
+    return x ^ t * (mask // ((1 << n) - 1))
 
 
-def ks_apply(rho: PermutationOracle, st: State) -> State:
-    _check_state(rho, st)
-    t = rho.forward(st[3])
-    a = st[0] ^ t
-    b = a ^ st[1]
-    c = b ^ st[2]
-    return (a, b, c, c ^ st[3])
+def ks_inverse(rho: PermutationOracle, x: int) -> int:
+    """f^-1(y): since E(t) = A*(t, 0, 0, 0), f(x) = A*(x + (rho(x4), 0, 0, 0)).
+    A^-1 is one shifted XOR, and word 4 of A^-1*y is x4, so rho(x4) is known."""
+    n = rho.m
+    mask = (1 << 4 * n) - 1
+    if not 0 <= x <= mask:
+        raise WidthMismatch(f"state {x:#x} does not fit four {n}-bit words")
+    x ^= (x << n) & mask
+    return x ^ rho.forward(x >> 3 * n)
 
 
-def ks_inverse(rho: PermutationOracle, st: State) -> State:
-    _check_state(rho, st)
-    v1, v2, v3, v4 = st
-    return (v1 ^ rho.forward(v3 ^ v4), v1 ^ v2, v2 ^ v3, v3 ^ v4)
-
-
-def ks_power(rho: PermutationOracle, st: State, i: int) -> State:
+def ks_power(rho: PermutationOracle, x: int, i: int) -> int:
     step = ks_apply if i >= 0 else ks_inverse
     for _ in range(abs(i)):
-        st = step(rho, st)
-    return st
+        x = step(rho, x)
+    return x
 
 
-def translate(st: State, t: State) -> State:
-    if len(st) != 4 or len(t) != 4:
-        raise WidthMismatch("states must have four words")
-    return (st[0] ^ t[0], st[1] ^ t[1], st[2] ^ t[2], st[3] ^ t[3])
+def ks_oracle(
+    rho: PermutationOracle,
+    power: int = 1,
+    constants: Sequence[int] | None = None,
+) -> PermutationOracle:
+    """The operator induced by ``rho``, composed ``power`` times, on packed
+    4n-bit states.
+
+    ``constants`` optionally re-enables a translation after each forward
+    application (e.g. per-round constants): packed 4n-bit vectors, one per
+    application.
+    """
+    m = 4 * rho.m
+    if constants is None:
+        return PermutationOracle(
+            m,
+            lambda x: ks_power(rho, x, power),
+            lambda x: ks_power(rho, x, -power),
+            f"ks({rho.descriptor})^{power}",
+        )
+    if power < 1:
+        raise ValueError("constants require a positive power")
+    if len(constants) != power:
+        raise ValueError("need one constant state per application")
+    if any(not 0 <= c < 1 << m for c in constants):
+        raise WidthMismatch(f"constants must be {m}-bit states")
+
+    def fwd(x: int) -> int:
+        for c in constants:
+            x = ks_apply(rho, x) ^ c
+        return x
+
+    def bwd(x: int) -> int:
+        for c in reversed(constants):
+            x = ks_inverse(rho, x ^ c)
+        return x
+
+    return PermutationOracle(m, fwd, bwd, f"ks({rho.descriptor})^{power}+constants")
 
 
 # ---------------------------------------------------------------------
@@ -268,14 +308,13 @@ def round_constant(i: int) -> int:
     return rc
 
 
-def aes128_round_key_step(st: State, i: int) -> State:
+def aes128_round_key_step(x: int, i: int) -> int:
     if not 1 <= i <= 10:
         raise ValueError(f"round index must be 1..10, got {i}")
-    rc = round_constant(i)
-    return translate(ks_apply(aes_core(), st), (rc, rc, rc, rc))
+    return ks_apply(aes_core(), x) ^ round_constant(i) * _E32
 
 
-def aes128_expand_key(master: State) -> list[State]:
+def aes128_expand_key(master: int) -> list[int]:
     """Round keys 0..10; round key 0 is the master key."""
     keys = [master]
     for i in range(1, 11):
@@ -283,10 +322,6 @@ def aes128_expand_key(master: State) -> list[State]:
     return keys
 
 
-def aes_round_constant_states(rounds: int, first: int = 1) -> list[State]:
-    """Per-round translation states (rc, rc, rc, rc) for composed steps."""
-    out = []
-    for r in range(rounds):
-        rc = round_constant(first + r)
-        out.append((rc, rc, rc, rc))
-    return out
+def aes_round_constant_states(rounds: int, first: int = 1) -> list[int]:
+    """Per-round translations E(rc) = (rc, rc, rc, rc) for composed steps."""
+    return [round_constant(first + r) * _E32 for r in range(rounds)]

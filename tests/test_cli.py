@@ -346,6 +346,10 @@ def test_certificate_rot2_fails_bricks(capsys):
     ["search", "--seed-in-lp", "--seeds", "ff"],
     ["primitivity", "--rho", "aes", "--n", "5"],
     ["primitivity", "--rho", "affine", "--mode", "sampled"],
+    # an input that another flag or mode leaves unused
+    ["search", "--power", "1", "--seeds", "ff", "--n-seeds", "3"],
+    ["primitivity", "--rho", "aes", "--samples", "9999"],
+    ["primitivity", "--n", "2", "--rho", "affine", "--samples", "7"],
     # argparse's own rejections
     ["primitivity", "--rho", "bogus"],
     ["search", "--samples", "abc"],

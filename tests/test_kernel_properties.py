@@ -24,7 +24,14 @@ from ksgroup.gf2 import (
 )
 from ksgroup.goursat import decompose, reconstruct
 from ksgroup.keyschedule import PermutationOracle
-from ksgroup.sbox import AffineMap, SBoxError, _matrix_inverse, ddt, differential_profile
+from ksgroup.sbox import (
+    AffineMap,
+    SBoxError,
+    _matrix_inverse,
+    anti_invariance_order,
+    ddt,
+    differential_profile,
+)
 
 BOUNDED = settings(max_examples=150, deadline=None)
 
@@ -189,6 +196,38 @@ def test_difference_table_against_loop(perm, data):
     assert profile.delta == max(max(row) for row in rows[1:])
     assert profile.min_derivative_image == min(sum(1 for c in row if c) for row in rows[1:])
     json.dumps([ddt(sb), profile.delta, profile.min_derivative_image])  # plain ints only
+
+
+# ---------------------------------------------------------------------
+# Anti-invariance: the early-stopping span against closure of the image set
+
+
+def anti_invariance_reference(table, max_delta):
+    """(order, witness): the first subspace of dimension s-k, k = 1, 2, ...,
+    in enumeration order, whose image set is closed under XOR."""
+    s = (len(table) - 1).bit_length()
+    for k in range(1, max_delta + 1):
+        for w in enumerate_subspaces(s, dims=(s - k,)):
+            image = {table[x] for x in w.elements()}
+            if all(a ^ b in image for a in image for b in image):
+                return k - 1, w
+    return max_delta, None
+
+
+@st.composite
+def zero_fixing_tables(draw):
+    s = draw(st.integers(2, 5))
+    rest = draw(st.permutations(range(1, 1 << s)))
+    return [0, *rest], draw(st.integers(0, s - 1))
+
+
+@BOUNDED
+@given(zero_fixing_tables())
+def test_anti_invariance_against_image_closure(case):
+    table, max_delta = case
+    anti = anti_invariance_order(PermutationOracle.from_table(table), max_delta)
+    assert (anti.order, anti.witness) == anti_invariance_reference(table, max_delta)
+    assert anti.max_tested == max_delta
 
 
 # ---------------------------------------------------------------------

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgroup import fips197
-from ksgroup.invariants import ks_oracle
 from ksgroup.keyschedule import (
     PermutationOracle,
     State,
@@ -15,15 +14,14 @@ from ksgroup.keyschedule import (
     aes128_expand_key,
     aes128_round_key_step,
     aes_core,
-    flatten_state,
     ks_apply,
     ks_inverse,
+    ks_oracle,
     ks_power,
     rot_bricks_left,
     round_constant,
     state_from_hex,
     state_to_hex,
-    translate,
     unflatten_state,
     word_from_bytes,
     word_to_bytes,
@@ -51,7 +49,8 @@ APPENDIX_WORDS = [
 
 # The operator written as a formal 4x4 matrix of word maps; entry (i, j)
 # is applied to input word i and folded into output word j.  A second
-# evaluation path, so the closed formula of ks_apply can be cross-checked.
+# evaluation path on word tuples, so the shift-and-XOR form of ks_apply on
+# packed states can be cross-checked.
 OPERATOR_MATRIX = (
     ("1", "1", "1", "1"),
     ("0", "1", "1", "1"),
@@ -72,6 +71,16 @@ def ks_apply_matrix(rho, st: State) -> State:
             elif entry == "1+rho":
                 out[j] ^= v ^ rho.forward(v)
     return tuple(out)
+
+
+def ks_power_matrix(rho, st: State, i: int) -> State:
+    for _ in range(i):
+        st = ks_apply_matrix(rho, st)
+    return st
+
+
+# E(t) = (t, t, t, t) for 32-bit words
+E32 = 0x00000001_00000001_00000001_00000001
 
 
 def fips_state(round_key) -> State:
@@ -146,59 +155,73 @@ def test_apply_with_fixed_zero_spreads_first_word():
     rho = toy_rho(4, 10, require_nonaffine_zero_fix=True)
     assert rho.forward(0) == 0
     v = 0b1011
-    assert ks_apply(rho, (v, 0, 0, 0)) == (v, v, v, v)
+    assert unflatten_state(ks_apply(rho, v), 4) == (v, v, v, v)
 
 
 def test_apply_on_last_word_only():
     rho = aes_core()
     d = 0x0BADF00D
     t = rho.forward(d)
-    assert ks_apply(rho, (0, 0, 0, d)) == (t, t, t, d ^ t)
+    assert unflatten_state(ks_apply(rho, d << 96)) == (t, t, t, d ^ t)
 
 
 def test_inverse_formula_on_last_word():
     rho = aes_core()
     d = 0xCAFEBABE
-    assert ks_inverse(rho, (0, 0, 0, d)) == (rho.forward(d), 0, 0, d)
+    assert unflatten_state(ks_inverse(rho, d << 96)) == (rho.forward(d), 0, 0, d)
 
 
 def test_inverse_exhaustive_n3():
     rho = toy_rho(3, 4)
     for x in range(1 << 12):
-        st = unflatten_state(x, 3)
-        assert ks_inverse(rho, ks_apply(rho, st)) == st
-        assert ks_apply(rho, ks_inverse(rho, st)) == st
+        assert ks_inverse(rho, ks_apply(rho, x)) == x
+        assert ks_apply(rho, ks_inverse(rho, x)) == x
 
 
 def test_roundtrip_random_n32():
     rng = random.Random(9)
     rho = aes_core()
     for _ in range(2000):
-        st = tuple(rng.getrandbits(32) for _ in range(4))
-        assert ks_inverse(rho, ks_apply(rho, st)) == st
+        x = rng.getrandbits(128)
+        assert ks_inverse(rho, ks_apply(rho, x)) == x
 
 
 @st.composite
-def toy_operator_cases(draw):
-    """A random table rho of width n <= 6, a state and a power."""
-    n = draw(st.integers(1, 6))
-    rho = PermutationOracle.from_table(draw(st.permutations(range(1 << n))), "t")
-    state = tuple(draw(st.lists(st.integers(0, (1 << n) - 1), min_size=4, max_size=4)))
-    return rho, state, draw(st.integers(0, 8))
+def operator_cases(draw):
+    """rho (a random table of width n <= 6, or the AES core), a packed
+    4n-bit state and a power."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        rho = PermutationOracle.from_table(draw(st.permutations(range(1 << n))), "t")
+    else:
+        rho = aes_core()
+    return rho, draw(st.integers(0, (1 << 4 * rho.m) - 1)), draw(st.integers(0, 8))
 
 
 @settings(max_examples=200, deadline=None)
-@given(toy_operator_cases())
+@given(operator_cases())
 def test_inverse_undoes_apply_on_random_tables(case):
-    rho, state, i = case
-    assert ks_inverse(rho, ks_apply(rho, state)) == state
-    assert ks_apply(rho, ks_inverse(rho, state)) == state
-    assert ks_power(rho, ks_power(rho, state, i), -i) == state
+    rho, x, i = case
+    assert ks_inverse(rho, ks_apply(rho, x)) == x
+    assert ks_apply(rho, ks_inverse(rho, x)) == x
+    assert ks_power(rho, ks_power(rho, x, i), -i) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(operator_cases())
+def test_packed_operator_against_matrix_form(case):
+    rho, x, i = case
+    n = rho.m
+    words = unflatten_state(x, n)
+    assert unflatten_state(ks_apply(rho, x), n) == ks_apply_matrix(rho, words)
+    assert ks_apply_matrix(rho, unflatten_state(ks_inverse(rho, x), n)) == words
+    assert unflatten_state(ks_power(rho, x, i), n) == ks_power_matrix(rho, words, i)
+    assert ks_power_matrix(rho, unflatten_state(ks_power(rho, x, -i), n), i) == words
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda power: st.tuples(
-    st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 4), min_size=power, max_size=power),
+    st.lists(st.integers(0, 2**128 - 1), min_size=power, max_size=power),
     st.integers(0, 2**128 - 1),
 )))
 def test_oracle_with_constants_backward_undoes_forward(case):
@@ -211,13 +234,14 @@ def test_oracle_with_constants_backward_undoes_forward(case):
 def test_diagonal_inverts_to_first_word():
     rho = toy_rho(4, 11, require_nonaffine_zero_fix=True)
     v = 0b0110
-    assert ks_inverse(rho, (v, v, v, v)) == (v, 0, 0, 0)
+    diagonal = v | v << 4 | v << 8 | v << 12
+    assert unflatten_state(ks_inverse(rho, diagonal), 4) == (v, 0, 0, 0)
 
 
 def test_power_zero_is_identity():
     rho = aes_core()
-    st = (1, 2, 3, 4)
-    assert ks_power(rho, st, 0) == st
+    x = 1 | 2 << 32 | 3 << 64 | 4 << 96
+    assert ks_power(rho, x, 0) == x
 
 
 def test_power_minus_three_identity():
@@ -226,7 +250,7 @@ def test_power_minus_three_identity():
     for _ in range(200):
         d = rng.getrandbits(32)
         t = rho.forward(d)
-        assert ks_power(rho, (0, 0, 0, d), -3) == (t, t, t, d)
+        assert unflatten_state(ks_power(rho, d << 96, -3)) == (t, t, t, d)
 
 
 def test_power_sum_identity():
@@ -235,31 +259,30 @@ def test_power_sum_identity():
     rng = random.Random(22)
     for _ in range(200):
         d = rng.getrandbits(32)
-        fwd = ks_power(rho, (0, 0, 0, d), 1)
-        bwd = ks_power(rho, (0, 0, 0, d), -3)
-        assert translate(fwd, bwd) == (0, 0, 0, rho.forward(d))
+        fwd = ks_power(rho, d << 96, 1)
+        bwd = ks_power(rho, d << 96, -3)
+        assert unflatten_state(fwd ^ bwd) == (0, 0, 0, rho.forward(d))
 
 
 def test_power_additivity():
     rho = toy_rho(3, 14)
     rng = random.Random(15)
     for _ in range(100):
-        st = unflatten_state(rng.getrandbits(12), 3)
+        x = rng.getrandbits(12)
         a = rng.randint(-6, 6)
         b = rng.randint(-6, 6)
-        assert ks_power(rho, st, a + b) == ks_power(rho, ks_power(rho, st, a), b)
+        assert ks_power(rho, x, a + b) == ks_power(rho, ks_power(rho, x, a), b)
 
 
 def test_matrix_form_agrees_with_formula():
     rng = random.Random(33)
     rho = aes_core()
     for _ in range(300):
-        st = tuple(rng.getrandbits(32) for _ in range(4))
-        assert ks_apply_matrix(rho, st) == ks_apply(rho, st)
+        x = rng.getrandbits(128)
+        assert ks_apply_matrix(rho, unflatten_state(x)) == unflatten_state(ks_apply(rho, x))
     toy = toy_rho(3, 5)
     for x in range(1 << 12):
-        st = unflatten_state(x, 3)
-        assert ks_apply_matrix(toy, st) == ks_apply(toy, st)
+        assert ks_apply_matrix(toy, unflatten_state(x, 3)) == unflatten_state(ks_apply(toy, x), 3)
 
 
 def test_apply_linear_when_rho_linear():
@@ -267,36 +290,19 @@ def test_apply_linear_when_rho_linear():
     lin = AffineMap.random(4, rng, with_offset=False)
     rho = PermutationOracle(4, lin, lin.inverse(), "linear")
     for _ in range(200):
-        x = unflatten_state(rng.getrandbits(16), 4)
-        y = unflatten_state(rng.getrandbits(16), 4)
-        fx = flatten_state(ks_apply(rho, x), 4)
-        fy = flatten_state(ks_apply(rho, y), 4)
-        fxy = flatten_state(ks_apply(rho, translate(x, y)), 4)
-        assert fxy == fx ^ fy
+        x = rng.getrandbits(16)
+        y = rng.getrandbits(16)
+        assert ks_apply(rho, x ^ y) == ks_apply(rho, x) ^ ks_apply(rho, y)
 
 
 def test_width_mismatch_rejected():
     rho = toy_rho(3, 1)
     with pytest.raises(WidthMismatch):
-        ks_apply(rho, (0, 0, 0, 1 << 3))
-
-
-# ---------------------------------------------------------------------
-# Translations
-
-
-def test_translate_identity_and_involution():
-    st = (1, 2, 3, 4)
-    assert translate(st, (0, 0, 0, 0)) == st
-    assert translate(st, st) == (0, 0, 0, 0)
-
-
-def test_translate_matches_flat_xor():
-    rng = random.Random(8)
-    for _ in range(100):
-        st = tuple(rng.getrandbits(32) for _ in range(4))
-        t = tuple(rng.getrandbits(32) for _ in range(4))
-        assert flatten_state(translate(st, t)) == flatten_state(st) ^ flatten_state(t)
+        ks_apply(rho, 1 << 12)
+    with pytest.raises(WidthMismatch):
+        ks_inverse(rho, -1)
+    with pytest.raises(WidthMismatch):
+        ks_oracle(rho, 1, constants=[1 << 12])
 
 
 # ---------------------------------------------------------------------
@@ -311,17 +317,16 @@ def test_round_constants():
 
 def test_step_matches_fips_on_appendix_key():
     ref = fips197.round_keys(APPENDIX_KEY)
-    st = fips_state(ref[0])
+    x = state_from_hex(APPENDIX_KEY.hex())
     for i in range(1, 11):
-        st = aes128_round_key_step(st, i)
-        assert st == fips_state(ref[i])
+        x = aes128_round_key_step(x, i)
+        assert unflatten_state(x) == fips_state(ref[i])
 
 
 def test_step_with_zero_constant_reduces_to_apply():
     st = state_from_hex("000102030405060708090a0b0c0d0e0f")
     stepped = aes128_round_key_step(st, 1)
-    rc = (round_constant(1),) * 4
-    assert translate(stepped, rc) == ks_apply(aes_core(), st)
+    assert stepped ^ round_constant(1) * E32 == ks_apply(aes_core(), st)
 
 
 def test_step_matches_fips_on_random_keys():
@@ -329,24 +334,23 @@ def test_step_matches_fips_on_random_keys():
     for _ in range(100):
         key = rng.getrandbits(128).to_bytes(16, "big")
         ref = fips197.round_keys(key)
-        st = fips_state(ref[0])
+        x = state_from_hex(key.hex())
         for i in range(1, 11):
-            st = aes128_round_key_step(st, i)
-            assert st == fips_state(ref[i])
+            x = aes128_round_key_step(x, i)
+            assert unflatten_state(x) == fips_state(ref[i])
 
 
 def test_expand_key_matches_fips_end_to_end():
     keys = aes128_expand_key(state_from_hex(APPENDIX_KEY.hex()))
     ref = fips197.round_keys(APPENDIX_KEY)
-    assert keys == [fips_state(r) for r in ref]
+    assert [unflatten_state(k) for k in keys] == [fips_state(r) for r in ref]
 
 
 def test_expand_zero_key_first_round():
-    keys = aes128_expand_key((0, 0, 0, 0))
+    keys = aes128_expand_key(0)
     t = aes_core().forward(0)
     rc = round_constant(1)
-    expected = translate((t, t, t, t), (rc, rc, rc, rc))
-    assert keys[1] == expected
+    assert unflatten_state(keys[1]) == (t ^ rc,) * 4
 
 
 def test_expand_is_deterministic():
@@ -356,13 +360,13 @@ def test_expand_is_deterministic():
 
 def test_round_index_out_of_range():
     with pytest.raises(ValueError):
-        aes128_round_key_step((0, 0, 0, 0), 0)
+        aes128_round_key_step(0, 0)
     with pytest.raises(ValueError):
-        aes128_round_key_step((0, 0, 0, 0), 11)
+        aes128_round_key_step(0, 11)
 
 
 def test_state_hex_roundtrip():
     text = "2b7e151628aed2a6abf7158809cf4f3c"
     assert state_to_hex(state_from_hex(text)) == text
     # first byte of the hex string is the low byte of the first word
-    assert state_from_hex(text)[0] & 0xFF == 0x2B
+    assert unflatten_state(state_from_hex(text))[0] & 0xFF == 0x2B
