@@ -5,8 +5,9 @@ Layout:
 * ``gf2``          exact subspace linear algebra (int-packed bit vectors); the
                    one incremental elimination kernel and random-member sampler
 * ``keyschedule``  ``PermutationOracle`` (the one bijection type, S-boxes
-                   included), the AES S-box, the key-schedule operator on
-                   packed 4n-bit states, its oracle and AES-128 expansion
+                   and affine maps included), the AES S-box, the
+                   key-schedule operator on packed 4n-bit states, its
+                   oracle and AES-128 expansion
 * ``sbox``         differential uniformity and subspace anti-invariance of
                    S-box tables
 * ``fips197``      independent word-level reference expansion
@@ -39,7 +40,6 @@ from .keyschedule import (
     ks_power,
 )
 from .sbox import (
-    AffineMap,
     anti_invariance_order,
     ddt,
     differential_uniformity,
@@ -47,7 +47,6 @@ from .sbox import (
 
 __all__ = [
     "AES_SBOX",
-    "AffineMap",
     "BlockVerdict",
     "GoursatDecomposition",
     "GoursatTower",

@@ -32,6 +32,7 @@ from .invariants import (
     verify_lp_subspace,
 )
 from .keyschedule import (
+    MAX_EXHAUSTIVE_POINTS,
     aes128_expand_key,
     aes_core,
     aes_round_constant_states,
@@ -202,6 +203,8 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     rng = Random(args.seed)
     if args.seed_in_lp:
         u = lp_pattern_subspace()
+        # one getrandbits(1) per row, not gf2.random_member: the seeded
+        # reports replay these draws
         seeds = []
         for _ in range(n_seeds):
             x = 0
@@ -275,8 +278,11 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
     if args.rho != "aes":
         if args.mode == "sampled":
             raise InputError("--mode sampled applies only to --rho aes")
-        if n * 4 > 20:
-            raise InputError("toy verdicts need 4n <= 20 bits")
+        # 2^(4n) points against the exhaustive budget, compared by exponent
+        # so that a huge or negative --n builds no huge int
+        limit = MAX_EXHAUSTIVE_POINTS.bit_length() - 1
+        if 4 * n > limit:
+            raise InputError(f"toy verdicts need 4n <= {limit} bits")
         least = 3 if args.rho == "random" else 1  # every map of F_2^n is affine for n <= 2
         if n < least:
             raise InputError(f"--rho {args.rho} needs --n >= {least}")
@@ -293,7 +299,7 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
     if args.rho == "aes":
         # 2^128 points: the exhaustive verdict refuses; sampled mode probes
         # with closure searches and still reports Inconclusive, never a guess
-        lifted = primitivity_check([ks_oracle(rho, 1)], 4 * rho.m)
+        lifted = primitivity_check([ks_oracle(rho, 1)])
         probes = None
         if sampled:
             oracle = ks_oracle(rho.normalized(), power=1)
@@ -322,9 +328,9 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
             )
         return report, lines
 
-    base = primitivity_check([rho], n)
+    base = primitivity_check([rho])
     affine = is_affine(rho)
-    lifted = primitivity_check([ks_oracle(rho, 1)], 4 * n)
+    lifted = primitivity_check([ks_oracle(rho, 1)])
     consistent = True
     if base.status == "primitive" and not affine:
         consistent = lifted.status == "primitive"

@@ -7,8 +7,10 @@ free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
 equality of two ``Subspace`` objects is subspace equality.  All
 incremental elimination goes through ``rref_insert`` and all random
-members are drawn by ``random_member``; every difference table of a map
-given as a numpy table is scanned by ``derivative``.
+members are drawn by ``random_member``, except the seeds of ``search
+--seed-in-lp``, which the CLI draws one ``getrandbits(1)`` per basis row
+so that its seeded reports replay; every difference table of a map given
+as a numpy table is scanned by ``derivative``.
 
 Text I/O writes one basis vector per line as hex of the underlying byte
 sequence (byte 0 = coordinates 0..7 printed first).

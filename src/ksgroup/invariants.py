@@ -32,9 +32,9 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import Subspace, derivative, random_member, rref_insert
+from .gf2 import Subspace, derivative, matrix_apply, random_member, rref_insert
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
-from .sbox import AffineMap
+from .sbox import anti_invariance_order, differential_uniformity
 
 
 # ---------------------------------------------------------------------
@@ -103,12 +103,17 @@ def min_block_subspace(tables: Sequence[np.ndarray], m: int, v: int) -> Subspace
     """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
     in W, for every table f.  Equals the union-find block through {0, v}
     of <fs, T_m>: with all translations present, blocks through 0 are
-    exactly such subspaces.
+    exactly such subspaces.  Every table must have 2^m entries and v must
+    be a nonzero point of F_2^m.
 
     Each new basis vector w triggers one vectorized scan of the difference
     table f(x+w)+f(x); differences outside the current span are absorbed
     immediately, so no rescans are needed.
     """
+    if any(len(table) != 1 << m for table in tables):
+        raise ValueError(f"every table must have 2^{m} entries")
+    if not 0 < v < 1 << m:
+        raise ValueError(f"seed {v:#x} is not a nonzero point of F_2^{m}")
     rows: dict[int, int] = {}
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
@@ -136,14 +141,20 @@ class BlockVerdict:
     witness_certified: bool | None = None
 
 
-def primitivity_check(oracles: Sequence[PermutationOracle], m: int) -> BlockVerdict:
-    """Exhaustive minimal-block search for <oracles, T_m> over every v != 0.
+def primitivity_check(oracles: Sequence[PermutationOracle]) -> BlockVerdict:
+    """Exhaustive minimal-block search for <oracles, T_m> over every v != 0,
+    where m is the common width of the oracles.
 
     Each seed's block is grown by ``min_block_subspace`` and the search
     stops at the first proper one.  An Imprimitive witness is re-certified
     with the exhaustive ``is_linear_block`` against every oracle before the
     verdict is returned.
     """
+    if not oracles:
+        raise ValueError("primitivity_check needs at least one oracle")
+    m = oracles[0].m
+    if any(o.m != m for o in oracles):
+        raise ValueError("the oracles act on spaces of different widths")
     n_points = 1 << m
     if n_points > MAX_EXHAUSTIVE_POINTS:
         return BlockVerdict(
@@ -297,23 +308,12 @@ def brick_invariant_sums(rows: Sequence[int], s: int, b: int) -> list[tuple[int,
 
 
 def is_affine(oracle: PermutationOracle) -> bool:
-    """Exact test: subtract f(0) and compare against the linearization
-    built from the basis images.  Equivalent to f(x+y+z) = f(x)+f(y)+f(z)
-    for all triples.  Above 2^20 points ``table()`` raises CapacityError."""
-    m = oracle.m
-    t = oracle.table()
-    c = t[0]
-    expected = [0] * (1 << m)
-    for x in range(1, 1 << m):
-        low = x & -x
-        expected[x] = expected[x ^ low] ^ t[low] ^ c
-    return all(t[x] == expected[x] ^ c for x in range(1 << m))
-
-
-def random_word_permutation(n: int, rng: Random) -> PermutationOracle:
-    table = list(range(1 << n))
-    rng.shuffle(table)
-    return PermutationOracle.from_table(table, f"random-table(n={n})")
+    """Exact test: f is affine exactly when every derivative along a basis
+    vector e_i is constant, for then f(x) = f(0) + sum of f(e_i)+f(0) over
+    the bits of x.  Equivalent to f(x+y+z) = f(x)+f(y)+f(z) for all
+    triples.  Above 2^20 points ``table()`` raises CapacityError."""
+    t = np.array(oracle.table(), dtype=np.uint32)
+    return all((derivative(t, 1 << i) == t[1 << i] ^ t[0]).all() for i in range(oracle.m))
 
 
 def random_nonaffine_word_permutation(n: int, rng: Random, max_tries: int = 1000) -> PermutationOracle:
@@ -325,16 +325,24 @@ def random_nonaffine_word_permutation(n: int, rng: Random, max_tries: int = 1000
     if n < 3:
         raise ValueError("every permutation of F_2^n is affine for n <= 2")
     for _ in range(max_tries):
-        rho = random_word_permutation(n, rng)
+        table = list(range(1 << n))
+        rng.shuffle(table)
+        rho = PermutationOracle.from_table(table, f"random-table(n={n})")
         if not is_affine(rho):
             return rho
     raise RuntimeError("no non-affine table found (should not happen)")
 
 
 def random_affine_word_permutation(n: int, rng: Random) -> PermutationOracle:
-    amap = AffineMap.random(n, rng)
-    inv = amap.inverse()
-    return PermutationOracle(n, amap, inv, f"affine(n={n})")
+    """x -> x*M + c for a random invertible matrix M (rows redrawn until
+    independent; row i is the image of e_i) and a random offset c."""
+    while True:
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        if Subspace(n, rows).dim == n:
+            break
+    c = rng.getrandbits(n)
+    table = [matrix_apply(rows, x) ^ c for x in range(1 << n)]
+    return PermutationOracle.from_table(table, f"affine(n={n})")
 
 
 # ---------------------------------------------------------------------
@@ -370,8 +378,6 @@ def spn_primitivity_certificate(
     rows: Sequence[int],
     delta: int,
 ) -> PrimitivityCertificate:
-    from .sbox import anti_invariance_order, differential_uniformity
-
     s = sbox.m
     n = len(rows)
     if n % s:

@@ -1,21 +1,21 @@
-"""S-box property analysis: derivative counts, differential uniformity,
-subspace anti-invariance, and affine maps.
+"""S-box property analysis: derivative counts, differential uniformity and
+subspace anti-invariance.
 
-An S-box is a ``PermutationOracle`` table of width s = ``m``; ``AES_SBOX``
-is defined in ``keyschedule`` and re-exported here.  Only the two
-properties needed for the primitivity certificate are computed; no Walsh
-spectrum, no algebraic degree.
+An S-box is a ``PermutationOracle`` table of width s = ``m``, like every
+other bijection in the package, affine maps included; ``AES_SBOX`` is
+defined in ``keyschedule`` and re-exported here.  Only the two properties
+needed for the primitivity certificate are computed; no Walsh spectrum,
+no algebraic degree.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
-from random import Random
 
 import numpy as np
 
-from .gf2 import Subspace, derivative, enumerate_subspaces, matrix_apply
+from .gf2 import Subspace, derivative, enumerate_subspaces
 from .keyschedule import AES_SBOX, PermutationOracle  # noqa: F401  (AES_SBOX is re-exported)
 
 
@@ -128,53 +128,6 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
             if Subspace(s, (t[x] for x in w.elements())).dim == d:
                 return AntiInvariance(order=k - 1, max_tested=max_delta, witness=w)
     return AntiInvariance(order=max_delta, max_tested=max_delta, witness=None)
-
-
-# ---------------------------------------------------------------------
-# Affine equivalence
-
-
-def _matrix_inverse(rows: Sequence[int], s: int) -> tuple[int, ...]:
-    """RREF of the rows (M_i | e_i) in F_2^{2s} is (e_i | row i of M^-1)
-    exactly when M is invertible."""
-    aug = Subspace(2 * s, (rows[i] | (1 << (s + i)) for i in range(s)))
-    if [row & ((1 << s) - 1) for row in aug.basis] != [1 << i for i in range(s)]:
-        raise SBoxError("matrix is singular")
-    return tuple(row >> s for row in aug.basis)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> x*M + c with an invertible matrix M (rows[i] = image of e_i)."""
-
-    s: int
-    rows: tuple[int, ...]
-    offset: int = 0
-
-    def __post_init__(self):
-        if len(self.rows) != self.s:
-            raise SBoxError(f"expected {self.s} matrix rows")
-        if Subspace(self.s, self.rows).dim != self.s:
-            raise SBoxError("matrix is singular")
-
-    def __call__(self, x: int) -> int:
-        return matrix_apply(self.rows, x) ^ self.offset
-
-    def inverse(self) -> "AffineMap":
-        inv_rows = _matrix_inverse(self.rows, self.s)
-        return AffineMap(self.s, inv_rows, matrix_apply(inv_rows, self.offset))
-
-    @classmethod
-    def identity(cls, s: int) -> "AffineMap":
-        return cls(s, tuple(1 << i for i in range(s)))
-
-    @classmethod
-    def random(cls, s: int, rng: Random, with_offset: bool = True) -> "AffineMap":
-        while True:
-            rows = tuple(rng.getrandbits(s) for _ in range(s))
-            if Subspace(s, rows).dim == s:
-                break
-        return cls(s, rows, rng.getrandbits(s) if with_offset else 0)
 
 
 # ---------------------------------------------------------------------

@@ -195,10 +195,10 @@ def test_criterion_7_toy_primitivity_reduction():
     while lifted_primitive < 20 and attempts < 200:
         attempts += 1
         rho = random_nonaffine_word_permutation(3, rng)
-        base = primitivity_check([PermutationOracle.from_table(rho.table(), "rho")], 3)
+        base = primitivity_check([PermutationOracle.from_table(rho.table(), "rho")])
         if base.status != "primitive":
             continue
-        lifted = primitivity_check([ks_oracle(rho, 1)], 12)
+        lifted = primitivity_check([ks_oracle(rho, 1)])
         assert lifted.status == "primitive", "reduction prediction violated"
         assert lifted.pairs_checked == 4095
         lifted_primitive += 1
@@ -208,7 +208,7 @@ def test_criterion_7_toy_primitivity_reduction():
     while affine_imprimitive < 5 and affine_attempts < 40:
         affine_attempts += 1
         rho = random_affine_word_permutation(3, rng)
-        lifted = primitivity_check([ks_oracle(rho, 1)], 12)
+        lifted = primitivity_check([ks_oracle(rho, 1)])
         if lifted.status == "imprimitive":
             assert lifted.witness_certified  # witness re-passed is_linear_block
             assert not lifted.witness.is_trivial
@@ -251,7 +251,7 @@ def test_criterion_8_lp_subspace():
 
 def test_criterion_9_full_scale_substitution():
     # the 2^128-point exhaustive check must refuse rather than extrapolate
-    big = primitivity_check([ks_oracle(aes_core(), 1)], 128)
+    big = primitivity_check([ks_oracle(aes_core(), 1)])
     assert big.status == "inconclusive"
     assert "budget" in big.reason
 
@@ -260,7 +260,7 @@ def test_criterion_9_full_scale_substitution():
     rng = Random(99)
     rho = random_affine_word_permutation(3, rng)
     oracle = ks_oracle(rho, 1)
-    lifted = primitivity_check([oracle], 12)
+    lifted = primitivity_check([oracle])
     assert lifted.status == "imprimitive"
     res = is_linear_block(oracle, lifted.witness, mode="exhaustive")
     assert res.ok is True

@@ -325,6 +325,10 @@ def test_certificate_rot2_fails_bricks(capsys):
     ["primitivity", "--n", "0"],
     ["primitivity", "--n", "2"],
     ["primitivity", "--n", "0", "--rho", "affine"],
+    # 2^24 points exceed the exhaustive budget
+    ["primitivity", "--n", "6"],
+    ["primitivity", "--n", "6", "--rho", "affine"],
+    ["primitivity", "--n", "99999999999"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "-1"],
     ["lp-verify", "--samples", "-5"],
     ["search", "--power", "1", "--samples", "-1"],
@@ -360,6 +364,11 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error:")
     assert captured.out == ""
+
+
+def test_toy_bound_message_names_the_budget(capsys):
+    assert run(["primitivity", "--n", "6"]) == 2
+    assert capsys.readouterr().err == "input error: toy verdicts need 4n <= 20 bits\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])

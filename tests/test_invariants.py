@@ -29,7 +29,7 @@ from ksgroup.invariants import (
     verify_lp_subspace,
 )
 from ksgroup.keyschedule import aes_core, rot_bricks_left
-from ksgroup.sbox import AES_SBOX, AffineMap
+from ksgroup.sbox import AES_SBOX
 
 # ---------------------------------------------------------------------
 # Helpers and oracles
@@ -195,7 +195,7 @@ def test_exhaustive_matches_brute_coset_oracle():
 
 def test_exhaustive_true_case_from_affine_witness():
     _, oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([oracle], 12)
+    verdict = primitivity_check([oracle])
     assert verdict.status == "imprimitive"
     assert brute_coset_check(oracle.table(), verdict.witness)
     assert is_linear_block(oracle, verdict.witness).ok
@@ -299,9 +299,19 @@ def test_min_block_agrees_with_subspace_closure_nonlinear():
             assert uf.subspace == fast
 
 
+def test_min_block_subspace_rejects_a_width_or_seed_outside_the_tables():
+    # a 4096-entry table read as a 4-bit map used to yield a "subspace"
+    # whose basis rows do not fit in 4 bits
+    _, oracle = toy_ks_oracle(3, 0)
+    table = np.array(oracle.table(), dtype=np.uint32)
+    for m, v in ((4, 1), (13, 1), (12, 0), (12, 1 << 12)):
+        with pytest.raises(ValueError):
+            min_block_subspace([table], m, v)
+
+
 def test_min_block_primitive_toy_reaches_full_space():
     rho, oracle = toy_ks_oracle(3, 21)
-    base = primitivity_check([PermutationOracle.from_table(rho.table(), "rho")], 3)
+    base = primitivity_check([PermutationOracle.from_table(rho.table(), "rho")])
     if base.status == "primitive":
         for v in (1, 77, 4000):
             res = min_block([oracle], 12, v)
@@ -319,10 +329,10 @@ def test_base_verdict_inversion_gf8():
     inv = inversion_sbox(3, 0b1011)
     rho = PermutationOracle.from_table(inv.table(), "inversion-gf8")
     oracle = PermutationOracle.from_table(inv.table(), "inversion-gf8")
-    base = primitivity_check([oracle], 3)
+    base = primitivity_check([oracle])
     assert base.pairs_checked <= 7
     assert base.status in ("primitive", "imprimitive")
-    lifted = primitivity_check([ks_oracle(rho, 1)], 12)
+    lifted = primitivity_check([ks_oracle(rho, 1)])
     aff = is_affine(oracle)
     assert aff is False
     if base.status == "primitive":
@@ -335,7 +345,7 @@ def test_affine_rho_lifts_imprimitive_with_certified_witness():
     found = 0
     for _ in range(12):
         rho = random_affine_word_permutation(3, rng)
-        verdict = primitivity_check([ks_oracle(rho, 1)], 12)
+        verdict = primitivity_check([ks_oracle(rho, 1)])
         if verdict.status == "imprimitive":
             found += 1
             assert verdict.witness_certified
@@ -391,21 +401,33 @@ def test_subspace_blocks_match_unionfind_reference(family):
     for v in range(1, 1 << m):
         assert min_block_subspace(arrays, m, v) == min_block(oracles, m, v).subspace
     status, witness, pairs = unionfind_primitivity(oracles, m)
-    verdict = primitivity_check(oracles, m)
+    verdict = primitivity_check(oracles)
     assert (verdict.status, verdict.witness, verdict.pairs_checked) == (status, witness, pairs)
     assert verdict.witness_certified is (True if witness is not None else None)
 
 
 def test_over_budget_inconclusive():
-    verdict = primitivity_check([ks_oracle(aes_core(), 1)], 128)
+    verdict = primitivity_check([ks_oracle(aes_core(), 1)])
     assert verdict.status == "inconclusive"
     assert "budget" in verdict.reason
+
+
+def test_primitivity_width_comes_from_the_oracles():
+    _, oracle = toy_ks_oracle(3, 0)
+    verdict = primitivity_check([oracle])
+    assert verdict.points == 1 << 12
+    if verdict.status == "primitive":
+        assert verdict.pairs_checked == 4095
+    with pytest.raises(ValueError):
+        primitivity_check([])
+    with pytest.raises(ValueError):
+        primitivity_check([oracle, translation_oracle(11, 1)])
 
 
 def test_witness_cosets_permuted_by_translations():
     # any block system found for <f, T> is in particular one for T alone
     _, oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([oracle], 12)
+    verdict = primitivity_check([oracle])
     assert verdict.status == "imprimitive"
     u = verdict.witness
     members = set(u.elements())
@@ -505,7 +527,7 @@ def test_closure_matches_deterministic_closure_on_invariant_case():
     # raw operator yields the witness block; its offset-normalized form
     # fixes 0, and the witness is an invariant subspace for that form
     rho, raw_oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([raw_oracle], 12)
+    verdict = primitivity_check([raw_oracle])
     norm_oracle = ks_oracle(rho.normalized(), 1)
     table = norm_oracle.table()
     seed_vec = verdict.witness.basis[0]
@@ -589,6 +611,44 @@ def test_exact_affineness_agrees_with_triple_oracle():
         assert is_affine(oracle) == brute
 
 
+def triple_affine(table):
+    """f(x+y+z) = f(x)+f(y)+f(z) for every triple."""
+    n = len(table)
+    return all(
+        table[x ^ y ^ z] == table[x] ^ table[y] ^ table[z]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**32),
+    st.sampled_from(("affine", "swapped", "shuffled")),
+    st.integers(0, 31),
+    st.integers(1, 31),
+)
+# two entries swapped along e_0: every e_0 derivative stays constant
+@example(3, 0, "swapped", 0, 1)
+def test_exact_affineness_on_affine_swapped_and_shuffled_tables(s, seed, kind, i, d):
+    rng = Random(seed)
+    if kind == "shuffled":
+        table = list(range(1 << s))
+        rng.shuffle(table)
+    else:
+        rho = random_affine_word_permutation(s, rng)
+        table = list(rho.table())
+        assert sorted(table) == list(range(1 << s))
+        assert is_affine(rho) is True
+        if kind == "swapped":
+            i %= 1 << s
+            j = i ^ (1 + (d - 1) % ((1 << s) - 1))
+            table[i], table[j] = table[j], table[i]
+    assert is_affine(PermutationOracle.from_table(table, "t")) is triple_affine(table)
+
+
 def test_random_nonaffine_generator_rejects_small_n():
     with pytest.raises(ValueError):
         random_nonaffine_word_permutation(2, Random(0))
@@ -606,8 +666,7 @@ def test_certificate_aes_rotword_passes():
 
 def test_certificate_linear_sbox_fails_anti_clause():
     rng = Random(23)
-    lin = AffineMap.random(8, rng, with_offset=False)
-    sb = PermutationOracle.from_table([lin(x) for x in range(256)])
+    sb = random_affine_word_permutation(8, rng).normalized()
     cert = spn_primitivity_certificate(sb, ROT1, delta=2)
     assert not cert.passed
     assert "anti-invariance" in cert.failing()

@@ -18,16 +18,12 @@ from ksgroup.gf2 import (
     Subspace,
     derivative,
     enumerate_subspaces,
-    matrix_apply,
     random_member,
     rref_insert,
 )
 from ksgroup.goursat import decompose, reconstruct
 from ksgroup.keyschedule import PermutationOracle
 from ksgroup.sbox import (
-    AffineMap,
-    SBoxError,
-    _matrix_inverse,
     anti_invariance_order,
     ddt,
     differential_profile,
@@ -77,25 +73,6 @@ def old_closure_residuals(vectors):
             rows[(vec & -vec).bit_length() - 1] = vec
             out.append(vec)
     return out
-
-
-def old_matrix_inverse(rows, s):
-    aug = [(rows[i], 1 << i) for i in range(s)]
-    piv = {}
-    for v, t in aug:
-        for p, (pv, pt) in piv.items():
-            if (v >> p) & 1:
-                v ^= pv
-                t ^= pt
-        if not v:
-            raise SBoxError("matrix is singular")
-        p = (v & -v).bit_length() - 1
-        for q in list(piv):
-            qv, qt = piv[q]
-            if (qv >> p) & 1:
-                piv[q] = (qv ^ v, qt ^ t)
-        piv[p] = (v, t)
-    return tuple(piv[p][1] for p in range(s))
 
 
 def old_hom(u, m1):
@@ -232,29 +209,6 @@ def test_anti_invariance_against_image_closure(case):
 
 # ---------------------------------------------------------------------
 # Loops rebuilt on Subspace
-
-
-@st.composite
-def square_matrices(draw):
-    s = draw(st.integers(1, 6))
-    rows = tuple(draw(st.integers(0, (1 << s) - 1)) for _ in range(s))
-    return s, rows
-
-
-@BOUNDED
-@given(square_matrices(), st.integers(0, 63))
-def test_matrix_inverse_against_brute_force(case, offset):
-    s, rows = case
-    images = {matrix_apply(rows, x) for x in range(1 << s)}
-    if len(images) < 1 << s:
-        for inverse in (_matrix_inverse, old_matrix_inverse):
-            with pytest.raises(SBoxError):
-                inverse(rows, s)
-        return
-    assert _matrix_inverse(rows, s) == old_matrix_inverse(rows, s)
-    amap = AffineMap(s, rows, offset % (1 << s))
-    inv = amap.inverse()
-    assert all(inv(amap(x)) == x for x in range(1 << s))
 
 
 @st.composite

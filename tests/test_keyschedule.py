@@ -26,7 +26,8 @@ from ksgroup.keyschedule import (
     word_from_bytes,
     word_to_bytes,
 )
-from ksgroup.sbox import AES_SBOX, AffineMap
+from ksgroup.invariants import random_affine_word_permutation
+from ksgroup.sbox import AES_SBOX
 
 S = AES_SBOX.table()
 
@@ -287,8 +288,7 @@ def test_matrix_form_agrees_with_formula():
 
 def test_apply_linear_when_rho_linear():
     rng = random.Random(40)
-    lin = AffineMap.random(4, rng, with_offset=False)
-    rho = PermutationOracle(4, lin, lin.inverse(), "linear")
+    rho = random_affine_word_permutation(4, rng).normalized()
     for _ in range(200):
         x = rng.getrandbits(16)
         y = rng.getrandbits(16)
