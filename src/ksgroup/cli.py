@@ -37,7 +37,6 @@ from .keyschedule import (
     aes_core,
     aes_round_constant_states,
     ks_oracle,
-    rot_bricks_left,
     state_from_hex,
     unflatten_state,
     word_from_bytes,
@@ -109,13 +108,13 @@ def _subspace_hex(u: Subspace) -> list[str]:
 
 
 def cmd_sbox_audit(args) -> tuple[dict, list[str]]:
-    if args.aes and args.table:
+    if args.aes and args.table is not None:
         raise InputError("give an S-box file or --aes, not both")
     if args.aes:
         sb = AES_SBOX
         source = "builtin-aes"
     else:
-        if not args.table:
+        if args.table is None:
             raise InputError("provide an S-box file or --aes")
         try:
             sb = parse_sbox_text(_read(args.table))
@@ -186,9 +185,9 @@ def cmd_expand(args) -> tuple[dict, list[str]]:
 
 def cmd_search(args) -> tuple[dict, list[str]]:
     budget = _budget_ms(args)
-    if args.seed_in_lp and args.seeds:
+    if args.seed_in_lp and args.seeds is not None:
         raise InputError("give --seeds or --seed-in-lp, not both")
-    if args.seeds and args.n_seeds is not None:
+    if args.seeds is not None and args.n_seeds is not None:
         raise InputError("give --seeds or --n-seeds, not both")
     n_seeds = 1 if args.n_seeds is None else args.n_seeds
     if args.with_constants:
@@ -212,7 +211,7 @@ def cmd_search(args) -> tuple[dict, list[str]]:
                 if rng.getrandbits(1):
                     x ^= row
             seeds.append(x or u.basis[0])
-    elif args.seeds:
+    elif args.seeds is not None:
         try:
             seeds = [int(s, 16) for s in args.seeds.split(",")]
         except ValueError as exc:
@@ -409,7 +408,8 @@ def cmd_lp_verify(args) -> tuple[dict, list[str]]:
 def cmd_certificate(args) -> tuple[dict, list[str]]:
     if not 2 <= args.delta <= AES_SBOX.m - 1:
         raise InputError(f"--delta must be in 2..{AES_SBOX.m - 1}")
-    rows = tuple(_apply_rot_power(1 << i, args.rot_power) for i in range(32))
+    # rotating the bytes left r times sends bit i to bit i - 8r mod 32
+    rows = tuple(1 << (i - 8 * args.rot_power) % 32 for i in range(32))
     cert = spn_primitivity_certificate(AES_SBOX, rows, delta=args.delta)
     report = {
         "delta": args.delta,
@@ -424,12 +424,6 @@ def cmd_certificate(args) -> tuple[dict, list[str]]:
         f"certificate (delta={args.delta}, rotation power {args.rot_power}): "
         + ("PASS" if cert.passed else f"FAIL ({', '.join(cert.failing())})")
     ] + [f"  {c.name}: {'ok' if c.passed else 'FAIL'} - {c.detail}" for c in cert.clauses]
-
-
-def _apply_rot_power(x: int, power: int) -> int:
-    for _ in range(power % 4):
-        x = rot_bricks_left(x, 8, 4)
-    return x
 
 
 # ---------------------------------------------------------------------

@@ -26,7 +26,7 @@ Contents:
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
@@ -267,40 +267,31 @@ def closure_search(
 # Brick sums under a linear layer
 
 
-def linear_rows(fn: Callable[[int], int], n: int) -> tuple[int, ...]:
-    """Basis images of a linear map (caller guarantees linearity)."""
-    return tuple(fn(1 << i) for i in range(n))
-
-
 def brick_invariant_sums(rows: Sequence[int], s: int, b: int) -> list[tuple[int, ...]]:
     """Proper nonempty brick subsets whose direct sum is fixed by the map.
 
     Brick i is the block of coordinates [s*i, s*i + s).  The map, given by
-    basis-image rows, must be invertible, so W*L = W reduces to W*L <= W.
+    basis-image rows, must be invertible, so W*L = W reduces to W*L <= W:
+    a subset is fixed exactly when it holds every brick that the rows of
+    each of its bricks reach.
     """
     n = s * b
     if len(rows) != n:
         raise ValueError(f"expected {n} rows for {b} bricks of width {s}")
     if Subspace(n, rows).dim != n:
         raise ValueError("linear map is singular")
-    out = []
-    for subset in range(1, (1 << b) - 1):
-        mask = 0
-        for i in range(b):
-            if (subset >> i) & 1:
-                mask |= ((1 << s) - 1) << (s * i)
-        ok = True
-        for i in range(b):
-            if (subset >> i) & 1:
-                for t in range(s):
-                    if rows[s * i + t] & ~mask:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(i for i in range(b) if (subset >> i) & 1))
-    return out
+    mask = (1 << s) - 1
+    reach = []
+    for i in range(b):
+        image = 0
+        for row in rows[s * i : s * i + s]:
+            image |= row
+        reach.append(sum(1 << j for j in range(b) if (image >> (s * j)) & mask))
+    return [
+        tuple(i for i in range(b) if (subset >> i) & 1)
+        for subset in range(1, (1 << b) - 1)
+        if all(reach[i] & ~subset == 0 for i in range(b) if (subset >> i) & 1)
+    ]
 
 
 # ---------------------------------------------------------------------

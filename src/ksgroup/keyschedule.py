@@ -17,15 +17,19 @@ word under a word permutation ``rho`` into every word:
     (v1, v2, v3, v4) -> (v1+t, v1+v2+t, v1+v2+v3+t, v1+v2+v3+v4+t),  t = rho(v4)
 
 On packed states A is two shifted XORs and E(t) is t times
-1 + 2^n + 2^2n + 2^3n.  With ``rho`` = rotate-bytes-then-SubBytes and a
-round-constant translation this is exactly one AES-128 round-key
-transformation, which is checked bit-for-bit against a word-oriented
-FIPS-197 reference in the tests.  SubBytes is ``AES_SBOX``, a
-``PermutationOracle`` table like every S-box.
+1 + 2^n + 2^2n + 2^3n.  The AES word map ``aes_core`` is RotWord then
+SubWord (FIPS-197, section 5.2) on the word's four little-endian bytes:
+rotate them one place, so byte j takes byte j+1 mod 4, then send each
+byte through the S-box with ``bytes.translate``.  With it and a round-constant
+translation the step is exactly one AES-128 round-key transformation,
+which is checked bit-for-bit against a word-oriented FIPS-197 reference
+in the tests.  SubBytes is ``AES_SBOX``, a ``PermutationOracle`` table
+like every S-box.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 
 from .gf2 import CapacityError
@@ -48,28 +52,11 @@ class WidthMismatch(ValueError):
 # Words
 
 
-def rot_bricks_left(x: int, s: int, b: int) -> int:
-    """Shift the sequence of b s-bit bricks left by one position.
-
-    Brick 0 is the low s bits; "left" means brick j takes the old brick
-    j+1, matching the byte rotation of the AES key schedule.
-    """
-    return (x >> s) | ((x & ((1 << s) - 1)) << (s * (b - 1)))
-
-
-def rot_bricks_right(x: int, s: int, b: int) -> int:
-    return ((x << s) & ((1 << (s * b)) - 1)) | (x >> (s * (b - 1)))
-
-
 def word_from_bytes(bs: Sequence[int]) -> int:
     v = 0
     for j, byte in enumerate(bs):
         v |= byte << (8 * j)
     return v
-
-
-def word_to_bytes(v: int, nbytes: int = 4) -> tuple[int, ...]:
-    return tuple((v >> (8 * j)) & 0xFF for j in range(nbytes))
 
 
 def word_to_hex(v: int) -> str:
@@ -138,6 +125,8 @@ class PermutationOracle:
         c = self.forward(0)
         if c == 0:
             return self
+        if self._table is not None:
+            return PermutationOracle.from_table([y ^ c for y in self._table], self.descriptor + "+fix0")
         fwd, bwd = self.forward, self.backward
         return PermutationOracle(
             self.m,
@@ -183,39 +172,22 @@ AES_SBOX = PermutationOracle.from_table((
 ), "aes-sbox")
 
 
-def rotate_substitute(sbox: PermutationOracle, bricks: int, descriptor: str | None = None) -> PermutationOracle:
-    """Rotate bricks left by one, then apply the S-box to every brick."""
-    s = sbox.m
-    n = s * bricks
-    table = sbox.table()
-    inv_table = sbox.inverse().table()
-    mask = (1 << s) - 1
+@functools.cache
+def aes_core() -> PermutationOracle:
+    """RotWord then SubWord on the word's four little-endian bytes: byte j
+    of the image is S(byte j+1 mod 4)."""
+    sbox = bytes(AES_SBOX.table())
+    inv_sbox = bytes(AES_SBOX.inverse().table())
 
     def fwd(x: int) -> int:
-        x = rot_bricks_left(x, s, bricks)
-        y = 0
-        for j in range(bricks):
-            y |= table[(x >> (s * j)) & mask] << (s * j)
-        return y
+        b = x.to_bytes(4, "little")
+        return int.from_bytes((b[1:] + b[:1]).translate(sbox), "little")
 
     def bwd(y: int) -> int:
-        x = 0
-        for j in range(bricks):
-            x |= inv_table[(y >> (s * j)) & mask] << (s * j)
-        return rot_bricks_right(x, s, bricks)
+        b = y.to_bytes(4, "little").translate(inv_sbox)
+        return int.from_bytes(b[3:] + b[:3], "little")
 
-    return PermutationOracle(n, fwd, bwd, descriptor or f"rot+sbox(s={s},b={bricks})")
-
-
-_AES_CORE: PermutationOracle | None = None
-
-
-def aes_core() -> PermutationOracle:
-    """RotWord followed by SubBytes on each byte of a 32-bit word."""
-    global _AES_CORE
-    if _AES_CORE is None:
-        _AES_CORE = rotate_substitute(AES_SBOX, 4, "aes-core")
-    return _AES_CORE
+    return PermutationOracle(WORD_BITS, fwd, bwd, "aes-core")
 
 
 # ---------------------------------------------------------------------
@@ -322,6 +294,6 @@ def aes128_expand_key(master: int) -> list[int]:
     return keys
 
 
-def aes_round_constant_states(rounds: int, first: int = 1) -> list[int]:
-    """Per-round translations E(rc) = (rc, rc, rc, rc) for composed steps."""
-    return [round_constant(first + r) * _E32 for r in range(rounds)]
+def aes_round_constant_states(rounds: int) -> list[int]:
+    """Per-round translations E(rc_i) = (rc_i, rc_i, rc_i, rc_i), i = 1..rounds."""
+    return [round_constant(i) * _E32 for i in range(1, rounds + 1)]

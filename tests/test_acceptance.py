@@ -17,7 +17,6 @@ from ksgroup.invariants import (
     closure_search,
     is_linear_block,
     ks_oracle,
-    linear_rows,
     lp_pattern_subspace,
     min_block_subspace,
     primitivity_check,
@@ -32,12 +31,22 @@ from ksgroup.keyschedule import (
     ks_apply,
     ks_inverse,
     ks_power,
-    rot_bricks_left,
     state_from_hex,
     unflatten_state,
     word_from_bytes,
 )
 from ksgroup.sbox import AES_SBOX, ddt, anti_invariance_order
+
+
+def linear_rows(fn, n):
+    """Basis images of a linear map (the caller guarantees linearity)."""
+    return tuple(fn(1 << i) for i in range(n))
+
+
+def rot_bricks_left(x, s, b):
+    """Shift the b s-bit bricks of x one position down: brick j takes the
+    old brick j+1, as RotWord does to the bytes of a word."""
+    return (x >> s) | ((x & ((1 << s) - 1)) << (s * (b - 1)))
 
 
 def verdict(n, ok, detail):

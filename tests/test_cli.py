@@ -315,6 +315,16 @@ def test_certificate_rot2_fails_bricks(capsys):
     assert failing == ["brick-sums"]
 
 
+@pytest.mark.parametrize("power", [-1, 4, 5, 6])
+def test_certificate_rot_power_is_taken_mod_4(capsys, power):
+    # four byte rotations are the identity on a 32-bit word
+    rc, rep = run_json(capsys, ["certificate", "--rot-power", str(power)])
+    assert rc == 0
+    _, ref = run_json(capsys, ["certificate", "--rot-power", str(power % 4)])
+    assert rep["rot_power"] == power
+    assert {**rep, "rot_power": power % 4} == ref
+
+
 # ---------------------------------------------------------------------
 # bad input: exit 2 with a message, never a traceback
 
@@ -354,6 +364,11 @@ def test_certificate_rot2_fails_bricks(capsys):
     ["search", "--power", "1", "--seeds", "ff", "--n-seeds", "3"],
     ["primitivity", "--rho", "aes", "--samples", "9999"],
     ["primitivity", "--n", "2", "--rho", "affine", "--samples", "7"],
+    # an empty value is given, not absent
+    ["search", "--power", "1", "--seeds", ""],
+    ["search", "--seeds", "", "--seed-in-lp"],
+    ["search", "--seeds", "", "--n-seeds", "2"],
+    ["sbox-audit", "", "--aes"],
     # argparse's own rejections
     ["primitivity", "--rho", "bogus"],
     ["search", "--samples", "abc"],

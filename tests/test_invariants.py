@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksgroup.gf2 import Subspace, enumerate_subspaces, random_member
+from ksgroup.gf2 import Subspace, enumerate_subspaces, matrix_apply, random_member
 from ksgroup.invariants import (
     LP_CONVENTIONS,
     PermutationOracle,
@@ -19,7 +19,6 @@ from ksgroup.invariants import (
     is_affine,
     is_linear_block,
     ks_oracle,
-    linear_rows,
     lp_pattern_subspace,
     min_block_subspace,
     primitivity_check,
@@ -28,11 +27,22 @@ from ksgroup.invariants import (
     spn_primitivity_certificate,
     verify_lp_subspace,
 )
-from ksgroup.keyschedule import aes_core, rot_bricks_left
+from ksgroup.keyschedule import aes_core
 from ksgroup.sbox import AES_SBOX
 
 # ---------------------------------------------------------------------
 # Helpers and oracles
+
+
+def linear_rows(fn, n):
+    """Basis images of a linear map (the caller guarantees linearity)."""
+    return tuple(fn(1 << i) for i in range(n))
+
+
+def rot_bricks_left(x, s, b):
+    """Shift the b s-bit bricks of x one position down: brick j takes the
+    old brick j+1, as RotWord does to the bytes of a word."""
+    return (x >> s) | ((x & ((1 << s) - 1)) << (s * (b - 1)))
 
 
 def toy_ks_oracle(n, seed, affine=False, normalized=False):
@@ -563,6 +573,52 @@ def test_identity_fixes_all_subsets():
 def test_brick_width_mismatch():
     with pytest.raises(ValueError):
         brick_invariant_sums(ROT1, 8, 3)
+
+
+def invertible_rows(s, rng):
+    while True:
+        rows = [rng.getrandbits(s) for _ in range(s)]
+        if Subspace(s, rows).dim == s:
+            return rows
+
+
+@st.composite
+def brick_maps(draw):
+    """An invertible map of b s-bit bricks: invertible blocks moved by a
+    brick permutation, then unipotent transvections that add a linear image
+    of one brick into another, so that some brick sums stay fixed."""
+    s = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 5))
+    rng = Random(draw(st.integers(0, 2**32)))
+    perm = list(range(b))
+    rng.shuffle(perm)
+    rows = [0] * (s * b)
+    for i in range(b):
+        for t, r in enumerate(invertible_rows(s, rng)):
+            rows[s * i + t] = r << (s * perm[i])
+    for _ in range(draw(st.integers(0, 3)) if b > 1 else 0):
+        j, k = rng.sample(range(b), 2)
+        shear = [e << (s * k) for e in (rng.getrandbits(s) for _ in range(s))]
+        transvection = [(1 << e) ^ (shear[e - s * j] if e // s == j else 0) for e in range(s * b)]
+        rows = [matrix_apply(transvection, r) for r in rows]
+    return s, b, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(brick_maps())
+@example((8, 4, ROT2))
+def test_brick_sums_against_subspace_definition(case):
+    # brick subset S is reported exactly when W_S, the direct sum of its
+    # bricks, contains the image of every basis vector of W_S
+    s, b, rows = case
+    expected = []
+    for subset in range(1, (1 << b) - 1):
+        bricks = tuple(i for i in range(b) if (subset >> i) & 1)
+        basis = [1 << (s * i + t) for i in bricks for t in range(s)]
+        w = Subspace(s * b, basis)
+        if all(w.contains(matrix_apply(rows, v)) for v in basis):
+            expected.append(bricks)
+    assert brick_invariant_sums(rows, s, b) == expected
 
 
 # ---------------------------------------------------------------------

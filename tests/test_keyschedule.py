@@ -18,13 +18,11 @@ from ksgroup.keyschedule import (
     ks_inverse,
     ks_oracle,
     ks_power,
-    rot_bricks_left,
     round_constant,
     state_from_hex,
     state_to_hex,
     unflatten_state,
     word_from_bytes,
-    word_to_bytes,
 )
 from ksgroup.invariants import random_affine_word_permutation
 from ksgroup.sbox import AES_SBOX
@@ -82,6 +80,10 @@ def ks_power_matrix(rho, st: State, i: int) -> State:
 
 # E(t) = (t, t, t, t) for 32-bit words
 E32 = 0x00000001_00000001_00000001_00000001
+
+
+def word_to_bytes(v: int) -> tuple[int, ...]:
+    return tuple((v >> (8 * j)) & 0xFF for j in range(4))
 
 
 def fips_state(round_key) -> State:
@@ -143,9 +145,31 @@ def test_core_bijectivity_sampled():
         assert rho.backward(y) == x
 
 
-def test_rot_bricks():
-    assert rot_bricks_left(word_from_bytes((1, 2, 3, 4)), 8, 4) == word_from_bytes((2, 3, 4, 1))
-    assert rot_bricks_left(0, 8, 4) == 0
+# ---------------------------------------------------------------------
+# PermutationOracle
+
+
+def test_normalized_table_keeps_the_table():
+    rng = random.Random(21)
+    t = list(range(1 << 12))
+    rng.shuffle(t)
+    assert t[0] != 0
+    oracle = PermutationOracle.from_table(t, "shuffled")
+    calls = 0
+    table_forward = oracle.forward
+
+    def counting_forward(x):
+        nonlocal calls
+        calls += 1
+        return table_forward(x)
+
+    oracle.forward = counting_forward
+    norm = oracle.normalized()
+    assert norm.table() == tuple(y ^ t[0] for y in t)
+    # f(0) alone: the normalized table is built from the cached one
+    assert calls == 1
+    assert norm.descriptor == "shuffled+fix0"
+    assert all(norm.backward(y) == x for x, y in enumerate(norm.table()))
 
 
 # ---------------------------------------------------------------------
