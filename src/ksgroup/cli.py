@@ -19,7 +19,7 @@ import time
 from random import Random
 
 from . import fips197
-from .gf2 import CapacityError, Subspace, vec_to_hex
+from .gf2 import CapacityError, Subspace, vec_from_hex, vec_to_hex
 from .goursat import tower_report
 from .invariants import (
     closure_search,
@@ -37,16 +37,18 @@ from .keyschedule import (
     aes_core,
     aes_round_constant_states,
     ks_oracle,
-    state_from_hex,
     unflatten_state,
-    word_from_bytes,
-    word_to_hex,
 )
 from .sbox import AES_SBOX, SBoxError, SBoxFormatError, audit_sbox, parse_sbox_text
 
 SCHEMA = 1
 BUDGET_ENV = "KSGROUP_BUDGET_MS"
 PROBE_SAMPLES = 256  # sampled primitivity: one closure probe per this many samples
+# 128 random seeds already span the whole 128-bit state in one round
+MAX_SEEDS = 1 << 16
+# goursat builds lists as long as the ambient dimension; the widest state
+# any command builds is 128 bits
+MAX_AMBIENT_BITS = 1024
 
 
 class InputError(Exception):
@@ -158,7 +160,7 @@ def cmd_sbox_audit(args) -> tuple[dict, list[str]]:
 
 def cmd_expand(args) -> tuple[dict, list[str]]:
     try:
-        master = state_from_hex(args.key)
+        master = vec_from_hex(args.key, 128)
     except ValueError as exc:
         raise InputError(f"bad key hex: {exc}") from None
     keys = aes128_expand_key(master)
@@ -166,12 +168,12 @@ def cmd_expand(args) -> tuple[dict, list[str]]:
     if args.check_model:
         ref = fips197.round_keys(bytes.fromhex(args.key))
         model_checked = all(
-            unflatten_state(x) == tuple(word_from_bytes(w) for w in fips_words)
+            x == int.from_bytes(bytes(b for w in fips_words for b in w), "little")
             for x, fips_words in zip(keys, ref)
         )
         if not model_checked:
             raise StructureError("operator model disagrees with the FIPS-197 recurrence")
-    words = [[word_to_hex(w) for w in unflatten_state(x)] for x in keys]
+    words = [[vec_to_hex(w, 32) for w in unflatten_state(x)] for x in keys]
     report = {"key": args.key, "round_keys": words, "model_checked": model_checked}
     lines = [f"round {r:2d}: " + " ".join(ws) for r, ws in enumerate(words)]
     if model_checked is not None:
@@ -190,6 +192,8 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     if args.seeds is not None and args.n_seeds is not None:
         raise InputError("give --seeds or --n-seeds, not both")
     n_seeds = 1 if args.n_seeds is None else args.n_seeds
+    if n_seeds > MAX_SEEDS:
+        raise InputError(f"--n-seeds must be at most {MAX_SEEDS}, got {n_seeds}")
     if args.with_constants:
         if args.power < 1:
             raise InputError("--with-constants needs a positive --power")
@@ -365,6 +369,8 @@ def cmd_goursat(args) -> tuple[dict, list[str]]:
         u = Subspace.from_text(_read(args.subspace))
     except ValueError as exc:
         raise InputError(f"parse error: {exc}") from None
+    if u.m > MAX_AMBIENT_BITS:
+        raise InputError(f"ambient dimension {u.m} exceeds {MAX_AMBIENT_BITS} bits")
     if u.m % 4:
         raise StructureError(f"ambient dimension {u.m} is not divisible by 4")
     report = tower_report(u, with_hom=args.with_hom)

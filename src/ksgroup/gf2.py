@@ -12,14 +12,16 @@ members are drawn by ``random_member``, except the seeds of ``search
 so that its seeded reports replay; every difference table of a map given
 as a numpy table is scanned by ``derivative``.
 
-Text I/O writes one basis vector per line as hex of the underlying byte
-sequence (byte 0 = coordinates 0..7 printed first).
+``vec_to_hex``/``vec_from_hex`` are the one hex codec for vectors:
+little-endian bytes, so byte 0 (coordinates 0..7) is printed first.
+Subspace files, witnesses, AES keys, states and round-key words all use
+it.  ``enumerate_subspaces`` is lazy: it builds each RREF basis in the
+order it yields them, so a scan that stops early pays only for what it saw.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Iterable, Iterator, Sequence
 from random import Random
 
@@ -252,12 +254,29 @@ def gaussian_binomial(m: int, k: int) -> int:
     return num // den
 
 
+def _rref_bases(m: int, k: int, low: int, used: int) -> Iterator[tuple[int, ...]]:
+    """Every RREF basis of k rows of F_2^m whose pivots are at least
+    ``low`` and are no bit of ``used`` (the earlier rows), in increasing
+    tuple order: the first row is tried in increasing order, and a row
+    that leaves fewer than k-1 pivot columns above its own is skipped."""
+    if k == 0:
+        yield ()
+        return
+    for v in range(1 << low, 1 << m, 1 << low):
+        p = _pivot(v)
+        if (used >> p) & 1 or m - p - 1 - ((used | v) >> (p + 1)).bit_count() < k - 1:
+            continue
+        for rest in _rref_bases(m, k - 1, p + 1, used | v):
+            yield (v, *rest)
+
+
 def enumerate_subspaces(m: int, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
     """Yield every subspace of F_2^m exactly once.
 
     Order is deterministic: by dimension, then by the RREF basis tuple.
-    Generation builds RREF matrices directly (choose pivots, then free
-    entries), so each subspace appears once without deduplication.
+    The bases are generated lazily and directly in that order, so each
+    subspace appears once without deduplication or sorting, and the first
+    is yielded before the rest are built.
     """
     if m > MAX_ENUM_DIM:
         raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, got {m}")
@@ -265,26 +284,5 @@ def enumerate_subspaces(m: int, dims: Iterable[int] | None = None) -> Iterator[S
     for k in wanted:
         if not 0 <= k <= m:
             raise ValueError(f"dimension {k} out of range for m={m}")
-        found: list[tuple[int, ...]] = []
-        for pivots in itertools.combinations(range(m), k):
-            pivset = set(pivots)
-            # free slots: (row, column) with column > pivot and not a pivot
-            slots = [
-                (i, c)
-                for i, p in enumerate(pivots)
-                for c in range(p + 1, m)
-                if c not in pivset
-            ]
-            base = [1 << p for p in pivots]
-            for bits in range(1 << len(slots)):
-                rows = base.copy()
-                t = bits
-                while t:
-                    j = _pivot(t)
-                    t &= t - 1
-                    i, c = slots[j]
-                    rows[i] |= 1 << c
-                found.append((tuple(rows), pivots))
-        found.sort()
-        for basis, pivots in found:
-            yield Subspace._from_rref(m, basis, pivots)
+        for basis in _rref_bases(m, k, 0, 0):
+            yield Subspace._from_rref(m, basis, [_pivot(v) for v in basis])

@@ -307,21 +307,20 @@ def is_affine(oracle: PermutationOracle) -> bool:
     return all((derivative(t, 1 << i) == t[1 << i] ^ t[0]).all() for i in range(oracle.m))
 
 
-def random_nonaffine_word_permutation(n: int, rng: Random, max_tries: int = 1000) -> PermutationOracle:
+def random_nonaffine_word_permutation(n: int, rng: Random) -> PermutationOracle:
     """Rejection-sample shuffled tables until one is not affine.
 
     Impossible at n <= 2: every permutation of F_2^2 is affine, so toy
-    experiments start at n = 3.
+    experiments start at n = 3, where 1344 of the 40320 tables are affine.
     """
     if n < 3:
         raise ValueError("every permutation of F_2^n is affine for n <= 2")
-    for _ in range(max_tries):
+    while True:
         table = list(range(1 << n))
         rng.shuffle(table)
         rho = PermutationOracle.from_table(table, f"random-table(n={n})")
         if not is_affine(rho):
             return rho
-    raise RuntimeError("no non-affine table found (should not happen)")
 
 
 def random_affine_word_permutation(n: int, rng: Random) -> PermutationOracle:

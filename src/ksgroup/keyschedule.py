@@ -4,10 +4,10 @@ A 32-bit word packs its four bytes little-endian: byte j of the FIPS word
 sits in bits 8j..8j+7, so the first byte is the low-order byte.  A state
 of four n-bit words is one packed 4n-bit int, word i in bits
 (i-1)n..in-1, so word 1 is the low word; ``unflatten_state`` splits it
-into the tuple ``(v1, v2, v3, v4)`` for printing and for comparison with
-FIPS-197 words.  External hex I/O uses the standard byte-ordered notation
-("2b7e1516..." has 0x2b as the first byte), i.e. the 16 bytes of the
-128-bit state, little-endian.
+into the tuple ``(v1, v2, v3, v4)`` for printing.  States and words are
+written as hex by ``gf2.vec_to_hex``/``vec_from_hex``, the one vector
+codec: little-endian bytes, so "2b7e1516..." has 0x2b as the first byte,
+the standard byte-ordered notation of a key.
 
 ``ks_apply`` is the chained-XOR step shared by every round,
 f(x) = A*x + E(rho(x4)): A replaces each word by the XOR of it and the
@@ -34,8 +34,6 @@ from collections.abc import Callable, Sequence
 
 from .gf2 import CapacityError
 
-State = tuple[int, int, int, int]
-
 WORD_BITS = 32
 
 # E(t) = t * _E32 = (t, t, t, t) for a 32-bit word t
@@ -52,29 +50,7 @@ class WidthMismatch(ValueError):
 # Words
 
 
-def word_from_bytes(bs: Sequence[int]) -> int:
-    v = 0
-    for j, byte in enumerate(bs):
-        v |= byte << (8 * j)
-    return v
-
-
-def word_to_hex(v: int) -> str:
-    return v.to_bytes(4, "little").hex()
-
-
-def state_from_hex(text: str) -> int:
-    raw = bytes.fromhex(text)
-    if len(raw) != 16:
-        raise ValueError(f"expected 32 hex chars, got {len(text)}")
-    return int.from_bytes(raw, "little")
-
-
-def state_to_hex(x: int) -> str:
-    return x.to_bytes(16, "little").hex()
-
-
-def unflatten_state(x: int, n: int = WORD_BITS) -> State:
+def unflatten_state(x: int, n: int = WORD_BITS) -> tuple[int, int, int, int]:
     mask = (1 << n) - 1
     return (x & mask, (x >> n) & mask, (x >> (2 * n)) & mask, (x >> (3 * n)) & mask)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -408,6 +409,28 @@ def test_budget_env_unread_where_no_budget_is_spent(monkeypatch, capsys):
     rc, rep = run_json(capsys, argv)
     assert rc == 0
     assert strip_runtime(rep) == case["report"]
+
+
+def cap_address_space():
+    # runs in the child only: 2 GB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # decompose would build lists of 4e9 entries
+    ["goursat", "huge.sub"],
+    # the list of 1e8 seeds alone would take about 5 GB
+    ["search", "--power", "1", "--n-seeds", "100000000"],
+], ids=" ".join)
+def test_oversized_input_exits_2_without_traceback(tmp_path, argv):
+    (tmp_path / "huge.sub").write_text("m=4000000000\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "ksgroup.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error:")
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Demo smoke tests: the quick demos run to completion, and every name a
-demo imports from ``ksgroup`` exists.
+"""Demo smoke tests: the quick demos print exactly the stdout recorded in
+``golden_demos.json``, and every name a demo imports from ``ksgroup``
+exists.
 
 Demo 04 takes about 40 s, so it only gets the import check.
 """
@@ -7,6 +8,7 @@ Demo 04 takes about 40 s, so it only gets the import check.
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 QUICK = ("01", "02", "03", "05")
+GOLDEN = json.loads(Path(__file__).with_name("golden_demos.json").read_text())
 
 
 def test_all_five_demos_found():
@@ -31,7 +34,7 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.stdout == GOLDEN[demo.name]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

@@ -1,6 +1,7 @@
 """GF(2) substrate checks against naive independent oracles."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -61,6 +62,19 @@ def all_subspace_sets(m):
 
     grow({0}, 0)
     return out
+
+
+def lowest_bit(v):
+    return (v & -v).bit_length() - 1
+
+
+def naive_rref_basis(elements):
+    """Canonical basis of a subspace given as its element set: the pivots
+    are the lowest set bits of the members, and the row of pivot p is the
+    one member whose only pivot bit is p.  Rows in increasing pivot order."""
+    pivots = {lowest_bit(v) for v in elements if v}
+    rows = [v for v in elements if v and all(not (v >> q) & 1 for q in pivots - {lowest_bit(v)})]
+    return tuple(sorted(rows, key=lowest_bit))
 
 
 # ---------------------------------------------------------------------
@@ -201,6 +215,24 @@ def test_enumerate_distinct_and_counted(m):
         per_dim[s.dim] = per_dim.get(s.dim, 0) + 1
     for k in range(m + 1):
         assert per_dim.get(k, 0) == gaussian_binomial(m, k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_enumerate_order_is_dim_then_basis(m):
+    expected = sorted((len(b), b) for b in map(naive_rref_basis, all_subspace_sets(m)))
+    assert [(s.dim, s.basis) for s in enumerate_subspaces(m)] == expected
+
+
+def test_enumerate_is_lazy():
+    # the first of the 200787 four-dimensional subspaces of F_2^8 comes
+    # before the rest are built
+    tracemalloc.start()
+    try:
+        next(enumerate_subspaces(8, (4,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumerate_capacity_refused():

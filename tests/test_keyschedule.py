@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgroup import fips197
+from ksgroup.gf2 import vec_from_hex, vec_to_hex
 from ksgroup.keyschedule import (
     PermutationOracle,
-    State,
     WidthMismatch,
     aes128_expand_key,
     aes128_round_key_step,
@@ -19,15 +19,14 @@ from ksgroup.keyschedule import (
     ks_oracle,
     ks_power,
     round_constant,
-    state_from_hex,
-    state_to_hex,
     unflatten_state,
-    word_from_bytes,
 )
 from ksgroup.invariants import random_affine_word_permutation
 from ksgroup.sbox import AES_SBOX
 
 S = AES_SBOX.table()
+
+Words = tuple[int, int, int, int]
 
 # FIPS-197 Appendix A expanded key for 2b7e1516 28aed2a6 abf71588 09cf4f3c.
 APPENDIX_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
@@ -58,7 +57,7 @@ OPERATOR_MATRIX = (
 )
 
 
-def ks_apply_matrix(rho, st: State) -> State:
+def ks_apply_matrix(rho, st: Words) -> Words:
     out = [0, 0, 0, 0]
     for i, row in enumerate(OPERATOR_MATRIX):
         v = st[i]
@@ -72,7 +71,7 @@ def ks_apply_matrix(rho, st: State) -> State:
     return tuple(out)
 
 
-def ks_power_matrix(rho, st: State, i: int) -> State:
+def ks_power_matrix(rho, st: Words, i: int) -> Words:
     for _ in range(i):
         st = ks_apply_matrix(rho, st)
     return st
@@ -86,8 +85,8 @@ def word_to_bytes(v: int) -> tuple[int, ...]:
     return tuple((v >> (8 * j)) & 0xFF for j in range(4))
 
 
-def fips_state(round_key) -> State:
-    return tuple(word_from_bytes(w) for w in round_key)
+def fips_state(round_key) -> Words:
+    return tuple(int.from_bytes(bytes(w), "little") for w in round_key)
 
 
 def toy_rho(n, seed, require_nonaffine_zero_fix=False):
@@ -127,7 +126,7 @@ def test_core_byte_pattern():
     rng = random.Random(2)
     for _ in range(100):
         b0, b1, b2, b3 = (rng.getrandbits(8) for _ in range(4))
-        v = word_from_bytes((b0, b1, b2, b3))
+        v = int.from_bytes(bytes((b0, b1, b2, b3)), "little")
         assert word_to_bytes(aes_core().forward(v)) == (S[b1], S[b2], S[b3], S[b0])
 
 
@@ -341,14 +340,14 @@ def test_round_constants():
 
 def test_step_matches_fips_on_appendix_key():
     ref = fips197.round_keys(APPENDIX_KEY)
-    x = state_from_hex(APPENDIX_KEY.hex())
+    x = vec_from_hex(APPENDIX_KEY.hex(), 128)
     for i in range(1, 11):
         x = aes128_round_key_step(x, i)
         assert unflatten_state(x) == fips_state(ref[i])
 
 
 def test_step_with_zero_constant_reduces_to_apply():
-    st = state_from_hex("000102030405060708090a0b0c0d0e0f")
+    st = vec_from_hex("000102030405060708090a0b0c0d0e0f", 128)
     stepped = aes128_round_key_step(st, 1)
     assert stepped ^ round_constant(1) * E32 == ks_apply(aes_core(), st)
 
@@ -358,14 +357,14 @@ def test_step_matches_fips_on_random_keys():
     for _ in range(100):
         key = rng.getrandbits(128).to_bytes(16, "big")
         ref = fips197.round_keys(key)
-        x = state_from_hex(key.hex())
+        x = vec_from_hex(key.hex(), 128)
         for i in range(1, 11):
             x = aes128_round_key_step(x, i)
             assert unflatten_state(x) == fips_state(ref[i])
 
 
 def test_expand_key_matches_fips_end_to_end():
-    keys = aes128_expand_key(state_from_hex(APPENDIX_KEY.hex()))
+    keys = aes128_expand_key(vec_from_hex(APPENDIX_KEY.hex(), 128))
     ref = fips197.round_keys(APPENDIX_KEY)
     assert [unflatten_state(k) for k in keys] == [fips_state(r) for r in ref]
 
@@ -378,7 +377,7 @@ def test_expand_zero_key_first_round():
 
 
 def test_expand_is_deterministic():
-    master = state_from_hex("00112233445566778899aabbccddeeff")
+    master = vec_from_hex("00112233445566778899aabbccddeeff", 128)
     assert aes128_expand_key(master) == aes128_expand_key(master)
 
 
@@ -391,6 +390,6 @@ def test_round_index_out_of_range():
 
 def test_state_hex_roundtrip():
     text = "2b7e151628aed2a6abf7158809cf4f3c"
-    assert state_to_hex(state_from_hex(text)) == text
+    assert vec_to_hex(vec_from_hex(text, 128), 128) == text
     # first byte of the hex string is the low byte of the first word
-    assert unflatten_state(state_from_hex(text))[0] & 0xFF == 0x2B
+    assert unflatten_state(vec_from_hex(text, 128))[0] & 0xFF == 0x2B
