@@ -518,9 +518,18 @@ def run(argv: list[str] | None = None) -> int:
         return 3
     if args.output == "json":
         report = {"schema": SCHEMA, "command": args.command, **report}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        text = json.dumps(report, indent=2, sort_keys=True)
     else:
-        print("\n".join(lines))
+        text = "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (``| head``): send the rest of the output,
+        # and the flush at exit, to devnull instead of a second traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     return 0
 
 

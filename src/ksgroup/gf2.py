@@ -7,10 +7,19 @@ free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
 equality of two ``Subspace`` objects is subspace equality.  All
 incremental elimination goes through ``rref_insert`` and all random
-members are drawn by ``random_member``, except the seeds of ``search
---seed-in-lp``, which the CLI draws one ``getrandbits(1)`` per basis row
-so that its seeded reports replay; every difference table of a map given
-as a numpy table is scanned by ``derivative``.
+members are drawn by ``random_member`` or, for a batch, by
+``RowTables.random_members``, which makes the identical draws (one
+``getrandbits(len(rows))`` per member, bit j selecting row j).  The one
+exception is the seeds of ``search --seed-in-lp``, which the CLI draws
+one ``getrandbits(1)`` per basis row so that its seeded reports replay.
+Every difference table of a map given as a numpy table is scanned by
+``derivative``.
+
+``RowTables`` is the one batch kernel: a linear map given by rows, applied
+to a batch of ``vec_to_words`` arrays through one 256-entry table per
+input byte that carries a nonzero row.  Over a row list it draws random
+members; built by ``pivot_map`` it takes the RREF residual x + P(x) of a
+whole batch in one pass.
 
 ``vec_to_hex``/``vec_from_hex`` are the one hex codec for vectors:
 little-endian bytes, so byte 0 (coordinates 0..7) is printed first.
@@ -28,6 +37,9 @@ from random import Random
 import numpy as np
 
 MAX_ENUM_DIM = 8
+
+# batches of vectors are arrays of little-endian 32-bit words
+WORD = np.dtype("<u4")
 
 
 class DimensionMismatch(ValueError):
@@ -80,6 +92,79 @@ def random_member(rows: Sequence[int], rng: Random) -> int:
         if (mask >> j) & 1:
             x ^= row
     return x
+
+
+def vec_to_words(vectors: Sequence[int], m: int) -> np.ndarray:
+    """Vectors of F_2^m as the rows of an (N, ceil(m/32)) array of 32-bit
+    words, word 0 holding coordinates 0..31: the byte order of ``vec_to_hex``."""
+    words = (m + 31) // 32
+    raw = b"".join(v.to_bytes(4 * words, "little") for v in vectors)
+    return np.frombuffer(raw, dtype=WORD).reshape(len(vectors), words)
+
+
+def vec_from_words(words: np.ndarray) -> int:
+    """The vector held by one row of ``vec_to_words``."""
+    return int.from_bytes(words.astype(WORD).tobytes(), "little")
+
+
+class RowTables:
+    """The linear map x -> sum of ``rows[i]`` over the set bits i of x,
+    applied to a batch: one 256-entry table per input byte that carries a
+    nonzero row, so a batch costs one gather per such byte.
+
+    Built over the rows of a sampler it draws random members, and built by
+    ``pivot_map`` it gives the RREF residual of every vector of a batch.
+    """
+
+    __slots__ = ("k", "words", "tables")
+
+    def __init__(self, rows: Sequence[int], m: int) -> None:
+        self.k = len(rows)
+        self.words = (m + 31) // 32
+        nbytes = (self.k + 7) // 8
+        images = np.zeros((8 * nbytes, self.words), WORD)
+        images[: self.k] = vec_to_words(rows, m)
+        images = images.reshape(nbytes, 8, self.words)
+        used = np.flatnonzero(images.any(axis=(1, 2)))
+        images = images[used]
+        # entry v of a byte's table is the XOR of the rows at the set bits
+        # of v, built for every used byte at once by doubling
+        tables = np.zeros((len(used), 256, self.words), WORD)
+        for i in range(8):
+            tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ images[:, i, None]
+        self.tables = list(zip(used.tolist(), tables))
+
+    @classmethod
+    def pivot_map(cls, u: "Subspace") -> "RowTables":
+        """P sends pivot bit p to the row with pivot p and every other bit
+        to 0.  The rows are canonical, so x + P(x) is the residual of x
+        after one pass: it is computed from the pivot bits of x itself."""
+        rows = [0] * u.m
+        for p, row in zip(u.pivots, u.basis):
+            rows[p] = row
+        return cls(rows, u.m)
+
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """Images of the inputs given as an (N, ceil(k/8)) uint8 array of
+        little-endian bytes."""
+        out = np.zeros((len(data), self.words), WORD)
+        for j, table in self.tables:
+            out ^= table[data[:, j]]
+        return out
+
+    def random_members(self, count: int, rng: Random) -> np.ndarray:
+        """``count`` members drawn exactly as ``count`` calls of
+        ``random_member(rows, rng)``: one ``getrandbits(k)`` each, bit j
+        selecting row j, so the rng ends in the same state."""
+        nbytes = (self.k + 7) // 8
+        masks = b"".join(rng.getrandbits(self.k).to_bytes(nbytes, "little") for _ in range(count))
+        return self.apply(np.frombuffer(masks, dtype=np.uint8).reshape(count, nbytes))
+
+    def residuals(self, xs: np.ndarray) -> np.ndarray:
+        """x + P(x) for each row of ``vec_to_words`` words; for a
+        ``pivot_map`` a row is nonzero exactly when x is outside the span."""
+        xs = np.ascontiguousarray(xs, dtype=WORD)
+        return xs ^ self.apply(xs.view(np.uint8))
 
 
 def matrix_apply(rows: Sequence[int], x: int) -> int:
@@ -195,17 +280,7 @@ class Subspace:
         self._check_same(other)
         return Subspace(self.m, self.basis + other.basis)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: eliminate (u, u) and (w, 0) rows; zero-left rows give the meet."""
-        self._check_same(other)
-        m = self.m
-        mask = (1 << m) - 1
-        rows = [u | (u << m) for u in self.basis] + list(other.basis)
-        ech = Subspace(2 * m, rows)
-        return Subspace(m, [r >> m for r in ech.basis if not (r & mask)])
-
     __add__ = sum
-    __and__ = intersect
 
     def elements(self) -> Iterator[int]:
         """All 2^dim members, Gray-code order (constant work per element)."""

@@ -21,6 +21,17 @@ Contents:
   containing a seed, for widths where tables are impossible.
 * brick sums, affineness tests, the SPN primitivity certificate, and the
   32-dimensional four-round pattern subspace with its verification.
+
+``closure_search`` and ``escapes`` sample a fixed row list and test
+membership in a fixed subspace, so for an oracle with an array twin
+(``PermutationOracle.many``) they evaluate whole batches of draws with
+``gf2.RowTables``: a closure round that follows a round that did not grow,
+and each chunk of an ``escapes`` scan of a proper subspace.  The Python
+``Random`` draws are replayed exactly -- a batch that finds an image
+outside the span is rewound and redone point by point -- so every result,
+count and rng state equals the per-point loop's.  The first round and the
+rounds after growth stay per point, so a growing round is never evaluated
+twice.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import Subspace, derivative, matrix_apply, random_member, rref_insert
+from .gf2 import RowTables, Subspace, derivative, matrix_apply, random_member, rref_insert, vec_from_words
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
 from .sbox import anti_invariance_order, differential_uniformity
 
@@ -77,13 +88,44 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
     return LinearBlockCheck(ok=True, checked=checked)
 
 
+ESCAPE_CHUNK = 1024  # draws per batch of a batched escapes scan
+
+
 def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -> Iterator[int]:
     """Draw ``samples`` random members x of U and lazily yield each one
-    whose image f(x) lies outside U."""
-    for _ in range(samples):
-        x = random_member(u.basis, rng)
-        if not u.contains(oracle.forward(x)):
-            yield x
+    whose image f(x) lies outside U.
+
+    With an array twin and a proper U the draws are evaluated in chunks of
+    ``ESCAPE_CHUNK``.  A chunk that holds escapes is rewound to its start
+    and its draws are replayed up to each escape as it is yielded, so the
+    rng stands where the per-point loop leaves it at every yield; the scan
+    assumes nothing else draws from ``rng`` while it is suspended.  At full
+    dimension every member is inside, and the loop stays per point.
+    """
+    # a scan of no draws builds no tables
+    if oracle.many is None or u.dim == u.m or samples < 1:
+        for _ in range(samples):
+            x = random_member(u.basis, rng)
+            if not u.contains(oracle.forward(x)):
+                yield x
+        return
+    members, reducer = RowTables(u.basis, u.m), RowTables.pivot_map(u)
+    for start in range(0, samples, ESCAPE_CHUNK):
+        count = min(ESCAPE_CHUNK, samples - start)
+        state = rng.getstate()
+        xs = members.random_members(count, rng)
+        out = np.flatnonzero(reducer.residuals(oracle.many[0](xs)).any(axis=1))
+        if not out.size:
+            continue
+        rng.setstate(state)
+        drawn = 0
+        for i in out.tolist():
+            for _ in range(i + 1 - drawn):
+                rng.getrandbits(u.dim)
+            drawn = i + 1
+            yield vec_from_words(xs[i])
+        for _ in range(count - drawn):
+            rng.getrandbits(u.dim)
 
 
 def _reduce_array(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
@@ -235,10 +277,29 @@ def closure_search(
     rng = Random(seed)
     t0 = time.perf_counter()
     rounds = stable = evals = 0
+    members = reducer = None  # tables of the batched rounds, rebuilt when the span grows
     while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
         if budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms:
             stop_reason = "budget"
             break
+        if stable and oracle.many is not None:
+            # the span did not grow last round, so this one likely will not
+            # either: evaluate it as one batch, and count it as the loop
+            # would when no image leaves the span
+            state = rng.getstate()
+            if members is None or members.k != len(residuals):
+                order = sorted(rows)
+                span = Subspace._from_rref(m, [rows[p] for p in order], order)
+                members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
+            us = members.random_members(samples_per_round, rng)
+            images = np.concatenate((oracle.many[0](us), oracle.many[1](us)))
+            if not reducer.residuals(images).any():
+                rounds += 1
+                stable += 1
+                evals += 2 * samples_per_round
+                continue
+            # an image left the span: replay the round point by point
+            rng.setstate(state)
         grew = False
         for _ in range(samples_per_round):
             u = random_member(residuals, rng)

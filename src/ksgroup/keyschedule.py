@@ -25,6 +25,16 @@ translation the step is exactly one AES-128 round-key transformation,
 which is checked bit-for-bit against a word-oriented FIPS-197 reference
 in the tests.  SubBytes is ``AES_SBOX``, a ``PermutationOracle`` table
 like every S-box.
+
+``aes_core``, ``normalized`` (of an oracle that has one) and ``ks_oracle``
+over a 32-bit word map that has one set an array twin,
+``PermutationOracle.many``: forward and backward on (N, 4) uint32 word
+columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
+forward step is ``np.bitwise_xor.accumulate`` across the columns, then
+rho(word 4) XORed into every column; the inverse step XORs neighbouring
+columns, then rho(word 4) into word 1.  The AES word map's twin is a byte
+rotation and one S-box gather.  Other oracles have no twin and are
+evaluated per point.
 """
 
 from __future__ import annotations
@@ -32,7 +42,9 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Sequence
 
-from .gf2 import CapacityError
+import numpy as np
+
+from .gf2 import WORD, CapacityError, vec_to_words
 
 WORD_BITS = 32
 
@@ -59,10 +71,20 @@ def unflatten_state(x: int, n: int = WORD_BITS) -> tuple[int, int, int, int]:
 # Word permutations
 
 
-class PermutationOracle:
-    """A bijection of F_2^m with forward and backward evaluation."""
+# A batch form of a map: (forward, backward) on (N, m/32) uint32 arrays
+# of ``gf2.vec_to_words`` rows, word 1 in column 0.
+Many = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
-    __slots__ = ("m", "forward", "backward", "descriptor", "_table")
+
+class PermutationOracle:
+    """A bijection of F_2^m with forward and backward evaluation.
+
+    ``many`` is an optional array twin of the two directions (``Many``),
+    set by ``aes_core``, ``normalized`` and ``ks_oracle`` when the word map
+    has one; every other oracle leaves it None and is evaluated per point.
+    """
+
+    __slots__ = ("m", "forward", "backward", "descriptor", "_table", "many")
 
     def __init__(
         self,
@@ -76,6 +98,7 @@ class PermutationOracle:
         self.backward = backward
         self.descriptor = descriptor
         self._table: tuple[int, ...] | None = None
+        self.many: Many | None = None
         for x in (0, 1, (1 << m) - 1):
             if backward(forward(x)) != x:
                 raise ValueError(f"backward is not the inverse of forward at {x:#x}")
@@ -104,12 +127,17 @@ class PermutationOracle:
         if self._table is not None:
             return PermutationOracle.from_table([y ^ c for y in self._table], self.descriptor + "+fix0")
         fwd, bwd = self.forward, self.backward
-        return PermutationOracle(
+        oracle = PermutationOracle(
             self.m,
             lambda x: fwd(x) ^ c,
             lambda y: bwd(y ^ c),
             self.descriptor + "+fix0",
         )
+        if self.many is not None:
+            fwd_many, bwd_many = self.many
+            cw = vec_to_words([c], self.m)
+            oracle.many = (lambda xs: fwd_many(xs) ^ cw, lambda ys: bwd_many(ys ^ cw))
+        return oracle
 
     def table(self) -> tuple[int, ...]:
         """The forward map on 0..2^m-1, computed once."""
@@ -154,6 +182,8 @@ def aes_core() -> PermutationOracle:
     of the image is S(byte j+1 mod 4)."""
     sbox = bytes(AES_SBOX.table())
     inv_sbox = bytes(AES_SBOX.inverse().table())
+    sbox_arr = np.frombuffer(sbox, dtype=np.uint8)
+    inv_sbox_arr = np.frombuffer(inv_sbox, dtype=np.uint8)
 
     def fwd(x: int) -> int:
         b = x.to_bytes(4, "little")
@@ -163,7 +193,17 @@ def aes_core() -> PermutationOracle:
         b = y.to_bytes(4, "little").translate(inv_sbox)
         return int.from_bytes(b[3:] + b[:3], "little")
 
-    return PermutationOracle(WORD_BITS, fwd, bwd, "aes-core")
+    def fwd_many(xs: np.ndarray) -> np.ndarray:
+        b = np.ascontiguousarray(xs, dtype=WORD).view(np.uint8)
+        return np.ascontiguousarray(sbox_arr[b[:, [1, 2, 3, 0]]]).view(WORD)
+
+    def bwd_many(ys: np.ndarray) -> np.ndarray:
+        b = np.ascontiguousarray(ys, dtype=WORD).view(np.uint8)
+        return np.ascontiguousarray(inv_sbox_arr[b][:, [3, 0, 1, 2]]).view(WORD)
+
+    oracle = PermutationOracle(WORD_BITS, fwd, bwd, "aes-core")
+    oracle.many = (fwd_many, bwd_many)
+    return oracle
 
 
 # ---------------------------------------------------------------------
@@ -193,11 +233,45 @@ def ks_inverse(rho: PermutationOracle, x: int) -> int:
     return x ^ rho.forward(x >> 3 * n)
 
 
+def _ks_apply_many(rho_fwd: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
+    """``ks_apply`` on an (N, 4) batch of 32-bit word columns: the running
+    XOR across the words is A, then rho(word 4) is XORed into every word."""
+    return np.bitwise_xor.accumulate(xs, axis=1) ^ rho_fwd(xs[:, 3:])
+
+
+def _ks_inverse_many(rho_fwd: Callable[[np.ndarray], np.ndarray], ys: np.ndarray) -> np.ndarray:
+    """``ks_inverse`` on a batch: A^-1 XORs each word with the word before
+    it, then rho(word 4) is XORed into word 1."""
+    xs = ys.copy()
+    xs[:, 1:] ^= ys[:, :-1]
+    xs[:, :1] ^= rho_fwd(xs[:, 3:])
+    return xs
+
+
 def ks_power(rho: PermutationOracle, x: int, i: int) -> int:
     step = ks_apply if i >= 0 else ks_inverse
     for _ in range(abs(i)):
         x = step(rho, x)
     return x
+
+
+def _ks_many(rho_fwd: Callable[[np.ndarray], np.ndarray], constants: Sequence[int], backwards: bool) -> Many:
+    """The array twin of ``ks_oracle``: one step per constant, each XORed in
+    after a forward step and before an inverse one."""
+    step, undo = (_ks_inverse_many, _ks_apply_many) if backwards else (_ks_apply_many, _ks_inverse_many)
+    cws = list(vec_to_words(constants, 4 * WORD_BITS))
+
+    def fwd_many(xs: np.ndarray) -> np.ndarray:
+        for cw in cws:
+            xs = step(rho_fwd, xs) ^ cw
+        return xs
+
+    def bwd_many(ys: np.ndarray) -> np.ndarray:
+        for cw in reversed(cws):
+            ys = undo(rho_fwd, ys ^ cw)
+        return ys
+
+    return fwd_many, bwd_many
 
 
 def ks_oracle(
@@ -210,34 +284,41 @@ def ks_oracle(
 
     ``constants`` optionally re-enables a translation after each forward
     application (e.g. per-round constants): packed 4n-bit vectors, one per
-    application.
+    application.  Over a 32-bit word map with an array twin the operator
+    gets one too.
     """
     m = 4 * rho.m
     if constants is None:
-        return PermutationOracle(
+        oracle = PermutationOracle(
             m,
             lambda x: ks_power(rho, x, power),
             lambda x: ks_power(rho, x, -power),
             f"ks({rho.descriptor})^{power}",
         )
-    if power < 1:
-        raise ValueError("constants require a positive power")
-    if len(constants) != power:
-        raise ValueError("need one constant state per application")
-    if any(not 0 <= c < 1 << m for c in constants):
-        raise WidthMismatch(f"constants must be {m}-bit states")
+        steps = [0] * abs(power)
+    else:
+        if power < 1:
+            raise ValueError("constants require a positive power")
+        if len(constants) != power:
+            raise ValueError("need one constant state per application")
+        if any(not 0 <= c < 1 << m for c in constants):
+            raise WidthMismatch(f"constants must be {m}-bit states")
 
-    def fwd(x: int) -> int:
-        for c in constants:
-            x = ks_apply(rho, x) ^ c
-        return x
+        def fwd(x: int) -> int:
+            for c in constants:
+                x = ks_apply(rho, x) ^ c
+            return x
 
-    def bwd(x: int) -> int:
-        for c in reversed(constants):
-            x = ks_inverse(rho, x ^ c)
-        return x
+        def bwd(x: int) -> int:
+            for c in reversed(constants):
+                x = ks_inverse(rho, x ^ c)
+            return x
 
-    return PermutationOracle(m, fwd, bwd, f"ks({rho.descriptor})^{power}+constants")
+        oracle = PermutationOracle(m, fwd, bwd, f"ks({rho.descriptor})^{power}+constants")
+        steps = constants
+    if rho.many is not None and rho.m == WORD_BITS:
+        oracle.many = _ks_many(rho.many[0], steps, power < 0)
+    return oracle
 
 
 # ---------------------------------------------------------------------

@@ -449,3 +449,17 @@ def test_module_entry_point():
     bad = cli("search", "--n-seeds", "0")
     assert bad.returncode == 2
     assert bad.stderr.startswith("input error:")
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the pipe's reader is closed before the CLI starts, so every write fails
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ksgroup.cli", "expand", FIPS_KEY],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -7,27 +7,40 @@ as references.
 """
 
 import json
+import time
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksgroup import invariants
 from ksgroup.gf2 import (
+    RowTables,
     Subspace,
     derivative,
     enumerate_subspaces,
     random_member,
     rref_insert,
+    vec_from_words,
+    vec_to_words,
 )
 from ksgroup.goursat import decompose, reconstruct
-from ksgroup.keyschedule import PermutationOracle
+from ksgroup.invariants import ClosureResult, closure_search, escapes, lp_pattern_subspace
+from ksgroup.keyschedule import (
+    PermutationOracle,
+    aes_core,
+    aes_round_constant_states,
+    ks_oracle,
+)
 from ksgroup.sbox import (
     anti_invariance_order,
     ddt,
     differential_profile,
 )
+from test_gf2 import intersect
 
 BOUNDED = settings(max_examples=150, deadline=None)
 
@@ -117,7 +130,7 @@ def test_sum_and_intersection_are_brute_force(case):
     m, a, b = case
     ua, ub = Subspace(m, a), Subspace(m, b)
     assert set((ua + ub).elements()) == span_set(a + b)
-    assert set((ua & ub).elements()) == span_set(a) & span_set(b)
+    assert set(intersect(ua, ub).elements()) == span_set(a) & span_set(b)
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -227,3 +240,179 @@ def test_decompose_hom_matches_carrier_loop(case):
     g = decompose(u, m1, m2)
     assert g.hom == old_hom(u, m1)
     assert set(reconstruct(g).elements()) == span_set(vs)
+
+
+# ---------------------------------------------------------------------
+# Batched closure rounds and escapes scans against the per-point loops
+
+
+def per_point_escapes(oracle, u, samples, rng):
+    """escapes before batching."""
+    for _ in range(samples):
+        x = random_member(u.basis, rng)
+        if not u.contains(oracle.forward(x)):
+            yield x
+
+
+def per_point_closure_search(oracle, seeds, samples_per_round=256, stable_rounds=64, seed=0,
+                             max_rounds=1 << 16, budget_ms=None, fresh_samples=1000):
+    """closure_search before batching; also returns its rng."""
+    if oracle.forward(0) != 0:
+        raise ValueError("operator must fix 0; use a normalized word permutation")
+    m = oracle.m
+    seeds = list(seeds)
+    for s in seeds:
+        if not 0 <= s < (1 << m):
+            raise ValueError(f"seed {s:#x} does not fit in {m} bits")
+    rows = {}
+    residuals = rref_insert(rows, seeds)
+
+    rng = Random(seed)
+    t0 = time.perf_counter()
+    rounds = stable = evals = 0
+    while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
+        if budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms:
+            stop_reason = "budget"
+            break
+        grew = False
+        for _ in range(samples_per_round):
+            u = random_member(residuals, rng)
+            new = rref_insert(rows, (oracle.forward(u), oracle.backward(u)))
+            evals += 2
+            if new:
+                grew = True
+                residuals += new
+            if len(rows) == m:
+                break
+        rounds += 1
+        stable = 0 if grew else stable + 1
+    else:
+        stop_reason = "full" if len(rows) == m else "stable" if stable >= stable_rounds else "max-rounds"
+
+    pivots = sorted(rows)
+    result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
+    fresh_ok = next(per_point_escapes(oracle, result, fresh_samples, rng), None) is None
+    return ClosureResult(
+        subspace=result, rounds=rounds, evaluations=evals,
+        fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,
+    ), rng
+
+
+@st.composite
+def aes_oracles(draw):
+    """A power of the AES operator with its array twin: constant-free on
+    the normalized word map, or with round constants and normalized."""
+    power = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return ks_oracle(aes_core(), power, aes_round_constant_states(power)).normalized()
+    return ks_oracle(aes_core().normalized(), power)
+
+
+REPLAY = settings(max_examples=40, deadline=None)
+points128 = st.lists(st.integers(0, (1 << 128) - 1), min_size=1, max_size=8)
+
+
+@REPLAY
+@given(st.integers(1, 4), st.booleans(), st.booleans(), points128)
+def test_array_twin_matches_the_operator(power, with_constants, normalize, xs):
+    rho = aes_core().normalized() if normalize and not with_constants else aes_core()
+    oracle = ks_oracle(rho, power, aes_round_constant_states(power) if with_constants else None)
+    if normalize and with_constants:
+        oracle = oracle.normalized()
+    forward_many, backward_many = oracle.many
+    words = vec_to_words(xs, 128)
+    assert [vec_from_words(w) for w in forward_many(words)] == [oracle.forward(x) for x in xs]
+    assert [vec_from_words(w) for w in backward_many(words)] == [oracle.backward(x) for x in xs]
+    core = aes_core()
+    low = vec_to_words([x & 0xFFFFFFFF for x in xs], 32)
+    assert [vec_from_words(w) for w in core.many[0](low)] == [core.forward(x & 0xFFFFFFFF) for x in xs]
+    assert [vec_from_words(w) for w in core.many[1](low)] == [core.backward(x & 0xFFFFFFFF) for x in xs]
+
+
+@BOUNDED
+@given(families(max_m=40, count=2), st.integers(0, 2**32))
+def test_row_tables_against_matrix_loops(case, seed):
+    m, rows, xs = case
+    rng, ref = Random(seed), Random(seed)
+    members = RowTables(rows, m).random_members(len(xs), rng)
+    assert [vec_from_words(w) for w in members] == [random_member(rows, ref) for _ in xs]
+    assert rng.getstate() == ref.getstate()
+    u = Subspace(m, rows)
+    residuals = RowTables.pivot_map(u).residuals(vec_to_words(xs, m))
+    assert [vec_from_words(w) for w in residuals] == [u.reduce(x) for x in xs]
+
+
+@st.composite
+def closure_cases(draw):
+    oracle = draw(aes_oracles())
+    lp = lp_pattern_subspace()
+    seeds = draw(st.lists(st.one_of(st.integers(0, (1 << 128) - 1), st.sampled_from(lp.basis)),
+                          min_size=1, max_size=2))
+    kwargs = dict(
+        samples_per_round=draw(st.integers(1, 3)),
+        stable_rounds=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32)),
+        max_rounds=draw(st.integers(1, 60)),
+        fresh_samples=draw(st.sampled_from([0, 1, 5, 1500])),
+    )
+    return oracle, seeds, kwargs
+
+
+# the pattern subspace is invariant under the fourth power, so a closure
+# seeded in it has stable rounds, batched, between growing ones
+LP4 = ks_oracle(aes_core().normalized(), 4)
+LP_SEED = lp_pattern_subspace().basis[0]
+
+
+class RecordedRandom(Random):
+    """Random that remembers its instances, to read an rng kept inside."""
+
+    made = []
+
+    def __init__(self, seed=None):
+        super().__init__(seed)
+        RecordedRandom.made.append(self)
+
+
+@REPLAY
+@given(closure_cases())
+@example((LP4, [LP_SEED], dict(samples_per_round=1, stable_rounds=6, seed=3, max_rounds=60,
+                               fresh_samples=1500)))
+@example((LP4, [LP_SEED], dict(samples_per_round=3, stable_rounds=5, seed=0, max_rounds=60,
+                               fresh_samples=5)))
+def test_batched_closure_replays_the_per_point_loop(case):
+    oracle, seeds, kwargs = case
+    expected, ref_rng = per_point_closure_search(oracle, seeds, **kwargs)
+    RecordedRandom.made.clear()
+    with mock.patch.object(invariants, "Random", RecordedRandom):
+        got = closure_search(oracle, seeds, **kwargs)
+    assert got == expected
+    assert RecordedRandom.made[-1].getstate() == ref_rng.getstate()
+
+
+@st.composite
+def escape_cases(draw):
+    oracle = draw(aes_oracles())
+    lp = lp_pattern_subspace()
+    extra = draw(st.lists(st.integers(0, (1 << 128) - 1), max_size=3))
+    rows = list(lp.basis) if draw(st.booleans()) else []
+    u = Subspace(128, rows + extra)
+    samples = draw(st.sampled_from([0, 1, 7, 1024, 1025, 2500]))
+    return oracle, u, samples, draw(st.integers(0, 2**32))
+
+
+@REPLAY
+@given(escape_cases())
+@example((LP4, lp_pattern_subspace(), 2500, 0))
+@example((LP4, Subspace(128, [*lp_pattern_subspace().basis, 1 << 127]), 2500, 1))
+def test_batched_escapes_replays_the_per_point_loop(case):
+    oracle, u, samples, seed = case
+    rng, ref = Random(seed), Random(seed)
+    got, expected = escapes(oracle, u, samples, rng), per_point_escapes(oracle, u, samples, ref)
+    # stop after each escape, as a caller using next() does
+    while True:
+        x, y = next(got, None), next(expected, None)
+        assert x == y
+        assert rng.getstate() == ref.getstate()
+        if y is None:
+            break
