@@ -11,9 +11,12 @@ Contents:
   pattern-subspace passes go through it.
 * ``min_block_subspace`` -- the minimal block through {0, v}.  Every
   translation is in the group, so that block is a subspace W with
-  f(x+w)+f(x) in W for all x, and it is grown by vectorized scans over
-  difference tables.  The tests check it against a union-find over all
-  2^m points (Atkinson 1975), which assumes no linearity.
+  f(x+w)+f(x) in W for all x, and it is grown by one scan of that
+  derivative per new basis vector w: over the oracle's transversal where
+  it has one (the 2^n states (0, 0, 0, z) of a power-1 key-schedule
+  operator), else over all 2^m points of its table.  The tests check it
+  against a union-find over all 2^m points (Atkinson 1975), which assumes
+  no linearity.
 * ``primitivity_check`` -- minimal blocks for every v != 0; Primitive only
   when all of them are the full space, Imprimitive verdicts carry a
   witness that is re-certified with ``is_linear_block``.
@@ -141,18 +144,31 @@ def _reduce_array(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
 # Minimal blocks: translations are generators, so blocks are subspaces
 
 
-def min_block_subspace(tables: Sequence[np.ndarray], m: int, v: int) -> Subspace:
+def min_block_subspace(
+    tables: Sequence[np.ndarray | tuple[Sequence[int], Iterable[int]]], m: int, v: int,
+) -> Subspace:
     """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
     in W, for every table f.  Equals the union-find block through {0, v}
     of <fs, T_m>: with all translations present, blocks through 0 are
     exactly such subspaces.  Every table must have 2^m entries and v must
     be a nonzero point of F_2^m.
 
-    Each new basis vector w triggers one vectorized scan of the difference
-    table f(x+w)+f(x); differences outside the current span are absorbed
-    immediately, so no rescans are needed.
+    Each new basis vector w triggers one scan of f(x+w)+f(x) per table,
+    and values outside the current span are absorbed immediately, so no
+    rescans are needed.  An entry is either a uint32 array, scanned at all
+    2^m points in one numpy pass, or a pair (table, points): a table and
+    a transversal of its derivatives
+    (``PermutationOracle.transversal``), points at which f(x+w)+f(x)
+    takes every value it takes.  That scan is two lookups per point, 2^n
+    of them for the power-1 operator on 4n bits.
     """
-    if any(len(table) != 1 << m for table in tables):
+    scans = []
+    for entry in tables:
+        table, points = entry if isinstance(entry, tuple) else (entry, None)
+        if points is not None and isinstance(table, np.ndarray):
+            table = table.tolist()  # looked up point by point, so as Python ints
+        scans.append((table, points))
+    if any(len(table) != 1 << m for table, _ in scans):
         raise ValueError(f"every table must have 2^{m} entries")
     if not 0 < v < 1 << m:
         raise ValueError(f"seed {v:#x} is not a nonzero point of F_2^{m}")
@@ -160,9 +176,14 @@ def min_block_subspace(tables: Sequence[np.ndarray], m: int, v: int) -> Subspace
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
         w = queue.pop()
-        for table in tables:
-            reduced = _reduce_array(derivative(table, w), [rows[p] for p in sorted(rows)])
-            queue += rref_insert(rows, (int(d) for d in np.unique(reduced) if d))
+        for table, points in scans:
+            if points is None:
+                present = np.zeros(1 << m, dtype=bool)
+                present[_reduce_array(derivative(table, w), [rows[p] for p in sorted(rows)])] = True
+                values = np.flatnonzero(present).tolist()
+            else:
+                values = {table[x ^ w] ^ table[x] for x in points}
+            queue += rref_insert(rows, values)
             if len(rows) == m:
                 break
     pivots = sorted(rows)
@@ -187,9 +208,10 @@ def primitivity_check(oracles: Sequence[PermutationOracle]) -> BlockVerdict:
     """Exhaustive minimal-block search for <oracles, T_m> over every v != 0,
     where m is the common width of the oracles.
 
-    Each seed's block is grown by ``min_block_subspace`` and the search
-    stops at the first proper one.  An Imprimitive witness is re-certified
-    with the exhaustive ``is_linear_block`` against every oracle before the
+    Each seed's block is grown by ``min_block_subspace``, over an oracle's
+    transversal where it has one, and the search stops at the first proper
+    one.  An Imprimitive witness is re-certified with the exhaustive
+    ``is_linear_block`` against every oracle, over every point, before the
     verdict is returned.
     """
     if not oracles:
@@ -203,7 +225,10 @@ def primitivity_check(oracles: Sequence[PermutationOracle]) -> BlockVerdict:
             status="inconclusive", witness=None, points=n_points, pairs_checked=0,
             reason=f"2^{m} points exceed the exhaustive budget",
         )
-    tables = [np.array(o.table(), dtype=np.uint32) for o in oracles]
+    tables = [
+        np.array(o.table(), dtype=np.uint32) if o.transversal is None else (o.table(), o.transversal)
+        for o in oracles
+    ]
     for v in range(1, n_points):
         witness = min_block_subspace(tables, m, v)
         if not witness.is_trivial:

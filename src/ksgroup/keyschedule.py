@@ -82,9 +82,14 @@ class PermutationOracle:
     ``many`` is an optional array twin of the two directions (``Many``),
     set by ``aes_core``, ``normalized`` and ``ks_oracle`` when the word map
     has one; every other oracle leaves it None and is evaluated per point.
+
+    ``transversal`` is an optional set of points at which every derivative
+    f(x+w)+f(x) takes all of its values, whatever w is.  Only
+    ``ks_oracle`` at power 1 sets it (see there for the proof); it is None
+    everywhere else, and a block scan then reads every point.
     """
 
-    __slots__ = ("m", "forward", "backward", "descriptor", "_table", "many")
+    __slots__ = ("m", "forward", "backward", "descriptor", "_table", "many", "transversal")
 
     def __init__(
         self,
@@ -99,6 +104,7 @@ class PermutationOracle:
         self.descriptor = descriptor
         self._table: tuple[int, ...] | None = None
         self.many: Many | None = None
+        self.transversal: range | None = None
         for x in (0, 1, (1 << m) - 1):
             if backward(forward(x)) != x:
                 raise ValueError(f"backward is not the inverse of forward at {x:#x}")
@@ -286,6 +292,13 @@ def ks_oracle(
     application (e.g. per-round constants): packed 4n-bit vectors, one per
     application.  Over a 32-bit word map with an array twin the operator
     gets one too.
+
+    At power 1 the oracle records the transversal range(0, 2^4n, 2^3n),
+    the 2^n states (0, 0, 0, z): f(x+w)+f(x) = A*w + E(rho(x4+w4)+rho(x4))
+    depends on x only through x4 (a constant cancels in the sum), so each
+    of its values occurs at the state with z = x4.  Other powers get none:
+    at power 2 most derivatives take values that no state (0, 0, 0, z)
+    reaches.
     """
     m = 4 * rho.m
     if constants is None:
@@ -318,6 +331,8 @@ def ks_oracle(
         steps = constants
     if rho.many is not None and rho.m == WORD_BITS:
         oracle.many = _ks_many(rho.many[0], steps, power < 0)
+    if power == 1:
+        oracle.transversal = range(0, 1 << m, 1 << 3 * rho.m)
     return oracle
 
 

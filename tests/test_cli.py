@@ -247,6 +247,21 @@ def test_primitivity_replay_determinism(capsys):
     assert strip_runtime(rep1) == strip_runtime(rep2)
 
 
+def test_primitivity_loads_no_masked_arrays():
+    # np.unique imports numpy.ma on its first call; the block scans need
+    # neither, and the import alone costs about a megabyte of memory
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from ksgroup.cli import run",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    rc = run(['--output', 'json', 'primitivity', '--n', '3', '--rho', 'random', '--seed', '1'])",
+        "print(rc, 'numpy.ma' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "0 False\n", proc.stderr
+
+
 def test_primitivity_probes_count_only_certified_subspaces(capsys):
     rc, rep = run_json(capsys, [
         "primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "512",

@@ -1,8 +1,6 @@
-"""Demo smoke tests: the quick demos print exactly the stdout recorded in
+"""Demo smoke tests: every demo prints exactly the stdout recorded in
 ``golden_demos.json``, and every name a demo imports from ``ksgroup``
 exists.
-
-Demo 04 takes about 40 s, so it only gets the import check.
 """
 
 import ast
@@ -18,7 +16,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-QUICK = ("01", "02", "03", "05")
 GOLDEN = json.loads(Path(__file__).with_name("golden_demos.json").read_text())
 
 
@@ -26,7 +23,7 @@ def test_all_five_demos_found():
     assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", [p for p in DEMOS if p.name[:2] in QUICK], ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

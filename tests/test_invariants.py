@@ -307,6 +307,9 @@ def test_min_block_agrees_with_subspace_closure_nonlinear():
             fast = min_block_subspace([table], 12, v)
             assert uf.subspace is not None
             assert uf.subspace == fast
+            # over the transversal, from the oracle's table or the array
+            for lookup in (oracle.table(), table):
+                assert min_block_subspace([(lookup, oracle.transversal)], 12, v) == fast
 
 
 def test_min_block_subspace_rejects_a_width_or_seed_outside_the_tables():
@@ -448,6 +451,98 @@ def test_witness_cosets_permuted_by_translations():
         image = {x ^ t for x in {um ^ v for um in members}}
         rep = next(iter(image))
         assert image == {um ^ rep for um in members}
+
+
+# ---------------------------------------------------------------------
+# the transversal of the power-1 operator
+
+
+def derivative_values(table, points, w):
+    """The values of f(x+w)+f(x) over ``points``, as a mask over F_2^m."""
+    seen = np.zeros(len(table), dtype=bool)
+    seen[table[points ^ np.uint32(w)] ^ table[points]] = True
+    return seen
+
+
+def transversal_word_map(n, kind, rng):
+    # every map of F_2^n is affine for n <= 2
+    draw = random_affine_word_permutation if kind == "affine" or n < 3 else random_nonaffine_word_permutation
+    rho = draw(n, rng)
+    return rho.normalized() if kind == "normalized" else rho
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["random", "affine", "normalized", "constant"])
+def test_transversal_carries_every_derivative_value(n, kind):
+    rng = Random(10 * n + len(kind))
+    rho = transversal_word_map(n, kind, rng)
+    m = 4 * n
+    constants = [rng.getrandbits(m) | 1] if kind == "constant" else None
+    oracle = ks_oracle(rho, 1, constants)
+    assert oracle.transversal == range(0, 1 << m, 1 << 3 * n)
+    table = np.array(oracle.table(), dtype=np.uint32)
+    points = np.array(oracle.transversal, dtype=np.uint32)
+    everywhere = np.arange(1 << m, dtype=np.uint32)
+    for w in range(1 << m):
+        assert np.array_equal(derivative_values(table, points, w), derivative_values(table, everywhere, w)), w
+
+
+def test_transversal_carries_every_derivative_value_n4():
+    rng = Random(4)
+    oracle = ks_oracle(random_nonaffine_word_permutation(4, rng), 1)
+    table = np.array(oracle.table(), dtype=np.uint32)
+    points = np.array(oracle.transversal, dtype=np.uint32)
+    everywhere = np.arange(1 << 16, dtype=np.uint32)
+    for w in [rng.getrandbits(16) for _ in range(512)]:
+        assert np.array_equal(derivative_values(table, points, w), derivative_values(table, everywhere, w)), w
+
+
+def test_no_transversal_at_other_powers():
+    rho = random_nonaffine_word_permutation(3, Random(5))
+    for power in (2, 3, -1):
+        assert ks_oracle(rho, power).transversal is None
+    assert ks_oracle(rho, 2, [1, 2]).transversal is None
+    assert ks_oracle(rho, 1).inverse().transversal is None
+    assert rho.transversal is None
+    # and at power 2 the states (0, 0, 0, z) really miss values: for most w
+    # f^2(x+w)+f^2(x) takes a value that none of them reaches
+    table = np.array(ks_oracle(rho, 2).table(), dtype=np.uint32)
+    points = np.arange(0, 1 << 12, 1 << 9, dtype=np.uint32)
+    everywhere = np.arange(1 << 12, dtype=np.uint32)
+    misses = sum(
+        not np.array_equal(derivative_values(table, points, w), derivative_values(table, everywhere, w))
+        for w in range(1 << 12)
+    )
+    assert misses == 3776
+
+
+# n=3 maps whose lifts the transversal scan and the all-points scan must
+# judge alike: one primitive lift, two base-imprimitive non-affine maps and
+# five affine maps, whose lifts stop at seeds 1, 2 and 3
+VERDICT_MAPS_N3 = [
+    *(("random", seed) for seed in (0, 5, 11)),
+    *(("affine", seed) for seed in range(5)),
+]
+
+
+@pytest.mark.parametrize("kind, seed", VERDICT_MAPS_N3)
+def test_transversal_verdict_equals_all_points_verdict(kind, seed):
+    draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
+    oracle = ks_oracle(draw(3, Random(seed)), 1)
+    assert oracle.transversal is not None
+    table_only = PermutationOracle.from_table(oracle.table(), "same operator, no transversal")
+    assert table_only.transversal is None
+    fast, full = primitivity_check([oracle]), primitivity_check([table_only])
+    assert (fast.status, fast.witness, fast.pairs_checked, fast.witness_certified) == (
+        full.status, full.witness, full.pairs_checked, full.witness_certified)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_transversal_verdict_matches_unionfind_n2(seed):
+    oracle = ks_oracle(random_affine_word_permutation(2, Random(seed)), 1)
+    assert oracle.transversal is not None
+    verdict = primitivity_check([oracle])
+    assert (verdict.status, verdict.witness, verdict.pairs_checked) == unionfind_primitivity([oracle], 8)
 
 
 # ---------------------------------------------------------------------
