@@ -4,19 +4,21 @@ all translations of F_2^m.
 Contents:
 
 * ``is_linear_block`` -- does a subspace's coset partition survive a map,
-  checked exhaustively: every point against every basis direction.  The
-  answer is exact; over budget the check refuses rather than guessing.
+  checked exhaustively: every point against every basis direction, each
+  derivative reduced in one ``gf2.RowTables`` pass.  The answer is exact;
+  over budget the check refuses rather than guessing.
 * ``escapes`` -- the one sampled membership check: random members of a
   subspace whose image leaves it.  The closure's fresh check and the
   pattern-subspace passes go through it.
 * ``min_block_subspace`` -- the minimal block through {0, v}.  Every
   translation is in the group, so that block is a subspace W with
-  f(x+w)+f(x) in W for all x, and it is grown by one scan of that
-  derivative per new basis vector w: over the oracle's transversal where
-  it has one (the 2^n states (0, 0, 0, z) of a power-1 key-schedule
-  operator), else over all 2^m points of its table.  The tests check it
-  against a union-find over all 2^m points (Atkinson 1975), which assumes
-  no linearity.
+  f(x+w)+f(x) in W for all x, and it is grown by one Python scan of that
+  derivative per oracle and new basis vector w: over the oracle's
+  transversal where it has one (the 2^n states (0, 0, 0, z) of a power-1
+  key-schedule operator), else over all 2^m points of its table.  The
+  tests check it against a union-find over all 2^m points (Atkinson
+  1975), which assumes no linearity, and the verdicts built on it against
+  a numpy scan of every point.
 * ``primitivity_check`` -- minimal blocks for every v != 0; Primitive only
   when all of them are the full space, Imprimitive verdicts carry a
   witness that is re-certified with ``is_linear_block``.
@@ -81,11 +83,12 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
             ok=None, checked=0, reason=f"2^{oracle.m} points exceed the exhaustive budget",
         )
     table = np.array(oracle.table(), dtype=np.uint32)
+    reducer = RowTables.pivot_map(u)
     checked = 0
     for w in u.basis:
-        reduced = _reduce_array(derivative(table, w), u.basis)
+        # one word per point: the exhaustive budget keeps m below 32
+        bad = np.flatnonzero(reducer.residuals(derivative(table, w)[:, None]))
         checked += n_points
-        bad = np.nonzero(reduced)[0]
         if bad.size:
             return LinearBlockCheck(ok=False, checked=checked, witness=(int(bad[0]), w))
     return LinearBlockCheck(ok=True, checked=checked)
@@ -131,59 +134,44 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
             rng.getrandbits(u.dim)
 
 
-def _reduce_array(values: np.ndarray, basis: Sequence[int]) -> np.ndarray:
-    """Eliminate each basis pivot in turn; ascending pivots absorb the cascade."""
-    out = values.copy()
-    for row in basis:
-        p = (row & -row).bit_length() - 1
-        out ^= ((out >> np.uint32(p)) & np.uint32(1)) * np.uint32(row)
-    return out
-
-
 # ---------------------------------------------------------------------
 # Minimal blocks: translations are generators, so blocks are subspaces
 
 
-def min_block_subspace(
-    tables: Sequence[np.ndarray | tuple[Sequence[int], Iterable[int]]], m: int, v: int,
-) -> Subspace:
-    """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
-    in W, for every table f.  Equals the union-find block through {0, v}
-    of <fs, T_m>: with all translations present, blocks through 0 are
-    exactly such subspaces.  Every table must have 2^m entries and v must
-    be a nonzero point of F_2^m.
+def _width(oracles: Sequence[PermutationOracle]) -> int:
+    """The common width m of a nonempty list of oracles."""
+    if not oracles:
+        raise ValueError("at least one oracle is needed")
+    m = oracles[0].m
+    if any(o.m != m for o in oracles):
+        raise ValueError("the oracles act on spaces of different widths")
+    return m
 
-    Each new basis vector w triggers one scan of f(x+w)+f(x) per table,
-    and values outside the current span are absorbed immediately, so no
-    rescans are needed.  An entry is either a uint32 array, scanned at all
-    2^m points in one numpy pass, or a pair (table, points): a table and
-    a transversal of its derivatives
-    (``PermutationOracle.transversal``), points at which f(x+w)+f(x)
-    takes every value it takes.  That scan is two lookups per point, 2^n
-    of them for the power-1 operator on 4n bits.
+
+def min_block_subspace(oracles: Sequence[PermutationOracle], v: int) -> Subspace:
+    """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
+    in W, for every oracle f.  Equals the union-find block through {0, v}
+    of <fs, T_m>: with all translations present, blocks through 0 are
+    exactly such subspaces.  The oracles share one width m, and v must be
+    a nonzero point of F_2^m.
+
+    Each new basis vector w triggers one scan of f(x+w)+f(x) per oracle,
+    two table lookups per point, and values outside the current span are
+    absorbed immediately, so no rescans are needed.  The points are the
+    oracle's transversal (``PermutationOracle.transversal``), at which the
+    derivative takes every value it takes, 2^n of them for the power-1
+    operator on 4n bits; an oracle without one is scanned at all 2^m.
     """
-    scans = []
-    for entry in tables:
-        table, points = entry if isinstance(entry, tuple) else (entry, None)
-        if points is not None and isinstance(table, np.ndarray):
-            table = table.tolist()  # looked up point by point, so as Python ints
-        scans.append((table, points))
-    if any(len(table) != 1 << m for table, _ in scans):
-        raise ValueError(f"every table must have 2^{m} entries")
+    m = _width(oracles)
     if not 0 < v < 1 << m:
         raise ValueError(f"seed {v:#x} is not a nonzero point of F_2^{m}")
+    scans = [(o.table(), range(1 << m) if o.transversal is None else o.transversal) for o in oracles]
     rows: dict[int, int] = {}
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
         w = queue.pop()
         for table, points in scans:
-            if points is None:
-                present = np.zeros(1 << m, dtype=bool)
-                present[_reduce_array(derivative(table, w), [rows[p] for p in sorted(rows)])] = True
-                values = np.flatnonzero(present).tolist()
-            else:
-                values = {table[x ^ w] ^ table[x] for x in points}
-            queue += rref_insert(rows, values)
+            queue += rref_insert(rows, {table[x ^ w] ^ table[x] for x in points})
             if len(rows) == m:
                 break
     pivots = sorted(rows)
@@ -214,23 +202,15 @@ def primitivity_check(oracles: Sequence[PermutationOracle]) -> BlockVerdict:
     ``is_linear_block`` against every oracle, over every point, before the
     verdict is returned.
     """
-    if not oracles:
-        raise ValueError("primitivity_check needs at least one oracle")
-    m = oracles[0].m
-    if any(o.m != m for o in oracles):
-        raise ValueError("the oracles act on spaces of different widths")
+    m = _width(oracles)
     n_points = 1 << m
     if n_points > MAX_EXHAUSTIVE_POINTS:
         return BlockVerdict(
             status="inconclusive", witness=None, points=n_points, pairs_checked=0,
             reason=f"2^{m} points exceed the exhaustive budget",
         )
-    tables = [
-        np.array(o.table(), dtype=np.uint32) if o.transversal is None else (o.table(), o.transversal)
-        for o in oracles
-    ]
     for v in range(1, n_points):
-        witness = min_block_subspace(tables, m, v)
+        witness = min_block_subspace(oracles, v)
         if not witness.is_trivial:
             break
     else:

@@ -261,23 +261,20 @@ def ks_power(rho: PermutationOracle, x: int, i: int) -> int:
     return x
 
 
-def _ks_many(rho_fwd: Callable[[np.ndarray], np.ndarray], constants: Sequence[int], backwards: bool) -> Many:
-    """The array twin of ``ks_oracle``: one step per constant, each XORed in
-    after a forward step and before an inverse one."""
-    step, undo = (_ks_inverse_many, _ks_apply_many) if backwards else (_ks_apply_many, _ks_inverse_many)
-    cws = list(vec_to_words(constants, 4 * WORD_BITS))
+def _chain(step: Callable, undo: Callable, constants: Sequence) -> tuple[Callable, Callable]:
+    """x -> step(x) + c for each c in turn, and its inverse."""
 
-    def fwd_many(xs: np.ndarray) -> np.ndarray:
-        for cw in cws:
-            xs = step(rho_fwd, xs) ^ cw
-        return xs
+    def fwd(x):
+        for c in constants:
+            x = step(x) ^ c
+        return x
 
-    def bwd_many(ys: np.ndarray) -> np.ndarray:
-        for cw in reversed(cws):
-            ys = undo(rho_fwd, ys ^ cw)
-        return ys
+    def bwd(y):
+        for c in reversed(constants):
+            y = undo(y ^ c)
+        return y
 
-    return fwd_many, bwd_many
+    return fwd, bwd
 
 
 def ks_oracle(
@@ -301,14 +298,9 @@ def ks_oracle(
     reaches.
     """
     m = 4 * rho.m
+    descriptor = f"ks({rho.descriptor})^{power}"
     if constants is None:
-        oracle = PermutationOracle(
-            m,
-            lambda x: ks_power(rho, x, power),
-            lambda x: ks_power(rho, x, -power),
-            f"ks({rho.descriptor})^{power}",
-        )
-        steps = [0] * abs(power)
+        constants = [0] * abs(power)
     else:
         if power < 1:
             raise ValueError("constants require a positive power")
@@ -316,21 +308,17 @@ def ks_oracle(
             raise ValueError("need one constant state per application")
         if any(not 0 <= c < 1 << m for c in constants):
             raise WidthMismatch(f"constants must be {m}-bit states")
-
-        def fwd(x: int) -> int:
-            for c in constants:
-                x = ks_apply(rho, x) ^ c
-            return x
-
-        def bwd(x: int) -> int:
-            for c in reversed(constants):
-                x = ks_inverse(rho, x ^ c)
-            return x
-
-        oracle = PermutationOracle(m, fwd, bwd, f"ks({rho.descriptor})^{power}+constants")
-        steps = constants
+        descriptor += "+constants"
+    # a negative power runs the chain backwards; its constants are all zero
+    order = -1 if power < 0 else 1
+    scalar = _chain(functools.partial(ks_apply, rho), functools.partial(ks_inverse, rho), constants)
+    oracle = PermutationOracle(m, *scalar[::order], descriptor)
     if rho.many is not None and rho.m == WORD_BITS:
-        oracle.many = _ks_many(rho.many[0], steps, power < 0)
+        oracle.many = _chain(
+            functools.partial(_ks_apply_many, rho.many[0]),
+            functools.partial(_ks_inverse_many, rho.many[0]),
+            list(vec_to_words(constants, m)),
+        )[::order]
     if power == 1:
         oracle.transversal = range(0, 1 << m, 1 << 3 * rho.m)
     return oracle

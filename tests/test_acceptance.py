@@ -18,7 +18,6 @@ from ksgroup.invariants import (
     is_linear_block,
     ks_oracle,
     lp_pattern_subspace,
-    min_block_subspace,
     primitivity_check,
     random_affine_word_permutation,
     random_nonaffine_word_permutation,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksgroup.gf2 import Subspace, enumerate_subspaces, matrix_apply, random_member
+from ksgroup.gf2 import Subspace, derivative, enumerate_subspaces, matrix_apply, random_member, rref_insert
 from ksgroup.invariants import (
     LP_CONVENTIONS,
     PermutationOracle,
@@ -159,6 +159,32 @@ def min_block(oracles, m, v):
     return MinBlockResult(points=block, subspace=sp if (1 << sp.dim) == len(block) else None)
 
 
+def all_points_primitivity(oracles):
+    """(status, witness, pairs_checked) of the seed-by-seed block scan over
+    every point, one numpy pass per derivative: each f(x+w)+f(x) is reduced
+    against the span's rows and the distinct residuals are inserted.  It
+    reads no transversal, so primitivity_check must reproduce it."""
+    m = oracles[0].m
+    tables = [np.array(o.table(), dtype=np.uint32) for o in oracles]
+    for v in range(1, 1 << m):
+        rows = {}
+        queue = rref_insert(rows, [v])
+        while queue and len(rows) < m:
+            w = queue.pop()
+            for table in tables:
+                values = derivative(table, w)
+                for p, row in rows.items():
+                    values ^= ((values >> np.uint32(p)) & np.uint32(1)) * np.uint32(row)
+                present = np.zeros(1 << m, dtype=bool)
+                present[values] = True
+                queue += rref_insert(rows, np.flatnonzero(present).tolist())
+                if len(rows) == m:
+                    break
+        if len(rows) < m:
+            return "imprimitive", Subspace(m, rows.values()), v
+    return "primitive", None, (1 << m) - 1
+
+
 def unionfind_primitivity(oracles, m):
     """(status, witness, pairs_checked) of the seed-by-seed union-find scan
     that primitivity_check must reproduce."""
@@ -294,32 +320,32 @@ def test_min_block_matches_exhaustive_scan_identity_rho():
         res = min_block([oracle], 8, v)
         assert res.subspace is not None  # with translations, blocks are subspaces
         assert res.subspace == smallest
-        assert min_block_subspace([np.array(table, dtype=np.uint32)], 8, v) == smallest
+        # over the transversal, and over every point of the bare table
+        for o in (oracle, PermutationOracle.from_table(table)):
+            assert min_block_subspace([o], v) == smallest
 
 
 def test_min_block_agrees_with_subspace_closure_nonlinear():
     for seed in (4, 5):
         _, oracle = toy_ks_oracle(3, seed)
-        table = np.array(oracle.table(), dtype=np.uint32)
+        table_only = PermutationOracle.from_table(oracle.table())
         rng = Random(seed)
         for v in [1, rng.getrandbits(12) or 2, rng.getrandbits(12) or 3]:
             uf = min_block([oracle], 12, v)
-            fast = min_block_subspace([table], 12, v)
+            fast = min_block_subspace([oracle], v)
             assert uf.subspace is not None
             assert uf.subspace == fast
-            # over the transversal, from the oracle's table or the array
-            for lookup in (oracle.table(), table):
-                assert min_block_subspace([(lookup, oracle.transversal)], 12, v) == fast
+            assert min_block_subspace([table_only], v) == fast
 
 
 def test_min_block_subspace_rejects_a_width_or_seed_outside_the_tables():
-    # a 4096-entry table read as a 4-bit map used to yield a "subspace"
-    # whose basis rows do not fit in 4 bits
     _, oracle = toy_ks_oracle(3, 0)
-    table = np.array(oracle.table(), dtype=np.uint32)
-    for m, v in ((4, 1), (13, 1), (12, 0), (12, 1 << 12)):
+    for v in (0, 1 << 12):
         with pytest.raises(ValueError):
-            min_block_subspace([table], m, v)
+            min_block_subspace([oracle], v)
+    for oracles in ([], [oracle, translation_oracle(11, 1)]):
+        with pytest.raises(ValueError):
+            min_block_subspace(oracles, 1)
 
 
 def test_min_block_primitive_toy_reaches_full_space():
@@ -410,9 +436,8 @@ LIFTED_AFFINE_N2 = [
 def test_subspace_blocks_match_unionfind_reference(family):
     m, tables = family
     oracles = [PermutationOracle.from_table(t, "t") for t in tables]
-    arrays = [np.array(t, dtype=np.uint32) for t in tables]
     for v in range(1, 1 << m):
-        assert min_block_subspace(arrays, m, v) == min_block(oracles, m, v).subspace
+        assert min_block_subspace(oracles, v) == min_block(oracles, m, v).subspace
     status, witness, pairs = unionfind_primitivity(oracles, m)
     verdict = primitivity_check(oracles)
     assert (verdict.status, verdict.witness, verdict.pairs_checked) == (status, witness, pairs)
@@ -516,8 +541,8 @@ def test_no_transversal_at_other_powers():
     assert misses == 3776
 
 
-# n=3 maps whose lifts the transversal scan and the all-points scan must
-# judge alike: one primitive lift, two base-imprimitive non-affine maps and
+# n=3 maps whose lifts the transversal scan and the numpy all-points
+# reference must judge alike: one primitive lift, two base-imprimitive non-affine maps and
 # five affine maps, whose lifts stop at seeds 1, 2 and 3
 VERDICT_MAPS_N3 = [
     *(("random", seed) for seed in (0, 5, 11)),
@@ -530,11 +555,9 @@ def test_transversal_verdict_equals_all_points_verdict(kind, seed):
     draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
     oracle = ks_oracle(draw(3, Random(seed)), 1)
     assert oracle.transversal is not None
-    table_only = PermutationOracle.from_table(oracle.table(), "same operator, no transversal")
-    assert table_only.transversal is None
-    fast, full = primitivity_check([oracle]), primitivity_check([table_only])
-    assert (fast.status, fast.witness, fast.pairs_checked, fast.witness_certified) == (
-        full.status, full.witness, full.pairs_checked, full.witness_certified)
+    verdict = primitivity_check([oracle])
+    assert (verdict.status, verdict.witness, verdict.pairs_checked) == all_points_primitivity([oracle])
+    assert verdict.witness_certified is (True if verdict.witness is not None else None)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -329,6 +329,20 @@ def test_array_twin_matches_the_operator(power, with_constants, normalize, xs):
     assert [vec_from_words(w) for w in core.many[1](low)] == [core.backward(x & 0xFFFFFFFF) for x in xs]
 
 
+@REPLAY
+@given(st.integers(1, 4), points128)
+def test_negative_power_is_the_inverse_operator(power, xs):
+    # `search --power` takes negative powers; both evaluation paths must
+    # run the inverse step there
+    rho = aes_core().normalized()
+    pos, neg = ks_oracle(rho, power), ks_oracle(rho, -power)
+    assert [neg.forward(x) for x in xs] == [pos.backward(x) for x in xs]
+    assert [neg.backward(x) for x in xs] == [pos.forward(x) for x in xs]
+    words = vec_to_words(xs, 128)
+    for many, ref in zip(neg.many, (pos.backward, pos.forward)):
+        assert [vec_from_words(w) for w in many(words)] == [ref(x) for x in xs]
+
+
 @BOUNDED
 @given(families(max_m=40, count=2), st.integers(0, 2**32))
 def test_row_tables_against_matrix_loops(case, seed):
