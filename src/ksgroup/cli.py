@@ -46,6 +46,8 @@ BUDGET_ENV = "KSGROUP_BUDGET_MS"
 PROBE_SAMPLES = 256  # sampled primitivity: one closure probe per this many samples
 # 128 random seeds already span the whole 128-bit state in one round
 MAX_SEEDS = 1 << 16
+# the operator is composed |power| times per evaluation
+MAX_POWER = 1 << 10
 # goursat builds lists as long as the ambient dimension; the widest state
 # any command builds is 128 bits
 MAX_AMBIENT_BITS = 1024
@@ -194,9 +196,11 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     n_seeds = 1 if args.n_seeds is None else args.n_seeds
     if n_seeds > MAX_SEEDS:
         raise InputError(f"--n-seeds must be at most {MAX_SEEDS}, got {n_seeds}")
+    if abs(args.power) > MAX_POWER:
+        raise InputError(f"--power must be at most {MAX_POWER} in absolute value, got {args.power}")
     if args.with_constants:
-        if args.power < 1:
-            raise InputError("--with-constants needs a positive --power")
+        if not 1 <= args.power <= 10:
+            raise InputError("--with-constants needs --power in 1..10: AES-128 has ten round constants")
         # the composite with constants does not fix 0; the search needs the
         # offset-normalized form and the report says so
         constants = aes_round_constant_states(args.power)

@@ -7,9 +7,9 @@ Contents:
   checked exhaustively: every point against every basis direction, each
   derivative reduced in one ``gf2.RowTables`` pass.  The answer is exact;
   over budget the check refuses rather than guessing.
-* ``escapes`` -- the one sampled membership check: random members of a
-  subspace whose image leaves it.  The closure's fresh check and the
-  pattern-subspace passes go through it.
+* ``escapes`` -- the one sampled membership check: how many random
+  members of a subspace have an image outside it.  The closure's fresh
+  check and the pattern-subspace passes go through it.
 * ``min_block_subspace`` -- the minimal block through {0, v}.  Every
   translation is in the group, so that block is a subspace W with
   f(x+w)+f(x) in W for all x, and it is grown by one Python scan of that
@@ -31,24 +31,24 @@ Contents:
 membership in a fixed subspace, so for an oracle with an array twin
 (``PermutationOracle.many``) they evaluate whole batches of draws with
 ``gf2.RowTables``: a closure round that follows a round that did not grow,
-and each chunk of an ``escapes`` scan of a proper subspace.  The Python
-``Random`` draws are replayed exactly -- a batch that finds an image
-outside the span is rewound and redone point by point -- so every result,
-count and rng state equals the per-point loop's.  The first round and the
-rounds after growth stay per point, so a growing round is never evaluated
-twice.
+and each chunk of an ``escapes`` scan of a proper subspace.  The batches
+draw from the Python ``Random`` in the per-point order, and a closure
+round that finds an image outside the span is rewound and redone point by
+point, so every result, count and rng state at return equals the
+per-point loop's.  The first round and the rounds after growth stay per
+point, so a growing round is never evaluated twice.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
 import numpy as np
 
-from .gf2 import RowTables, Subspace, derivative, matrix_apply, random_member, rref_insert, vec_from_words
+from .gf2 import RowTables, Subspace, derivative, matrix_apply, random_member, rref_insert
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
 from .sbox import anti_invariance_order, differential_uniformity
 
@@ -97,41 +97,26 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
 ESCAPE_CHUNK = 1024  # draws per batch of a batched escapes scan
 
 
-def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -> Iterator[int]:
-    """Draw ``samples`` random members x of U and lazily yield each one
-    whose image f(x) lies outside U.
+def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -> int:
+    """How many of ``samples`` random members x of U have an image f(x)
+    outside U.
 
     With an array twin and a proper U the draws are evaluated in chunks of
-    ``ESCAPE_CHUNK``.  A chunk that holds escapes is rewound to its start
-    and its draws are replayed up to each escape as it is yielded, so the
-    rng stands where the per-point loop leaves it at every yield; the scan
-    assumes nothing else draws from ``rng`` while it is suspended.  At full
-    dimension every member is inside, and the loop stays per point.
+    ``ESCAPE_CHUNK``, in the per-point loop's order, so the count and the
+    rng state at return equal that loop's.  At full dimension every member
+    is inside, and the loop stays per point.
     """
+    if oracle.m != u.m:
+        raise ValueError("oracle and subspace dimensions differ")
     # a scan of no draws builds no tables
     if oracle.many is None or u.dim == u.m or samples < 1:
-        for _ in range(samples):
-            x = random_member(u.basis, rng)
-            if not u.contains(oracle.forward(x)):
-                yield x
-        return
+        return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
     members, reducer = RowTables(u.basis, u.m), RowTables.pivot_map(u)
+    count = 0
     for start in range(0, samples, ESCAPE_CHUNK):
-        count = min(ESCAPE_CHUNK, samples - start)
-        state = rng.getstate()
-        xs = members.random_members(count, rng)
-        out = np.flatnonzero(reducer.residuals(oracle.many[0](xs)).any(axis=1))
-        if not out.size:
-            continue
-        rng.setstate(state)
-        drawn = 0
-        for i in out.tolist():
-            for _ in range(i + 1 - drawn):
-                rng.getrandbits(u.dim)
-            drawn = i + 1
-            yield vec_from_words(xs[i])
-        for _ in range(count - drawn):
-            rng.getrandbits(u.dim)
+        xs = members.random_members(min(ESCAPE_CHUNK, samples - start), rng)
+        count += int(reducer.residuals(oracle.many[0](xs)).any(axis=1).sum())
+    return count
 
 
 # ---------------------------------------------------------------------
@@ -322,7 +307,7 @@ def closure_search(
 
     pivots = sorted(rows)
     result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
-    fresh_ok = next(escapes(oracle, result, fresh_samples, rng), None) is None
+    fresh_ok = escapes(oracle, result, fresh_samples, rng) == 0
     return ClosureResult(
         subspace=result, rounds=rounds, evaluations=evals,
         fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,
@@ -531,20 +516,15 @@ def verify_lp_subspace(
     oracle = ks_oracle(aes_core().normalized(), power=4)
     rng = Random(seed)
 
-    screening = {}
-    resolved = None
-    for name in LP_CONVENTIONS:
-        u = lp_pattern_subspace(name)
-        fails = sum(1 for _ in escapes(oracle, u, LP_SCREEN_SAMPLES, rng))
-        screening[name] = fails
-        if fails == 0 and resolved is None:
-            resolved = name
+    screening = {name: escapes(oracle, lp_pattern_subspace(name), LP_SCREEN_SAMPLES, rng)
+                 for name in LP_CONVENTIONS}
+    resolved = next((name for name, fails in screening.items() if fails == 0), None)
 
     failures = 0
     closure_dim = closure_contained = None
     if resolved is not None:
         u = lp_pattern_subspace(resolved)
-        failures = sum(1 for _ in escapes(oracle, u, samples, rng))
+        failures = escapes(oracle, u, samples, rng)
         if run_closure:
             seed_vec = u.basis[0]
             res = closure_search(oracle, [seed_vec], seed=seed)

@@ -355,5 +355,8 @@ def aes128_expand_key(master: int) -> list[int]:
 
 
 def aes_round_constant_states(rounds: int) -> list[int]:
-    """Per-round translations E(rc_i) = (rc_i, rc_i, rc_i, rc_i), i = 1..rounds."""
+    """Per-round translations E(rc_i) = (rc_i, rc_i, rc_i, rc_i), i = 1..rounds,
+    for at most the ten rounds of AES-128."""
+    if rounds > 10:
+        raise ValueError(f"AES-128 has ten round constants, {rounds} requested")
     return [round_constant(i) * _E32 for i in range(1, rounds + 1)]

@@ -184,7 +184,10 @@ def test_search_with_constants_normalizes(capsys):
 
 
 def test_search_with_constants_needs_positive_power(capsys):
-    assert run(["search", "--power", "-2", "--with-constants"]) == 2
+    # AES-128 has the ten round constants rc_1..rc_10
+    for power in ("-2", "11"):
+        assert run(["search", "--power", power, "--with-constants"]) == 2
+        assert "ten round constants" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--budget-ms", "0"], ["--samples", "0"]])
@@ -364,6 +367,11 @@ def test_certificate_rot_power_is_taken_mod_4(capsys, power):
     ["search", "--power", "1", "--n-seeds", "-3"],
     ["search", "--power", "1", "--seed-in-lp", "--n-seeds", "0"],
     ["search", "--power", "1", "--budget-ms", "-1"],
+    # the operator is composed |power| times per evaluation
+    ["search", "--power", "1025"],
+    ["search", "--power", "-1025"],
+    ["search", "--power", "100000000000000000000"],
+    ["search", "--power", "-100000000000000000000"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "100"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "0"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--budget-ms", "-1"],

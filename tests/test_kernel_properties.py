@@ -6,8 +6,10 @@ sets and against the loops they replaced, which are copied here verbatim
 as references.
 """
 
+import importlib.util
 import json
 import time
+from pathlib import Path
 from random import Random
 from unittest import mock
 
@@ -248,10 +250,7 @@ def test_decompose_hom_matches_carrier_loop(case):
 
 def per_point_escapes(oracle, u, samples, rng):
     """escapes before batching."""
-    for _ in range(samples):
-        x = random_member(u.basis, rng)
-        if not u.contains(oracle.forward(x)):
-            yield x
+    return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
 
 
 def per_point_closure_search(oracle, seeds, samples_per_round=256, stable_rounds=64, seed=0,
@@ -291,7 +290,7 @@ def per_point_closure_search(oracle, seeds, samples_per_round=256, stable_rounds
 
     pivots = sorted(rows)
     result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
-    fresh_ok = next(per_point_escapes(oracle, result, fresh_samples, rng), None) is None
+    fresh_ok = per_point_escapes(oracle, result, fresh_samples, rng) == 0
     return ClosureResult(
         subspace=result, rounds=rounds, evaluations=evals,
         fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,
@@ -422,11 +421,16 @@ def escape_cases(draw):
 def test_batched_escapes_replays_the_per_point_loop(case):
     oracle, u, samples, seed = case
     rng, ref = Random(seed), Random(seed)
-    got, expected = escapes(oracle, u, samples, rng), per_point_escapes(oracle, u, samples, ref)
-    # stop after each escape, as a caller using next() does
-    while True:
-        x, y = next(got, None), next(expected, None)
-        assert x == y
-        assert rng.getstate() == ref.getstate()
-        if y is None:
-            break
+    assert escapes(oracle, u, samples, rng) == per_point_escapes(oracle, u, samples, ref)
+    assert rng.getstate() == ref.getstate()
+
+
+def test_closure_bench_script_runs(capsys, monkeypatch):
+    path = Path(__file__).parents[1] / "bench" / "closure.py"
+    spec = importlib.util.spec_from_file_location("bench_closure", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "REPEATS", 1)
+    script.main()
+    figures = json.loads(capsys.readouterr().out)
+    assert set(figures) == {"closure.stable_round.ms", "escapes.d32.10k.ms", "lp_verify.seed0.ms"}

@@ -14,6 +14,7 @@ from ksgroup.keyschedule import (
     aes128_expand_key,
     aes128_round_key_step,
     aes_core,
+    aes_round_constant_states,
     ks_apply,
     ks_inverse,
     ks_oracle,
@@ -386,6 +387,12 @@ def test_round_index_out_of_range():
         aes128_round_key_step(0, 0)
     with pytest.raises(ValueError):
         aes128_round_key_step(0, 11)
+
+
+def test_round_constant_states_stop_at_ten():
+    assert len(aes_round_constant_states(10)) == 10
+    with pytest.raises(ValueError, match="ten round constants"):
+        aes_round_constant_states(11)
 
 
 def test_state_hex_roundtrip():
