@@ -1,4 +1,5 @@
-"""Timings behind BENCH_closure.json: the batched closure round and escapes scan.
+"""Timings behind BENCH_closure.json and BENCH_stable_runs.json: the batched
+closure round, escapes scan and member draws.
 
     PYTHONPATH=src python3 bench/closure.py
 
@@ -12,6 +13,8 @@ on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
   rounds minus the time of 1, over 16;
 * ``escapes.d32.10k.ms`` -- 10^4 ``escapes`` draws of the same operator on
   the pattern subspace, ``Random(0)``;
+* ``members.d32.1k.ms`` -- ``RowTables`` built over the pattern subspace
+  basis and 1024 ``random_members`` draws from ``Random(0)``;
 * ``lp_verify.seed0.ms`` -- one in-process ``lp-verify --seed 0`` with
   stdout captured.
 
@@ -28,6 +31,7 @@ from random import Random
 from time import perf_counter
 
 from ksgroup import cli
+from ksgroup.gf2 import RowTables
 from ksgroup.invariants import closure_search, escapes, lp_pattern_subspace
 from ksgroup.keyschedule import aes_core, ks_oracle
 
@@ -62,6 +66,8 @@ def main() -> None:
     print(json.dumps({
         "closure.stable_round.ms": round((many - first) / STABLE_ROUNDS, 3),
         "escapes.d32.10k.ms": round(median_ms(lambda: escapes(oracle, lp, 10_000, Random(0))), 3),
+        "members.d32.1k.ms": round(median_ms(
+            lambda: RowTables(lp.basis, 128).random_members(1024, Random(0))), 3),
         "lp_verify.seed0.ms": round(median_ms(lp_verify), 3),
     }, indent=2))
 

@@ -7,9 +7,10 @@ free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
 equality of two ``Subspace`` objects is subspace equality.  All
 incremental elimination goes through ``rref_insert`` and all random
-members are drawn by ``random_member`` or, for a batch, by
-``RowTables.random_members``, which makes the identical draws (one
-``getrandbits(len(rows))`` per member, bit j selecting row j).  The one
+members are drawn by ``random_member`` (one ``getrandbits(len(rows))``
+per member, bit j selecting row j) or, for a batch, by
+``RowTables.random_members``, which takes the same Mersenne Twister words
+in one ``getrandbits`` call and so makes the identical draws.  The one
 exception is the seeds of ``search --seed-in-lp``, which the CLI draws
 one ``getrandbits(1)`` per basis row so that its seeded reports replay.
 Every difference table of a map given as a numpy table is scanned by
@@ -145,8 +146,8 @@ class RowTables:
         return cls(rows, u.m)
 
     def apply(self, data: np.ndarray) -> np.ndarray:
-        """Images of the inputs given as an (N, ceil(k/8)) uint8 array of
-        little-endian bytes."""
+        """Images of the inputs given as an (N, B) uint8 array of
+        little-endian bytes, B >= ceil(k/8); bytes past ceil(k/8) are not read."""
         out = np.zeros((len(data), self.words), WORD)
         for j, table in self.tables:
             out ^= table[data[:, j]]
@@ -154,11 +155,21 @@ class RowTables:
 
     def random_members(self, count: int, rng: Random) -> np.ndarray:
         """``count`` members drawn exactly as ``count`` calls of
-        ``random_member(rows, rng)``: one ``getrandbits(k)`` each, bit j
-        selecting row j, so the rng ends in the same state."""
-        nbytes = (self.k + 7) // 8
-        masks = b"".join(rng.getrandbits(self.k).to_bytes(nbytes, "little") for _ in range(count))
-        return self.apply(np.frombuffer(masks, dtype=np.uint8).reshape(count, nbytes))
+        ``random_member(rows, rng)``, bit j of a draw selecting row j, so
+        the rng ends in the same state.
+
+        ``getrandbits(k)`` takes ceil(k/32) 32-bit Mersenne Twister
+        outputs, low word first, and shifts only the last one right by
+        32 - k mod 32; so one ``getrandbits`` of 32 * ceil(k/32) * count
+        bits, read as (count, ceil(k/32)) little-endian words with that
+        shift on the last word of each row, is the same ``count`` masks.
+        """
+        words = (self.k + 31) // 32
+        raw = rng.getrandbits(32 * words * count).to_bytes(4 * words * count, "little")
+        masks = np.frombuffer(raw, dtype=WORD).reshape(count, words).copy()
+        if self.k % 32:
+            masks[:, -1] >>= 32 - self.k % 32
+        return self.apply(masks.view(np.uint8))
 
     def residuals(self, xs: np.ndarray) -> np.ndarray:
         """x + P(x) for each row of ``vec_to_words`` words; for a

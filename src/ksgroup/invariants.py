@@ -29,20 +29,24 @@ Contents:
 
 ``closure_search`` and ``escapes`` sample a fixed row list and test
 membership in a fixed subspace, so for an oracle with an array twin
-(``PermutationOracle.many``) they evaluate whole batches of draws with
-``gf2.RowTables``: a closure round that follows a round that did not grow,
-and each chunk of an ``escapes`` scan of a proper subspace.  The batches
-draw from the Python ``Random`` in the per-point order, and a closure
-round that finds an image outside the span is rewound and redone point by
-point, so every result, count and rng state at return equals the
-per-point loop's.  The first round and the rounds after growth stay per
-point, so a growing round is never evaluated twice.
+(``PermutationOracle.many``) they evaluate their draws with
+``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  An ``escapes`` scan of a
+proper subspace adds up the escaping draws of each chunk.  Every closure
+round after the first is batched: the draws of the rounds up to the next
+stable or max-rounds stop are scanned as one stream, up to the first draw
+with an image outside the span (or a budget stop, checked between
+chunks), and the rounds before it are counted as the loop would.  The rng
+is then rewound to the start of the round holding that draw, and that
+round, which grows the span, is run point by point.  The batches draw
+from the Python ``Random`` in the per-point order, so every result, count
+and rng state at return equals the per-point loop's.  Only the first
+round, which usually grows, and the escaping rounds run point by point.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
@@ -94,7 +98,18 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
     return LinearBlockCheck(ok=True, checked=checked)
 
 
-ESCAPE_CHUNK = 1024  # draws per batch of a batched escapes scan
+ESCAPE_CHUNK = 1024  # draws per batch of a batched scan
+
+
+def _outside(maps: Sequence, members: RowTables, reducer: RowTables, samples: int,
+             rng: Random) -> Iterator[np.ndarray]:
+    """Scan ``samples`` draws of ``members`` in chunks of ``ESCAPE_CHUNK``,
+    in the per-point order, and yield per chunk which draws have an image
+    under one of the array ``maps`` outside the span that ``reducer``
+    (a ``RowTables.pivot_map``) reduces against."""
+    for start in range(0, samples, ESCAPE_CHUNK):
+        xs = members.random_members(min(ESCAPE_CHUNK, samples - start), rng)
+        yield np.logical_or.reduce([reducer.residuals(f(xs)).any(axis=1) for f in maps])
 
 
 def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -> int:
@@ -112,11 +127,7 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
     if oracle.many is None or u.dim == u.m or samples < 1:
         return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
     members, reducer = RowTables(u.basis, u.m), RowTables.pivot_map(u)
-    count = 0
-    for start in range(0, samples, ESCAPE_CHUNK):
-        xs = members.random_members(min(ESCAPE_CHUNK, samples - start), rng)
-        count += int(reducer.residuals(oracle.many[0](xs)).any(axis=1).sum())
-    return count
+    return sum(int(out.sum()) for out in _outside(oracle.many[:1], members, reducer, samples, rng))
 
 
 # ---------------------------------------------------------------------
@@ -254,6 +265,8 @@ def closure_search(
     """
     if oracle.forward(0) != 0:
         raise ValueError("operator must fix 0; use a normalized word permutation")
+    if samples_per_round < 0:
+        raise ValueError("samples_per_round must be non-negative")
     m = oracle.m
     seeds = list(seeds)
     for s in seeds:
@@ -266,30 +279,46 @@ def closure_search(
 
     rng = Random(seed)
     t0 = time.perf_counter()
+
+    def over_budget() -> bool:
+        return budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms
+
     rounds = stable = evals = 0
     members = reducer = None  # tables of the batched rounds, rebuilt when the span grows
     while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
-        if budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms:
+        if over_budget():
             stop_reason = "budget"
             break
-        if stable and oracle.many is not None:
-            # the span did not grow last round, so this one likely will not
-            # either: evaluate it as one batch, and count it as the loop
-            # would when no image leaves the span
-            state = rng.getstate()
+        if rounds and oracle.many is not None:
+            # after the first round the span rarely grows: scan the draws of
+            # the rounds up to the next stable or max-rounds stop as one
+            # stream, in chunks, up to the first draw with an image outside
+            # the span, and count the rounds before it as the loop would
             if members is None or members.k != len(residuals):
                 order = sorted(rows)
                 span = Subspace._from_rref(m, [rows[p] for p in order], order)
                 members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
-            us = members.random_members(samples_per_round, rng)
-            images = np.concatenate((oracle.many[0](us), oracle.many[1](us)))
-            if not reducer.residuals(images).any():
-                rounds += 1
-                stable += 1
-                evals += 2 * samples_per_round
+            planned = min(stable_rounds - stable, max_rounds - rounds)
+            state = rng.getstate()
+            clean, escaped = 0, False  # draws before the first escape or a budget stop
+            for out in _outside(oracle.many, members, reducer, planned * samples_per_round, rng):
+                escaped = bool(out.any())
+                clean += int(out.argmax()) if escaped else len(out)
+                if escaped or over_budget():
+                    break
+            done = clean // samples_per_round if clean < planned * samples_per_round else planned
+            rounds += done
+            stable += done
+            evals += 2 * done * samples_per_round
+            if done < planned:
+                # rewind to the start of the first unfinished round
+                rng.setstate(state)
+                skip = done * samples_per_round
+                for start in range(0, skip, ESCAPE_CHUNK):
+                    members.random_members(min(ESCAPE_CHUNK, skip - start), rng)
+            if not escaped:
                 continue
-            # an image left the span: replay the round point by point
-            rng.setstate(state)
+            # an image left the span: run the round that holds it point by point
         grew = False
         for _ in range(samples_per_round):
             u = random_member(residuals, rng)

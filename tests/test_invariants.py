@@ -583,6 +583,12 @@ def test_closure_requires_fixed_zero():
         closure_search(ks_oracle(aes_core(), 1), [1])
 
 
+def test_closure_rejects_negative_samples():
+    # a batched stream of rounds would count negative evaluations
+    with pytest.raises(ValueError, match="non-negative"):
+        closure_search(ks_oracle(aes_core().normalized(), 1), [1], samples_per_round=-1)
+
+
 def test_closure_stop_reasons():
     oracle = ks_oracle(aes_core().normalized(), 1)
     full = closure_search(oracle, [1], seed=1)

@@ -7,6 +7,7 @@ as references.
 """
 
 import importlib.util
+import itertools
 import json
 import time
 from pathlib import Path
@@ -355,6 +356,21 @@ def test_row_tables_against_matrix_loops(case, seed):
     assert [vec_from_words(w) for w in residuals] == [u.reduce(x) for x in xs]
 
 
+@pytest.mark.parametrize("count", [0, 1, 3, 1025])
+@pytest.mark.parametrize("k", [0, 1, 31, 32, 33, 64, 65, 127, 128, 130])
+def test_random_members_multi_word_draws(k, count):
+    # a draw of k bits is ceil(k/32) twister words, low word first, the
+    # last one shifted: exactly 32 bits, and more than one word, included
+    m = 136
+    gen = Random(k)
+    rows = [gen.getrandbits(m) for _ in range(k)]
+    rng, ref = Random(k + count), Random(k + count)
+    members = RowTables(rows, m).random_members(count, rng)
+    assert members.shape == (count, 5)
+    assert [vec_from_words(w) for w in members] == [random_member(rows, ref) for _ in range(count)]
+    assert rng.getstate() == ref.getstate()
+
+
 @st.composite
 def closure_cases(draw):
     oracle = draw(aes_oracles())
@@ -393,6 +409,16 @@ class RecordedRandom(Random):
                                fresh_samples=1500)))
 @example((LP4, [LP_SEED], dict(samples_per_round=3, stable_rounds=5, seed=0, max_rounds=60,
                                fresh_samples=5)))
+# several rounds per chunk; one round across two chunks; rounds of no
+# draws; and a max-rounds stop inside the second chunk of a stream
+@example((LP4, [LP_SEED], dict(samples_per_round=256, stable_rounds=6, seed=1, max_rounds=60,
+                               fresh_samples=0)))
+@example((LP4, [LP_SEED], dict(samples_per_round=1500, stable_rounds=3, seed=2, max_rounds=60,
+                               fresh_samples=1)))
+@example((LP4, [LP_SEED], dict(samples_per_round=0, stable_rounds=3, seed=0, max_rounds=60,
+                               fresh_samples=5)))
+@example((LP4, [LP_SEED], dict(samples_per_round=300, stable_rounds=64, seed=4, max_rounds=5,
+                               fresh_samples=0)))
 def test_batched_closure_replays_the_per_point_loop(case):
     oracle, seeds, kwargs = case
     expected, ref_rng = per_point_closure_search(oracle, seeds, **kwargs)
@@ -401,6 +427,40 @@ def test_batched_closure_replays_the_per_point_loop(case):
         got = closure_search(oracle, seeds, **kwargs)
     assert got == expected
     assert RecordedRandom.made[-1].getstate() == ref_rng.getstate()
+
+
+def test_batched_closure_budget_stop_ends_on_a_round():
+    # the budget is read between the chunks of a stream: a stop there
+    # counts the whole rounds scanned and leaves the rng after them
+    ticks = itertools.count(step=0.001)  # each clock reading is 1 ms later
+    kwargs = dict(samples_per_round=300, seed=5, fresh_samples=5)
+    RecordedRandom.made.clear()
+    with mock.patch.object(invariants, "Random", RecordedRandom), \
+            mock.patch.object(invariants.time, "perf_counter", lambda: next(ticks)):
+        got = closure_search(LP4, [LP_SEED], budget_ms=3.5, **kwargs)
+    # readings: t0, round 1 (per point), round 2, then two chunks of the
+    # stream (2048 draws, 6 whole rounds) before the stop
+    assert (got.stop_reason, got.rounds) == ("budget", 7)
+    expected, ref_rng = per_point_closure_search(LP4, [LP_SEED], max_rounds=7, **kwargs)
+    assert (got.subspace, got.evaluations) == (expected.subspace, expected.evaluations)
+    assert RecordedRandom.made[-1].getstate() == ref_rng.getstate()
+
+
+def test_batched_closure_draws_at_most_a_chunk_at_once():
+    # a stable round of many draws is scanned in chunks, so the memory of a
+    # batch does not grow with samples_per_round
+    sizes = []
+    draw = RowTables.random_members
+
+    def spy(self, count, rng):
+        sizes.append(count)
+        return draw(self, count, rng)
+
+    lp = lp_pattern_subspace()
+    with mock.patch.object(RowTables, "random_members", spy):
+        res = closure_search(LP4, lp.basis, samples_per_round=3000, stable_rounds=3, fresh_samples=0)
+    assert res.subspace == lp and res.rounds == 3
+    assert sum(sizes) == 2 * 3000 and max(sizes) <= invariants.ESCAPE_CHUNK
 
 
 @st.composite
@@ -433,4 +493,5 @@ def test_closure_bench_script_runs(capsys, monkeypatch):
     monkeypatch.setattr(script, "REPEATS", 1)
     script.main()
     figures = json.loads(capsys.readouterr().out)
-    assert set(figures) == {"closure.stable_round.ms", "escapes.d32.10k.ms", "lp_verify.seed0.ms"}
+    assert set(figures) == {"closure.stable_round.ms", "escapes.d32.10k.ms", "members.d32.1k.ms",
+                            "lp_verify.seed0.ms"}
