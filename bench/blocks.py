@@ -10,16 +10,16 @@ Random(0))``, whose lift is primitive, and the operator is
 
 * ``block.m12.all.ms``, ``block.m16.all.ms`` -- one block grown by
   ``min_block_subspace`` from the seed v = 1 over all 2^4n points, for
-  ``PermutationOracle.from_table(oracle.table())``, which has no
-  transversal;
+  ``PermutationOracle.from_table(oracle.table())``, whose transversal is
+  every point;
 * ``block.m12.transversal.ms``, ``block.m16.transversal.ms`` -- the same
   block grown over the operator's transversal, the 2^n states (0, 0, 0, z);
 * ``primitivity.n3.ms``, ``primitivity.n4.ms`` -- one lifted
-  ``primitivity_check([oracle])``: 4095 and 65535 blocks.
+  ``primitivity_check(oracle)``: 4095 and 65535 blocks.
 
 Block figures are the mean of ``CALLS`` calls, and every figure is the
 median of ``REPEATS`` runs, except ``primitivity.n4.ms``, which is run
-once.
+once.  ``WIDTHS`` lists the word widths n measured.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from ksgroup.keyschedule import PermutationOracle, ks_oracle
 
 REPEATS = 5
 CALLS = 20
+WIDTHS = (3, 4)
 
 
 def median_ms(fn, calls: int = 1, repeats: int = REPEATS) -> float:
@@ -48,18 +49,18 @@ def median_ms(fn, calls: int = 1, repeats: int = REPEATS) -> float:
 
 def main() -> None:
     figures = {}
-    for n in (3, 4):
+    for n in WIDTHS:
         m = 4 * n
         oracle = ks_oracle(random_nonaffine_word_permutation(n, Random(0)), 1)
         table_only = PermutationOracle.from_table(oracle.table())
-        full = min_block_subspace([table_only], 1)
+        full = min_block_subspace(table_only, 1)
         assert full.dim == m
-        figures[f"block.m{m}.all.ms"] = median_ms(lambda: min_block_subspace([table_only], 1), CALLS)
-        assert min_block_subspace([oracle], 1) == full
-        figures[f"block.m{m}.transversal.ms"] = median_ms(lambda: min_block_subspace([oracle], 1), CALLS)
+        figures[f"block.m{m}.all.ms"] = median_ms(lambda: min_block_subspace(table_only, 1), CALLS)
+        assert min_block_subspace(oracle, 1) == full
+        figures[f"block.m{m}.transversal.ms"] = median_ms(lambda: min_block_subspace(oracle, 1), CALLS)
 
         def check() -> None:
-            assert primitivity_check([oracle]).status == "primitive"
+            assert primitivity_check(oracle).status == "primitive"
 
         figures[f"primitivity.n{n}.ms"] = median_ms(check, repeats=REPEATS if n == 3 else 1)
     print(json.dumps({k: round(v, 3) for k, v in figures.items()}, indent=2))

@@ -15,7 +15,7 @@ from ksgroup.keyschedule import (
     aes_core,
     ks_apply,
     ks_inverse,
-    ks_power,
+    ks_oracle,
     unflatten_state,
 )
 
@@ -34,7 +34,8 @@ print("undone    :", vec_to_hex(ks_inverse(rho, fwd), 128))
 # structure: the substituted word appears in every output slot.
 d = 0xDEADBEEF
 print("\n(0,0,0,d) one step :", [vec_to_hex(w, 32) for w in unflatten_state(ks_apply(rho, d << 96))])
-print("(0,0,0,d) power -3 :", [vec_to_hex(w, 32) for w in unflatten_state(ks_power(rho, d << 96, -3))])
+back3 = ks_oracle(rho, -3).forward(d << 96)
+print("(0,0,0,d) power -3 :", [vec_to_hex(w, 32) for w in unflatten_state(back3)])
 # Their XOR collapses back onto the last slot: (0, 0, 0, rho(d)).
 
 # Full expansion matches the FIPS-197 recurrence round by round.

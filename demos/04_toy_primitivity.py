@@ -25,8 +25,8 @@ rng = Random(2024)
 print("non-affine word maps:")
 for trial in range(5):
     rho = random_nonaffine_word_permutation(3, rng)
-    base = primitivity_check([rho])
-    lifted = primitivity_check([ks_oracle(rho, 1)])
+    base = primitivity_check(rho)
+    lifted = primitivity_check(ks_oracle(rho, 1))
     marker = ""
     if base.status == "primitive":
         marker = "  <- reduction predicts the lifted verdict"
@@ -37,7 +37,7 @@ print("\naffine word maps (lifted blocks shown as basis rows):")
 for trial in range(3):
     rho = random_affine_word_permutation(3, rng)
     assert is_affine(rho)
-    lifted = primitivity_check([ks_oracle(rho, 1)])
+    lifted = primitivity_check(ks_oracle(rho, 1))
     line = f"  trial {trial}: lifted {lifted.status}"
     if lifted.witness is not None:
         rows = ",".join(vec_to_hex(v, 12) for v in lifted.witness.basis[:4])

@@ -306,7 +306,7 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
     if args.rho == "aes":
         # 2^128 points: the exhaustive verdict refuses; sampled mode probes
         # with closure searches and still reports Inconclusive, never a guess
-        lifted = primitivity_check([ks_oracle(rho, 1)])
+        lifted = primitivity_check(ks_oracle(rho, 1))
         probes = None
         if sampled:
             oracle = ks_oracle(rho.normalized(), power=1)
@@ -335,9 +335,9 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
             )
         return report, lines
 
-    base = primitivity_check([rho])
+    base = primitivity_check(rho)
     affine = is_affine(rho)
-    lifted = primitivity_check([ks_oracle(rho, 1)])
+    lifted = primitivity_check(ks_oracle(rho, 1))
     consistent = True
     if base.status == "primitive" and not affine:
         consistent = lifted.status == "primitive"
@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_goursat)
 
     p = sub.add_parser("lp-verify", help="verify the four-round pattern subspace")
-    p.add_argument("--samples", type=_int_at_least(0), default=10_000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-closure", action="store_true")
     p.set_defaults(func=cmd_lp_verify)

@@ -10,12 +10,12 @@ Contents:
 * ``escapes`` -- the one sampled membership check: how many random
   members of a subspace have an image outside it.  The closure's fresh
   check and the pattern-subspace passes go through it.
-* ``min_block_subspace`` -- the minimal block through {0, v}.  Every
-  translation is in the group, so that block is a subspace W with
-  f(x+w)+f(x) in W for all x, and it is grown by one Python scan of that
-  derivative per oracle and new basis vector w: over the oracle's
-  transversal where it has one (the 2^n states (0, 0, 0, z) of a power-1
-  key-schedule operator), else over all 2^m points of its table.  The
+* ``min_block_subspace`` -- the minimal block through {0, v} of the group
+  generated by one oracle and the translations.  Every translation is in
+  the group, so that block is a subspace W with f(x+w)+f(x) in W for all
+  x, and it is grown by one Python scan of that derivative per new basis
+  vector w over the oracle's transversal: the 2^n states (0, 0, 0, z) of
+  a power-1 key-schedule operator, all 2^m points of any other table.  The
   tests check it against a union-find over all 2^m points (Atkinson
   1975), which assumes no linearity, and the verdicts built on it against
   a numpy scan of every point.
@@ -134,42 +134,28 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
 # Minimal blocks: translations are generators, so blocks are subspaces
 
 
-def _width(oracles: Sequence[PermutationOracle]) -> int:
-    """The common width m of a nonempty list of oracles."""
-    if not oracles:
-        raise ValueError("at least one oracle is needed")
-    m = oracles[0].m
-    if any(o.m != m for o in oracles):
-        raise ValueError("the oracles act on spaces of different widths")
-    return m
-
-
-def min_block_subspace(oracles: Sequence[PermutationOracle], v: int) -> Subspace:
+def min_block_subspace(oracle: PermutationOracle, v: int) -> Subspace:
     """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
-    in W, for every oracle f.  Equals the union-find block through {0, v}
-    of <fs, T_m>: with all translations present, blocks through 0 are
-    exactly such subspaces.  The oracles share one width m, and v must be
-    a nonzero point of F_2^m.
+    in W.  Equals the union-find block through {0, v} of <f, T_m>: with
+    all translations present, blocks through 0 are exactly such subspaces.
+    v must be a nonzero point of F_2^m.
 
-    Each new basis vector w triggers one scan of f(x+w)+f(x) per oracle,
-    two table lookups per point, and values outside the current span are
-    absorbed immediately, so no rescans are needed.  The points are the
-    oracle's transversal (``PermutationOracle.transversal``), at which the
-    derivative takes every value it takes, 2^n of them for the power-1
-    operator on 4n bits; an oracle without one is scanned at all 2^m.
+    Each new basis vector w triggers one scan of f(x+w)+f(x), two table
+    lookups per point, and values outside the current span are absorbed
+    immediately, so no rescans are needed.  The points are the oracle's
+    transversal (``PermutationOracle.transversal``), at which the
+    derivative takes every value it takes: 2^n of them for the power-1
+    operator on 4n bits, all 2^m for any other oracle.
     """
-    m = _width(oracles)
+    m = oracle.m
     if not 0 < v < 1 << m:
         raise ValueError(f"seed {v:#x} is not a nonzero point of F_2^{m}")
-    scans = [(o.table(), range(1 << m) if o.transversal is None else o.transversal) for o in oracles]
+    table, points = oracle.table(), oracle.transversal
     rows: dict[int, int] = {}
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
         w = queue.pop()
-        for table, points in scans:
-            queue += rref_insert(rows, {table[x ^ w] ^ table[x] for x in points})
-            if len(rows) == m:
-                break
+        queue += rref_insert(rows, {table[x ^ w] ^ table[x] for x in points})
     pivots = sorted(rows)
     return Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
 
@@ -188,17 +174,15 @@ class BlockVerdict:
     witness_certified: bool | None = None
 
 
-def primitivity_check(oracles: Sequence[PermutationOracle]) -> BlockVerdict:
-    """Exhaustive minimal-block search for <oracles, T_m> over every v != 0,
-    where m is the common width of the oracles.
+def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
+    """Exhaustive minimal-block search for <f, T_m> over every v != 0.
 
-    Each seed's block is grown by ``min_block_subspace``, over an oracle's
-    transversal where it has one, and the search stops at the first proper
-    one.  An Imprimitive witness is re-certified with the exhaustive
-    ``is_linear_block`` against every oracle, over every point, before the
-    verdict is returned.
+    Each seed's block is grown by ``min_block_subspace``, over the oracle's
+    transversal, and the search stops at the first proper one.  An
+    Imprimitive witness is re-certified with the exhaustive
+    ``is_linear_block``, over every point, before the verdict is returned.
     """
-    m = _width(oracles)
+    m = oracle.m
     n_points = 1 << m
     if n_points > MAX_EXHAUSTIVE_POINTS:
         return BlockVerdict(
@@ -206,14 +190,14 @@ def primitivity_check(oracles: Sequence[PermutationOracle]) -> BlockVerdict:
             reason=f"2^{m} points exceed the exhaustive budget",
         )
     for v in range(1, n_points):
-        witness = min_block_subspace(oracles, v)
+        witness = min_block_subspace(oracle, v)
         if not witness.is_trivial:
             break
     else:
         return BlockVerdict(
             status="primitive", witness=None, points=n_points, pairs_checked=n_points - 1,
         )
-    if not all(is_linear_block(o, witness).ok for o in oracles):
+    if not is_linear_block(oracle, witness).ok:
         raise AssertionError("imprimitivity witness failed the linear-block re-check")
     return BlockVerdict(
         status="imprimitive", witness=witness, points=n_points,

@@ -26,8 +26,8 @@ which is checked bit-for-bit against a word-oriented FIPS-197 reference
 in the tests.  SubBytes is ``AES_SBOX``, a ``PermutationOracle`` table
 like every S-box.
 
-``aes_core``, ``normalized`` (of an oracle that has one) and ``ks_oracle``
-over a 32-bit word map that has one set an array twin,
+``aes_core``, ``normalized`` and ``inverse`` (of an oracle with one) and
+``ks_oracle`` over a 32-bit word map with one pass an array twin,
 ``PermutationOracle.many``: forward and backward on (N, 4) uint32 word
 columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
 forward step is ``np.bitwise_xor.accumulate`` across the columns, then
@@ -79,14 +79,13 @@ Many = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarr
 class PermutationOracle:
     """A bijection of F_2^m with forward and backward evaluation.
 
-    ``many`` is an optional array twin of the two directions (``Many``),
-    set by ``aes_core``, ``normalized`` and ``ks_oracle`` when the word map
-    has one; every other oracle leaves it None and is evaluated per point.
+    ``many`` is an optional array twin of the two directions (``Many``);
+    an oracle without one is evaluated per point.  ``table`` is the
+    forward map on 0..2^m-1 if known, else ``table()`` computes it once.
 
-    ``transversal`` is an optional set of points at which every derivative
-    f(x+w)+f(x) takes all of its values, whatever w is.  Only
-    ``ks_oracle`` at power 1 sets it (see there for the proof); it is None
-    everywhere else, and a block scan then reads every point.
+    ``transversal`` is a set of points at which every derivative
+    f(x+w)+f(x) takes all of its values, whatever w is.  It is every point
+    unless ``ks_oracle`` at power 1 narrows it (see there for the proof).
     """
 
     __slots__ = ("m", "forward", "backward", "descriptor", "_table", "many", "transversal")
@@ -97,16 +96,20 @@ class PermutationOracle:
         forward: Callable[[int], int],
         backward: Callable[[int], int],
         descriptor: str = "custom",
+        *,
+        many: Many | None = None,
+        table: tuple[int, ...] | None = None,
+        transversal: range | None = None,
     ) -> None:
         self.m = m
         self.forward = forward
         self.backward = backward
         self.descriptor = descriptor
-        self._table: tuple[int, ...] | None = None
-        self.many: Many | None = None
-        self.transversal: range | None = None
+        self._table = table
+        self.many = many
+        self.transversal = range(1 << m) if transversal is None else transversal
         for x in (0, 1, (1 << m) - 1):
-            if backward(forward(x)) != x:
+            if x >> m == 0 and backward(forward(x)) != x:
                 raise ValueError(f"backward is not the inverse of forward at {x:#x}")
 
     def __repr__(self) -> str:
@@ -121,29 +124,25 @@ class PermutationOracle:
         bwd = [0] * len(table)
         for x, y in enumerate(fwd):
             bwd[y] = x
-        oracle = cls(m, fwd.__getitem__, tuple(bwd).__getitem__, descriptor)
-        oracle._table = fwd
-        return oracle
+        return cls(m, fwd.__getitem__, tuple(bwd).__getitem__, descriptor, table=fwd)
 
     def normalized(self) -> "PermutationOracle":
-        """Compose with the translation by the image of 0 so that 0 maps to 0."""
+        """Compose with the translation by the image of 0 so that 0 maps to 0.
+        The translation cancels in every derivative, so the transversal stays."""
         c = self.forward(0)
         if c == 0:
             return self
-        if self._table is not None:
-            return PermutationOracle.from_table([y ^ c for y in self._table], self.descriptor + "+fix0")
         fwd, bwd = self.forward, self.backward
-        oracle = PermutationOracle(
-            self.m,
-            lambda x: fwd(x) ^ c,
-            lambda y: bwd(y ^ c),
-            self.descriptor + "+fix0",
-        )
+        many = None
         if self.many is not None:
             fwd_many, bwd_many = self.many
             cw = vec_to_words([c], self.m)
-            oracle.many = (lambda xs: fwd_many(xs) ^ cw, lambda ys: bwd_many(ys ^ cw))
-        return oracle
+            many = (lambda xs: fwd_many(xs) ^ cw, lambda ys: bwd_many(ys ^ cw))
+        table = None if self._table is None else tuple(y ^ c for y in self._table)
+        return PermutationOracle(
+            self.m, (lambda x: fwd(x) ^ c) if table is None else table.__getitem__, lambda y: bwd(y ^ c),
+            self.descriptor + "+fix0", many=many, table=table, transversal=self.transversal,
+        )
 
     def table(self) -> tuple[int, ...]:
         """The forward map on 0..2^m-1, computed once."""
@@ -157,8 +156,10 @@ class PermutationOracle:
     to_table = table
 
     def inverse(self) -> "PermutationOracle":
-        """The same bijection with forward and backward swapped."""
-        return PermutationOracle(self.m, self.backward, self.forward, self.descriptor + "^-1")
+        """The same bijection with forward and backward swapped, twin too;
+        the inverse's derivatives need not share the transversal."""
+        many = None if self.many is None else self.many[::-1]
+        return PermutationOracle(self.m, self.backward, self.forward, self.descriptor + "^-1", many=many)
 
 
 # FIPS-197 SubBytes table.
@@ -207,9 +208,7 @@ def aes_core() -> PermutationOracle:
         b = np.ascontiguousarray(ys, dtype=WORD).view(np.uint8)
         return np.ascontiguousarray(inv_sbox_arr[b][:, [3, 0, 1, 2]]).view(WORD)
 
-    oracle = PermutationOracle(WORD_BITS, fwd, bwd, "aes-core")
-    oracle.many = (fwd_many, bwd_many)
-    return oracle
+    return PermutationOracle(WORD_BITS, fwd, bwd, "aes-core", many=(fwd_many, bwd_many))
 
 
 # ---------------------------------------------------------------------
@@ -254,13 +253,6 @@ def _ks_inverse_many(rho_fwd: Callable[[np.ndarray], np.ndarray], ys: np.ndarray
     return xs
 
 
-def ks_power(rho: PermutationOracle, x: int, i: int) -> int:
-    step = ks_apply if i >= 0 else ks_inverse
-    for _ in range(abs(i)):
-        x = step(rho, x)
-    return x
-
-
 def _chain(step: Callable, undo: Callable, constants: Sequence) -> tuple[Callable, Callable]:
     """x -> step(x) + c for each c in turn, and its inverse."""
 
@@ -293,8 +285,8 @@ def ks_oracle(
     At power 1 the oracle records the transversal range(0, 2^4n, 2^3n),
     the 2^n states (0, 0, 0, z): f(x+w)+f(x) = A*w + E(rho(x4+w4)+rho(x4))
     depends on x only through x4 (a constant cancels in the sum), so each
-    of its values occurs at the state with z = x4.  Other powers get none:
-    at power 2 most derivatives take values that no state (0, 0, 0, z)
+    of its values occurs at the state with z = x4.  Other powers keep all
+    points: at power 2 most derivatives take values that no state (0, 0, 0, z)
     reaches.
     """
     m = 4 * rho.m
@@ -312,16 +304,15 @@ def ks_oracle(
     # a negative power runs the chain backwards; its constants are all zero
     order = -1 if power < 0 else 1
     scalar = _chain(functools.partial(ks_apply, rho), functools.partial(ks_inverse, rho), constants)
-    oracle = PermutationOracle(m, *scalar[::order], descriptor)
+    many = None
     if rho.many is not None and rho.m == WORD_BITS:
-        oracle.many = _chain(
+        many = _chain(
             functools.partial(_ks_apply_many, rho.many[0]),
             functools.partial(_ks_inverse_many, rho.many[0]),
             list(vec_to_words(constants, m)),
         )[::order]
-    if power == 1:
-        oracle.transversal = range(0, 1 << m, 1 << 3 * rho.m)
-    return oracle
+    transversal = range(0, 1 << m, 1 << 3 * rho.m) if power == 1 else None
+    return PermutationOracle(m, *scalar[::order], descriptor, many=many, transversal=transversal)
 
 
 # ---------------------------------------------------------------------

@@ -360,6 +360,8 @@ def test_certificate_rot_power_is_taken_mod_4(capsys, power):
     ["primitivity", "--n", "99999999999"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "-1"],
     ["lp-verify", "--samples", "-5"],
+    # zero draws would report zero failures from a check that cannot fail
+    ["lp-verify", "--samples", "0"],
     ["search", "--power", "1", "--samples", "-1"],
     ["search", "--power", "1", "--seeds", "0"],
     ["search", "--power", "1", "--seeds", "0,00"],

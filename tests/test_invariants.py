@@ -127,11 +127,12 @@ class MinBlockResult:
     subspace: Subspace | None  # set when the block is closed under addition
 
 
-def min_block(oracles, m, v):
+def min_block(oracle, v):
     """Brute-force reference (Atkinson 1975): the finest block system of
-    <oracles, translations> merging 0 with v, grown pairwise over all 2^m
+    <oracle, translations> merging 0 with v, grown pairwise over all 2^m
     points by union-find.  Assumes no linearity: whether the block through
     0 is a subspace is read off the result."""
+    m = oracle.m
     n_points = 1 << m
     parent = list(range(n_points))
 
@@ -141,7 +142,7 @@ def min_block(oracles, m, v):
             x = parent[x]
         return x
 
-    gens = [o.forward for o in oracles] + [(lambda x, t=1 << i: x ^ t) for i in range(m)]
+    gens = [oracle.forward] + [(lambda x, t=1 << i: x ^ t) for i in range(m)]
     stack = [(0, v)]
     parent[find(v)] = find(0)
     while stack:
@@ -159,37 +160,35 @@ def min_block(oracles, m, v):
     return MinBlockResult(points=block, subspace=sp if (1 << sp.dim) == len(block) else None)
 
 
-def all_points_primitivity(oracles):
+def all_points_primitivity(oracle):
     """(status, witness, pairs_checked) of the seed-by-seed block scan over
     every point, one numpy pass per derivative: each f(x+w)+f(x) is reduced
     against the span's rows and the distinct residuals are inserted.  It
-    reads no transversal, so primitivity_check must reproduce it."""
-    m = oracles[0].m
-    tables = [np.array(o.table(), dtype=np.uint32) for o in oracles]
+    ignores the transversal, so primitivity_check must reproduce it."""
+    m = oracle.m
+    table = np.array(oracle.table(), dtype=np.uint32)
     for v in range(1, 1 << m):
         rows = {}
         queue = rref_insert(rows, [v])
         while queue and len(rows) < m:
             w = queue.pop()
-            for table in tables:
-                values = derivative(table, w)
-                for p, row in rows.items():
-                    values ^= ((values >> np.uint32(p)) & np.uint32(1)) * np.uint32(row)
-                present = np.zeros(1 << m, dtype=bool)
-                present[values] = True
-                queue += rref_insert(rows, np.flatnonzero(present).tolist())
-                if len(rows) == m:
-                    break
+            values = derivative(table, w)
+            for p, row in rows.items():
+                values ^= ((values >> np.uint32(p)) & np.uint32(1)) * np.uint32(row)
+            present = np.zeros(1 << m, dtype=bool)
+            present[values] = True
+            queue += rref_insert(rows, np.flatnonzero(present).tolist())
         if len(rows) < m:
             return "imprimitive", Subspace(m, rows.values()), v
     return "primitive", None, (1 << m) - 1
 
 
-def unionfind_primitivity(oracles, m):
+def unionfind_primitivity(oracle):
     """(status, witness, pairs_checked) of the seed-by-seed union-find scan
     that primitivity_check must reproduce."""
+    m = oracle.m
     for v in range(1, 1 << m):
-        res = min_block(oracles, m, v)
+        res = min_block(oracle, v)
         if len(res.points) < 1 << m:
             assert res.subspace is not None  # with translations, blocks are subspaces
             return "imprimitive", res.subspace, v
@@ -231,7 +230,7 @@ def test_exhaustive_matches_brute_coset_oracle():
 
 def test_exhaustive_true_case_from_affine_witness():
     _, oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([oracle])
+    verdict = primitivity_check(oracle)
     assert verdict.status == "imprimitive"
     assert brute_coset_check(oracle.table(), verdict.witness)
     assert is_linear_block(oracle, verdict.witness).ok
@@ -296,7 +295,7 @@ def test_escapes_rejects_a_width_mismatch(oracle, u):
 
 def test_translations_only_minimal_block_is_span_v():
     for v in (1, 5, 12):
-        res = min_block([], 4, v)
+        res = min_block(PermutationOracle.from_table(range(16)), v)
         assert res.points == (0, v)
         assert res.subspace == Subspace(4, [v])
 
@@ -315,12 +314,12 @@ def test_min_block_matches_exhaustive_scan_identity_rho():
     for v in [1, 2, 7, 100, 255, rng.getrandbits(8) or 3]:
         candidates = [w for w in invariant if w.contains(v)]
         smallest = min(candidates, key=lambda w: w.dim)
-        res = min_block([oracle], 8, v)
+        res = min_block(oracle, v)
         assert res.subspace is not None  # with translations, blocks are subspaces
         assert res.subspace == smallest
         # over the transversal, and over every point of the bare table
         for o in (oracle, PermutationOracle.from_table(table)):
-            assert min_block_subspace([o], v) == smallest
+            assert min_block_subspace(o, v) == smallest
 
 
 def test_min_block_agrees_with_subspace_closure_nonlinear():
@@ -329,29 +328,26 @@ def test_min_block_agrees_with_subspace_closure_nonlinear():
         table_only = PermutationOracle.from_table(oracle.table())
         rng = Random(seed)
         for v in [1, rng.getrandbits(12) or 2, rng.getrandbits(12) or 3]:
-            uf = min_block([oracle], 12, v)
-            fast = min_block_subspace([oracle], v)
+            uf = min_block(oracle, v)
+            fast = min_block_subspace(oracle, v)
             assert uf.subspace is not None
             assert uf.subspace == fast
-            assert min_block_subspace([table_only], v) == fast
+            assert min_block_subspace(table_only, v) == fast
 
 
 def test_min_block_subspace_rejects_a_width_or_seed_outside_the_tables():
     _, oracle = toy_ks_oracle(3, 0)
     for v in (0, 1 << 12):
         with pytest.raises(ValueError):
-            min_block_subspace([oracle], v)
-    for oracles in ([], [oracle, translation_oracle(11, 1)]):
-        with pytest.raises(ValueError):
-            min_block_subspace(oracles, 1)
+            min_block_subspace(oracle, v)
 
 
 def test_min_block_primitive_toy_reaches_full_space():
     rho, oracle = toy_ks_oracle(3, 21)
-    base = primitivity_check([PermutationOracle.from_table(rho.table(), "rho")])
+    base = primitivity_check(PermutationOracle.from_table(rho.table(), "rho"))
     if base.status == "primitive":
         for v in (1, 77, 4000):
-            res = min_block([oracle], 12, v)
+            res = min_block(oracle, v)
             assert len(res.points) == 1 << 12
 
 
@@ -366,10 +362,10 @@ def test_base_verdict_inversion_gf8():
     inv = inversion_sbox(3, 0b1011)
     rho = PermutationOracle.from_table(inv.table(), "inversion-gf8")
     oracle = PermutationOracle.from_table(inv.table(), "inversion-gf8")
-    base = primitivity_check([oracle])
+    base = primitivity_check(oracle)
     assert base.pairs_checked <= 7
     assert base.status in ("primitive", "imprimitive")
-    lifted = primitivity_check([ks_oracle(rho, 1)])
+    lifted = primitivity_check(ks_oracle(rho, 1))
     aff = is_affine(oracle)
     assert aff is False
     if base.status == "primitive":
@@ -382,7 +378,7 @@ def test_affine_rho_lifts_imprimitive_with_certified_witness():
     found = 0
     for _ in range(12):
         rho = random_affine_word_permutation(3, rng)
-        verdict = primitivity_check([ks_oracle(rho, 1)])
+        verdict = primitivity_check(ks_oracle(rho, 1))
         if verdict.status == "imprimitive":
             found += 1
             assert verdict.witness_certified
@@ -393,77 +389,68 @@ def test_affine_rho_lifts_imprimitive_with_certified_witness():
 
 
 @st.composite
-def bijection_families(draw, max_m=6):
-    """One or two bijections of F_2^m.  About half of them permute the
+def bijection_tables(draw, max_m=6):
+    """A bijection of F_2^m as a table.  About half of them permute the
     cosets of the span of the low k bits (a map on the high part and a
     per-coset map on the low part), so that imprimitive groups are common."""
     m = draw(st.integers(1, max_m))
-    tables = []
-    for _ in range(draw(st.integers(1, 2))):
-        rng = Random(draw(st.integers(0, 2**32)))
-        if draw(st.booleans()):
-            table = list(range(1 << m))
-            rng.shuffle(table)
-        else:
-            k = draw(st.integers(0, m))
-            high = list(range(1 << (m - k)))
-            rng.shuffle(high)
-            low = []
-            for _ in high:
-                perm = list(range(1 << k))
-                rng.shuffle(perm)
-                low.append(perm)
-            table = [(high[x >> k] << k) | low[x >> k][x & ((1 << k) - 1)] for x in range(1 << m)]
-        tables.append(table)
-    return m, tables
+    rng = Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        table = list(range(1 << m))
+        rng.shuffle(table)
+        return table
+    k = draw(st.integers(0, m))
+    high = list(range(1 << (m - k)))
+    rng.shuffle(high)
+    low = []
+    for _ in high:
+        perm = list(range(1 << k))
+        rng.shuffle(perm)
+        low.append(perm)
+    return [(high[x >> k] << k) | low[x >> k][x & ((1 << k) - 1)] for x in range(1 << m)]
 
 
 # n=2: every word map is affine; its lift to 2^8 points is the case where
 # the primitivity verdict used to switch between two methods
 LIFTED_AFFINE_N2 = [
-    (8, [list(ks_oracle(random_affine_word_permutation(2, Random(seed)), 1).table())])
+    list(ks_oracle(random_affine_word_permutation(2, Random(seed)), 1).table())
     for seed in (1, 2, 3)
 ]
 
 
 @settings(max_examples=120, deadline=None)
-@given(bijection_families())
+@given(bijection_tables())
 @example(LIFTED_AFFINE_N2[0])
 @example(LIFTED_AFFINE_N2[1])
 @example(LIFTED_AFFINE_N2[2])
-def test_subspace_blocks_match_unionfind_reference(family):
-    m, tables = family
-    oracles = [PermutationOracle.from_table(t, "t") for t in tables]
-    for v in range(1, 1 << m):
-        assert min_block_subspace(oracles, v) == min_block(oracles, m, v).subspace
-    status, witness, pairs = unionfind_primitivity(oracles, m)
-    verdict = primitivity_check(oracles)
+def test_subspace_blocks_match_unionfind_reference(table):
+    oracle = PermutationOracle.from_table(table, "t")
+    for v in range(1, 1 << oracle.m):
+        assert min_block_subspace(oracle, v) == min_block(oracle, v).subspace
+    status, witness, pairs = unionfind_primitivity(oracle)
+    verdict = primitivity_check(oracle)
     assert (verdict.status, verdict.witness, verdict.pairs_checked) == (status, witness, pairs)
     assert verdict.witness_certified is (True if witness is not None else None)
 
 
 def test_over_budget_inconclusive():
-    verdict = primitivity_check([ks_oracle(aes_core(), 1)])
+    verdict = primitivity_check(ks_oracle(aes_core(), 1))
     assert verdict.status == "inconclusive"
     assert "budget" in verdict.reason
 
 
 def test_primitivity_width_comes_from_the_oracles():
     _, oracle = toy_ks_oracle(3, 0)
-    verdict = primitivity_check([oracle])
+    verdict = primitivity_check(oracle)
     assert verdict.points == 1 << 12
     if verdict.status == "primitive":
         assert verdict.pairs_checked == 4095
-    with pytest.raises(ValueError):
-        primitivity_check([])
-    with pytest.raises(ValueError):
-        primitivity_check([oracle, translation_oracle(11, 1)])
 
 
 def test_witness_cosets_permuted_by_translations():
     # any block system found for <f, T> is in particular one for T alone
     _, oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([oracle])
+    verdict = primitivity_check(oracle)
     assert verdict.status == "imprimitive"
     u = verdict.witness
     members = set(u.elements())
@@ -523,10 +510,10 @@ def test_transversal_carries_every_derivative_value_n4():
 def test_no_transversal_at_other_powers():
     rho = random_nonaffine_word_permutation(3, Random(5))
     for power in (2, 3, -1):
-        assert ks_oracle(rho, power).transversal is None
-    assert ks_oracle(rho, 2, [1, 2]).transversal is None
-    assert ks_oracle(rho, 1).inverse().transversal is None
-    assert rho.transversal is None
+        assert ks_oracle(rho, power).transversal == range(1 << 12)
+    assert ks_oracle(rho, 2, [1, 2]).transversal == range(1 << 12)
+    assert ks_oracle(rho, 1).inverse().transversal == range(1 << 12)
+    assert rho.transversal == range(8)
     # and at power 2 the states (0, 0, 0, z) really miss values: for most w
     # f^2(x+w)+f^2(x) takes a value that none of them reaches
     table = np.array(ks_oracle(rho, 2).table(), dtype=np.uint32)
@@ -537,6 +524,23 @@ def test_no_transversal_at_other_powers():
         for w in range(1 << 12)
     )
     assert misses == 3776
+
+
+@pytest.mark.parametrize("kind", ["random", "affine"])
+def test_normalized_operator_keeps_the_transversal(kind):
+    # an output translation cancels in every derivative, whether the
+    # normalized oracle wraps the operator or its cached table
+    rng = Random(7)
+    draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
+    raw = ks_oracle(draw(3, rng), 1, [rng.getrandbits(12) | 1])
+    lazy = raw.normalized()
+    raw.table()
+    for oracle in (lazy, raw.normalized()):
+        assert oracle.forward(0) == 0
+        assert oracle.transversal == range(0, 1 << 12, 1 << 9)
+        every_point = PermutationOracle.from_table(oracle.table())
+        for v in [1, *(rng.getrandbits(12) or 2 for _ in range(15))]:
+            assert min_block_subspace(oracle, v) == min_block_subspace(every_point, v)
 
 
 # n=3 maps whose lifts the transversal scan and the numpy all-points
@@ -553,8 +557,8 @@ def test_transversal_verdict_equals_all_points_verdict(kind, seed):
     draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
     oracle = ks_oracle(draw(3, Random(seed)), 1)
     assert oracle.transversal is not None
-    verdict = primitivity_check([oracle])
-    assert (verdict.status, verdict.witness, verdict.pairs_checked) == all_points_primitivity([oracle])
+    verdict = primitivity_check(oracle)
+    assert (verdict.status, verdict.witness, verdict.pairs_checked) == all_points_primitivity(oracle)
     assert verdict.witness_certified is (True if verdict.witness is not None else None)
 
 
@@ -562,8 +566,8 @@ def test_transversal_verdict_equals_all_points_verdict(kind, seed):
 def test_transversal_verdict_matches_unionfind_n2(seed):
     oracle = ks_oracle(random_affine_word_permutation(2, Random(seed)), 1)
     assert oracle.transversal is not None
-    verdict = primitivity_check([oracle])
-    assert (verdict.status, verdict.witness, verdict.pairs_checked) == unionfind_primitivity([oracle], 8)
+    verdict = primitivity_check(oracle)
+    assert (verdict.status, verdict.witness, verdict.pairs_checked) == unionfind_primitivity(oracle)
 
 
 # ---------------------------------------------------------------------
@@ -659,7 +663,7 @@ def test_closure_matches_deterministic_closure_on_invariant_case():
     # raw operator yields the witness block; its offset-normalized form
     # fixes 0, and the witness is an invariant subspace for that form
     rho, raw_oracle = toy_ks_oracle(3, 3, affine=True)
-    verdict = primitivity_check([raw_oracle])
+    verdict = primitivity_check(raw_oracle)
     norm_oracle = ks_oracle(rho.normalized(), 1)
     table = norm_oracle.table()
     seed_vec = verdict.witness.basis[0]

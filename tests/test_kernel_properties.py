@@ -343,6 +343,16 @@ def test_negative_power_is_the_inverse_operator(power, xs):
         assert [vec_from_words(w) for w in many(words)] == [ref(x) for x in xs]
 
 
+@REPLAY
+@given(st.integers(1, 4), points128)
+def test_inverse_keeps_the_array_twin(power, xs):
+    # inverse() swaps the twin's directions along with the scalar ones
+    oracle = ks_oracle(aes_core().normalized(), power)
+    words = vec_to_words(xs, 128)
+    for many, ref in zip(oracle.inverse().many, (oracle.backward, oracle.forward)):
+        assert [vec_from_words(w) for w in many(words)] == [ref(x) for x in xs]
+
+
 @BOUNDED
 @given(families(max_m=40, count=2), st.integers(0, 2**32))
 def test_row_tables_against_matrix_loops(case, seed):
@@ -485,13 +495,27 @@ def test_batched_escapes_replays_the_per_point_loop(case):
     assert rng.getstate() == ref.getstate()
 
 
-def test_closure_bench_script_runs(capsys, monkeypatch):
-    path = Path(__file__).parents[1] / "bench" / "closure.py"
-    spec = importlib.util.spec_from_file_location("bench_closure", path)
+def load_bench_script(name):
+    path = Path(__file__).parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_closure_bench_script_runs(capsys, monkeypatch):
+    script = load_bench_script("closure")
     monkeypatch.setattr(script, "REPEATS", 1)
     script.main()
     figures = json.loads(capsys.readouterr().out)
     assert set(figures) == {"closure.stable_round.ms", "escapes.d32.10k.ms", "members.d32.1k.ms",
                             "lp_verify.seed0.ms"}
+
+
+def test_blocks_bench_script_runs(capsys, monkeypatch):
+    script = load_bench_script("blocks")
+    monkeypatch.setattr(script, "REPEATS", 1)
+    monkeypatch.setattr(script, "WIDTHS", (3,))
+    script.main()
+    figures = json.loads(capsys.readouterr().out)
+    assert set(figures) == {"block.m12.all.ms", "block.m12.transversal.ms", "primitivity.n3.ms"}
