@@ -7,11 +7,16 @@ Each ``cmd_*`` returns its report and text lines; ``run`` alone stamps
 (an Inconclusive verdict is a completed run), 2 = ``InputError`` (argparse
 rejections included), 3 = ``StructureError`` (a structural violation in
 the inputs).
+
+A rule on one argument is declared in ``build_parser``: bounds as argument
+types (``_int_in``, ``_budget``), exclusive inputs as groups.  The ``cmd_*``
+bodies check only rules that relate one flag to another.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -66,33 +71,39 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer that is at least ``low``."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in ``low..high``, or at least ``low``."""
 
     def parse(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
-        return int(text)
+        value = int(text)
+        if value < low or high is not None and value > high:
+            bound = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
 
 
-def _budget_ms(args) -> float | None:
-    """``--budget-ms``, else ``KSGROUP_BUDGET_MS``, else no budget; the
-    value in use must be a non-negative number."""
-    source, raw = "--budget-ms", args.budget_ms
-    if raw is None:
-        source, raw = BUDGET_ENV, os.environ.get(BUDGET_ENV)
-        if not raw:
-            return None
+def _budget(text: str) -> float:
+    """argparse type of a budget in ms: a non-negative number, NaN refused."""
     try:
-        budget = float(raw)
+        if float(text) >= 0:
+            return float(text)
     except ValueError:
-        raise InputError(f"{source} must be a number, got {raw!r}") from None
-    if not budget >= 0:  # also refuses NaN
-        raise InputError(f"{source} must be non-negative")
-    return budget
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text!r}")
+
+
+def _budget_ms(args) -> float | None:
+    """``--budget-ms``, else ``KSGROUP_BUDGET_MS`` by the same parser, else none."""
+    raw = os.environ.get(BUDGET_ENV)
+    if args.budget_ms is not None or not raw:
+        return args.budget_ms
+    try:
+        return _budget(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"{BUDGET_ENV}: {exc}") from None
 
 
 def _read(path: str) -> str:
@@ -112,14 +123,10 @@ def _subspace_hex(u: Subspace) -> list[str]:
 
 
 def cmd_sbox_audit(args) -> tuple[dict, list[str]]:
-    if args.aes and args.table is not None:
-        raise InputError("give an S-box file or --aes, not both")
     if args.aes:
         sb = AES_SBOX
         source = "builtin-aes"
     else:
-        if args.table is None:
-            raise InputError("provide an S-box file or --aes")
         try:
             sb = parse_sbox_text(_read(args.table))
         except SBoxFormatError as exc:
@@ -127,7 +134,7 @@ def cmd_sbox_audit(args) -> tuple[dict, list[str]]:
         except SBoxError as exc:
             raise StructureError(f"invalid S-box: {exc}") from None
         source = args.table
-    if args.max_delta is not None and not 0 <= args.max_delta <= sb.m - 1:
+    if args.max_delta is not None and args.max_delta > sb.m - 1:
         raise InputError(f"--max-delta must be in 0..{sb.m - 1} for a {sb.m}-bit S-box")
     try:
         audit = audit_sbox(sb, max_delta=args.max_delta)
@@ -189,15 +196,9 @@ def cmd_expand(args) -> tuple[dict, list[str]]:
 
 def cmd_search(args) -> tuple[dict, list[str]]:
     budget = _budget_ms(args)
-    if args.seed_in_lp and args.seeds is not None:
-        raise InputError("give --seeds or --seed-in-lp, not both")
     if args.seeds is not None and args.n_seeds is not None:
         raise InputError("give --seeds or --n-seeds, not both")
     n_seeds = 1 if args.n_seeds is None else args.n_seeds
-    if n_seeds > MAX_SEEDS:
-        raise InputError(f"--n-seeds must be at most {MAX_SEEDS}, got {n_seeds}")
-    if abs(args.power) > MAX_POWER:
-        raise InputError(f"--power must be at most {MAX_POWER} in absolute value, got {args.power}")
     if args.with_constants:
         if not 1 <= args.power <= 10:
             raise InputError("--with-constants needs --power in 1..10: AES-128 has ten round constants")
@@ -277,8 +278,8 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
         if not sampled and value is not None:
             raise InputError(f"{flag} applies only to --rho aes --mode sampled")
     samples = 512 if args.samples is None else args.samples
-    if sampled and samples < PROBE_SAMPLES:
-        raise InputError(f"sampled mode runs one closure probe per {PROBE_SAMPLES} --samples")
+    if samples % PROBE_SAMPLES:
+        raise InputError(f"--samples must be a multiple of {PROBE_SAMPLES}, got {samples}")
     if args.rho == "aes" and args.n is not None:
         raise InputError("--n applies only to a toy --rho; the AES word is 32 bits")
     n = 3 if args.n is None else args.n
@@ -393,16 +394,8 @@ def cmd_goursat(args) -> tuple[dict, list[str]]:
 
 def cmd_lp_verify(args) -> tuple[dict, list[str]]:
     rep = verify_lp_subspace(samples=args.samples, seed=args.seed, run_closure=not args.no_closure)
-    report = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "resolved_convention": rep.resolved_convention,
-        "failures": rep.failures,
-        "screening": rep.screening,
-        "subspace_dim": rep.subspace_dim,
-        "closure_dim": rep.closure_dim,
-        "closure_contained": rep.closure_contained,
-    }
+    # the record's field names are the report's keys
+    report = {"samples": args.samples, "seed": args.seed, **dataclasses.asdict(rep)}
     return report, [
         f"pattern subspace dim {rep.subspace_dim}",
         f"resolved convention: {rep.resolved_convention}",
@@ -416,8 +409,6 @@ def cmd_lp_verify(args) -> tuple[dict, list[str]]:
 
 
 def cmd_certificate(args) -> tuple[dict, list[str]]:
-    if not 2 <= args.delta <= AES_SBOX.m - 1:
-        raise InputError(f"--delta must be in 2..{AES_SBOX.m - 1}")
     # rotating the bytes left r times sends bit i to bit i - 8r mod 32
     rows = tuple(1 << (i - 8 * args.rot_power) % 32 for i in range(32))
     cert = spn_primitivity_certificate(AES_SBOX, rows, delta=args.delta)
@@ -449,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sbox-audit", help="differential uniformity and anti-invariance")
-    p.add_argument("table", nargs="?", help="hex table file")
-    p.add_argument("--aes", action="store_true", help="audit the builtin AES table")
-    p.add_argument("--max-delta", type=int, default=None,
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("table", nargs="?", help="hex table file")
+    source.add_argument("--aes", action="store_true", help="audit the builtin AES table")
+    p.add_argument("--max-delta", type=_int_in(0), default=None,
                    help="highest anti-invariance order to test (default min(2, s-1))")
     p.set_defaults(func=cmd_sbox_audit)
 
@@ -462,18 +454,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("search", help="Monte-Carlo invariant-subspace closure search")
-    p.add_argument("--power", type=int, default=4, help="operator power to test")
-    p.add_argument("--seed-in-lp", action="store_true",
-                   help="draw seeds inside the known pattern subspace")
-    p.add_argument("--seeds", help="comma-separated 128-bit hex seeds")
-    p.add_argument("--n-seeds", type=_int_at_least(1), default=None,
+    p.add_argument("--power", type=_int_in(-MAX_POWER, MAX_POWER), default=4, help="operator power to test")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed-in-lp", action="store_true",
+                       help="draw seeds inside the known pattern subspace")
+    seeds.add_argument("--seeds", help="comma-separated 128-bit hex seeds")
+    p.add_argument("--n-seeds", type=_int_in(1, MAX_SEEDS), default=None,
                    help="random seeds to draw, without --seeds (default 1)")
     p.add_argument("--with-constants", action="store_true",
                    help="re-enable per-round constants")
-    p.add_argument("--samples", type=_int_at_least(0), default=256, help="samples per round")
-    p.add_argument("--stable-rounds", type=_int_at_least(0), default=64)
+    p.add_argument("--samples", type=_int_in(0), default=256, help="samples per round")
+    p.add_argument("--stable-rounds", type=_int_in(0), default=64)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget-ms", type=float, default=None)
+    p.add_argument("--budget-ms", type=_budget, default=None)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("primitivity", help="exhaustive toy-scale block-system check")
@@ -482,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                    help="sampled (--rho aes only) adds closure probes beyond the exhaustive budget")
-    p.add_argument("--samples", type=_int_at_least(0), default=None,
+    p.add_argument("--samples", type=_int_in(PROBE_SAMPLES), default=None,
                    help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples (default 512)")
-    p.add_argument("--budget-ms", type=float, default=None,
+    p.add_argument("--budget-ms", type=_budget, default=None,
                    help="sampled mode: time budget of each closure probe")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_primitivity)
@@ -495,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_goursat)
 
     p = sub.add_parser("lp-verify", help="verify the four-round pattern subspace")
-    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    p.add_argument("--samples", type=_int_in(1), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-closure", action="store_true")
     p.set_defaults(func=cmd_lp_verify)
 
     p = sub.add_parser("certificate", help="S-box + linear layer primitivity certificate")
-    p.add_argument("--delta", type=int, default=2)
+    p.add_argument("--delta", type=_int_in(2, AES_SBOX.m - 1), default=2)
     p.add_argument("--rot-power", type=int, default=1,
                    help="power of the byte rotation used as the linear layer")
     p.set_defaults(func=cmd_certificate)

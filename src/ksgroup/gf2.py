@@ -7,8 +7,8 @@ free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
 equality of two ``Subspace`` objects is subspace equality.  All
 incremental elimination goes through ``rref_insert`` and all random
-members are drawn by ``random_member`` (one ``getrandbits(len(rows))``
-per member, bit j selecting row j) or, for a batch, by
+members are drawn by ``random_member`` (``matrix_apply`` of one
+``getrandbits(len(rows))``, bit j selecting row j) or, for a batch, by
 ``RowTables.random_members``, which takes the same Mersenne Twister words
 in one ``getrandbits`` call and so makes the identical draws.  The one
 exception is the seeds of ``search --seed-in-lp``, which the CLI draws
@@ -87,12 +87,7 @@ def rref_insert(rows: dict[int, int], vectors: Iterable[int]) -> list[int]:
 def random_member(rows: Sequence[int], rng: Random) -> int:
     """Sum of a random subset of ``rows``: one ``getrandbits(len(rows))``
     draw, bit j selecting row j, so replays with the same seed agree."""
-    mask = rng.getrandbits(len(rows))
-    x = 0
-    for j, row in enumerate(rows):
-        if (mask >> j) & 1:
-            x ^= row
-    return x
+    return matrix_apply(rows, rng.getrandbits(len(rows)))
 
 
 def vec_to_words(vectors: Sequence[int], m: int) -> np.ndarray:

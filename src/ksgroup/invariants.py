@@ -52,7 +52,8 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import RowTables, Subspace, derivative, matrix_apply, random_member, rref_insert
+from .gf2 import (DimensionMismatch, RowTables, Subspace, check_vector, derivative, matrix_apply,
+                  random_member, rref_insert)
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
 from .sbox import anti_invariance_order, differential_uniformity
 
@@ -78,7 +79,7 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
     if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     if oracle.m != u.m:
-        raise ValueError("oracle and subspace dimensions differ")
+        raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
     if u.is_trivial:
         return LinearBlockCheck(ok=True, checked=0, reason="trivial partition")
     n_points = 1 << oracle.m
@@ -122,7 +123,7 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
     is inside, and the loop stays per point.
     """
     if oracle.m != u.m:
-        raise ValueError("oracle and subspace dimensions differ")
+        raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
     # a scan of no draws builds no tables
     if oracle.many is None or u.dim == u.m or samples < 1:
         return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
@@ -214,7 +215,7 @@ class ClosureResult:
     subspace: Subspace
     rounds: int
     evaluations: int
-    fresh_invariance_ok: bool
+    fresh_invariance_ok: bool | None  # None = no fresh draws, nothing checked
     stop_reason: str  # "full" | "stable" | "budget" | "max-rounds"
 
     @property
@@ -226,7 +227,7 @@ class ClosureResult:
         """A proper invariant subspace is claimed only when the search
         stopped because the span was stable and a fresh sample agreed; the
         zero span certifies nothing."""
-        return self.stop_reason == "stable" and self.fresh_invariance_ok and self.subspace.dim > 0
+        return self.stop_reason == "stable" and self.fresh_invariance_ok is True and self.subspace.dim > 0
 
 
 def closure_search(
@@ -249,13 +250,12 @@ def closure_search(
     """
     if oracle.forward(0) != 0:
         raise ValueError("operator must fix 0; use a normalized word permutation")
-    if samples_per_round < 0:
-        raise ValueError("samples_per_round must be non-negative")
+    if samples_per_round < 0 or fresh_samples < 0:
+        raise ValueError("samples_per_round and fresh_samples must be non-negative")
     m = oracle.m
     seeds = list(seeds)
     for s in seeds:
-        if not 0 <= s < (1 << m):
-            raise ValueError(f"seed {s:#x} does not fit in {m} bits")
+        check_vector(m, s)
     rows: dict[int, int] = {}
     # members are sampled over the residuals in insertion order, not over
     # the RREF rows, so that a seeded search replays the same draws
@@ -320,7 +320,8 @@ def closure_search(
 
     pivots = sorted(rows)
     result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
-    fresh_ok = escapes(oracle, result, fresh_samples, rng) == 0
+    # a check of no draws cannot fail, so it certifies nothing
+    fresh_ok = escapes(oracle, result, fresh_samples, rng) == 0 if fresh_samples else None
     return ClosureResult(
         subspace=result, rounds=rounds, evaluations=evals,
         fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,

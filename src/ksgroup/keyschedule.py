@@ -44,7 +44,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .gf2 import WORD, CapacityError, vec_to_words
+from .gf2 import WORD, CapacityError, DimensionMismatch, vec_to_words
 
 WORD_BITS = 32
 
@@ -52,10 +52,6 @@ WORD_BITS = 32
 _E32 = ((1 << 128) - 1) // ((1 << 32) - 1)
 
 MAX_EXHAUSTIVE_POINTS = 1 << 20
-
-
-class WidthMismatch(ValueError):
-    """A state does not fit four words of the operator's width."""
 
 
 # ---------------------------------------------------------------------
@@ -220,7 +216,7 @@ def ks_apply(rho: PermutationOracle, x: int) -> int:
     n = rho.m
     mask = (1 << 4 * n) - 1
     if not 0 <= x <= mask:
-        raise WidthMismatch(f"state {x:#x} does not fit four {n}-bit words")
+        raise DimensionMismatch(f"state {x:#x} does not fit four {n}-bit words")
     t = rho.forward(x >> 3 * n)
     x ^= (x << n) & mask
     x ^= (x << 2 * n) & mask
@@ -233,7 +229,7 @@ def ks_inverse(rho: PermutationOracle, x: int) -> int:
     n = rho.m
     mask = (1 << 4 * n) - 1
     if not 0 <= x <= mask:
-        raise WidthMismatch(f"state {x:#x} does not fit four {n}-bit words")
+        raise DimensionMismatch(f"state {x:#x} does not fit four {n}-bit words")
     x ^= (x << n) & mask
     return x ^ rho.forward(x >> 3 * n)
 
@@ -299,7 +295,7 @@ def ks_oracle(
         if len(constants) != power:
             raise ValueError("need one constant state per application")
         if any(not 0 <= c < 1 << m for c in constants):
-            raise WidthMismatch(f"constants must be {m}-bit states")
+            raise DimensionMismatch(f"constants must be {m}-bit states")
         descriptor += "+constants"
     # a negative power runs the chain backwards; its constants are all zero
     order = -1 if power < 0 else 1

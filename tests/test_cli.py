@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ksgroup.cli import run
+from ksgroup.cli import InputError, build_parser, run
 from ksgroup.invariants import lp_pattern_subspace
 
 
@@ -369,6 +369,7 @@ def test_certificate_rot_power_is_taken_mod_4(capsys, power):
     ["search", "--power", "1", "--n-seeds", "-3"],
     ["search", "--power", "1", "--seed-in-lp", "--n-seeds", "0"],
     ["search", "--power", "1", "--budget-ms", "-1"],
+    ["search", "--power", "1", "--budget-ms", "nan"],
     # the operator is composed |power| times per evaluation
     ["search", "--power", "1025"],
     ["search", "--power", "-1025"],
@@ -376,6 +377,8 @@ def test_certificate_rot_power_is_taken_mod_4(capsys, power):
     ["search", "--power", "-100000000000000000000"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "100"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "0"],
+    # one closure probe per 256 samples: 300 would run one probe
+    ["primitivity", "--rho", "aes", "--mode", "sampled", "--samples", "300"],
     ["primitivity", "--rho", "aes", "--mode", "sampled", "--budget-ms", "-1"],
     ["primitivity", "--n", "3", "--budget-ms", "-5"],
     # only sampled AES primitivity spends a budget
@@ -405,6 +408,44 @@ def test_bad_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("input error:")
     assert captured.out == ""
+
+
+PARSER_BOUNDS = [
+    (["search", "--power"], "1024", "1025"),
+    (["search", "--power"], "-1024", "-1025"),
+    (["search", "--n-seeds"], "65536", "65537"),
+    (["search", "--n-seeds"], "1", "0"),
+    (["search", "--samples"], "0", "-1"),
+    (["search", "--stable-rounds"], "0", "-1"),
+    (["search", "--budget-ms"], "0", "-0.5"),
+    (["primitivity", "--samples"], "256", "255"),
+    (["primitivity", "--budget-ms"], "0", "-0.5"),
+    (["lp-verify", "--samples"], "1", "0"),
+    (["certificate", "--delta"], "2", "1"),
+    (["certificate", "--delta"], "7", "8"),
+    (["sbox-audit", "--aes", "--max-delta"], "0", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv, limit, past", PARSER_BOUNDS,
+                         ids=[" ".join(argv + [past]) for argv, _, past in PARSER_BOUNDS])
+def test_parser_bounds(argv, limit, past):
+    # bounds are argument types: the parse alone accepts the limit and
+    # refuses one past it, before any subcommand runs
+    dest = argv[-1].lstrip("-").replace("-", "_")
+    assert getattr(build_parser().parse_args(argv + [limit]), dest) == float(limit)
+    with pytest.raises(InputError, match=f"argument {argv[-1]}: must be"):
+        build_parser().parse_args(argv + [past])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sbox-audit"],
+    ["sbox-audit", "table.hex", "--aes"],
+    ["search", "--seed-in-lp", "--seeds", "ff"],
+], ids=" ".join)
+def test_parser_exclusive_inputs(argv):
+    with pytest.raises(InputError, match="not allowed with|is required"):
+        build_parser().parse_args(argv)
 
 
 def test_toy_bound_message_names_the_budget(capsys):

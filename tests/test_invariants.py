@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ksgroup.gf2 import Subspace, derivative, enumerate_subspaces, matrix_apply, random_member, rref_insert
+from ksgroup.gf2 import (DimensionMismatch, Subspace, derivative, enumerate_subspaces, matrix_apply,
+                         random_member, rref_insert)
 from ksgroup.invariants import (
     LP_CONVENTIONS,
     PermutationOracle,
@@ -249,6 +250,12 @@ def test_only_the_exhaustive_mode_exists():
         is_linear_block(oracle, Subspace.zero(12), mode="sampled")
 
 
+def test_linear_block_rejects_a_width_mismatch():
+    _, oracle = toy_ks_oracle(3, 0)
+    with pytest.raises(DimensionMismatch, match="dimensions differ"):
+        is_linear_block(oracle, Subspace(16, [1]))
+
+
 # ---------------------------------------------------------------------
 # escapes: the sampled membership check
 
@@ -285,7 +292,7 @@ def test_escapes_against_brute_force_scan(case, samples, seed):
     (ks_oracle(aes_core().normalized(), 1), Subspace(160, [1, 1 << 150])),
 ], ids=["toy", "aes"])
 def test_escapes_rejects_a_width_mismatch(oracle, u):
-    with pytest.raises(ValueError, match="dimensions differ"):
+    with pytest.raises(DimensionMismatch, match="dimensions differ"):
         escapes(oracle, u, 100, Random(0))
 
 
@@ -591,6 +598,18 @@ def test_closure_rejects_negative_samples():
     # a batched stream of rounds would count negative evaluations
     with pytest.raises(ValueError, match="non-negative"):
         closure_search(ks_oracle(aes_core().normalized(), 1), [1], samples_per_round=-1)
+
+
+def test_closure_without_fresh_draws_certifies_nothing():
+    # a stable stop with no fresh draws would claim span{e_0} invariant under
+    # the power-1 operator, which has no proper invariant subspace
+    oracle = ks_oracle(aes_core().normalized(), 1)
+    res = closure_search(oracle, [1], stable_rounds=0, fresh_samples=0)
+    assert (res.stop_reason, res.subspace.dim) == ("stable", 1)
+    assert res.fresh_invariance_ok is None
+    assert not res.proper
+    with pytest.raises(ValueError, match="non-negative"):
+        closure_search(oracle, [1], fresh_samples=-1)
 
 
 def test_closure_stop_reasons():

@@ -291,7 +291,7 @@ def per_point_closure_search(oracle, seeds, samples_per_round=256, stable_rounds
 
     pivots = sorted(rows)
     result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
-    fresh_ok = per_point_escapes(oracle, result, fresh_samples, rng) == 0
+    fresh_ok = per_point_escapes(oracle, result, fresh_samples, rng) == 0 if fresh_samples else None
     return ClosureResult(
         subspace=result, rounds=rounds, evaluations=evals,
         fresh_invariance_ok=fresh_ok, stop_reason=stop_reason,

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgroup import fips197
-from ksgroup.gf2 import vec_from_hex, vec_to_hex
+from ksgroup.gf2 import DimensionMismatch, vec_from_hex, vec_to_hex
 from ksgroup.keyschedule import (
     PermutationOracle,
-    WidthMismatch,
     aes128_expand_key,
     aes128_round_key_step,
     aes_core,
@@ -328,11 +327,11 @@ def test_apply_linear_when_rho_linear():
 
 def test_width_mismatch_rejected():
     rho = toy_rho(3, 1)
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(DimensionMismatch):
         ks_apply(rho, 1 << 12)
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(DimensionMismatch):
         ks_inverse(rho, -1)
-    with pytest.raises(WidthMismatch):
+    with pytest.raises(DimensionMismatch):
         ks_oracle(rho, 1, constants=[1 << 12])
 
 
