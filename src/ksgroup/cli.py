@@ -8,9 +8,10 @@ Each ``cmd_*`` returns its report and text lines; ``run`` alone stamps
 rejections included), 3 = ``StructureError`` (a structural violation in
 the inputs).
 
-A rule on one argument is declared in ``build_parser``: bounds as argument
-types (``_int_in``, ``_budget``), exclusive inputs as groups.  The ``cmd_*``
-bodies check only rules that relate one flag to another.
+A rule on one argument is declared in ``build_parser``: bounds and formats
+as argument types (``_int_in``, ``_seeds``, ``_budget``), exclusive inputs
+as groups.  The ``cmd_*`` bodies check only rules that relate one flag to
+another.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from random import Random
 
 from . import fips197
-from .gf2 import CapacityError, Subspace, vec_from_hex, vec_to_hex
+from .gf2 import CapacityError, Subspace, matrix_apply, vec_from_hex, vec_to_hex
 from .goursat import tower_report
 from .invariants import (
     closure_search,
@@ -71,18 +72,33 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _int_in(low: int, high: int | None = None):
-    """argparse type: an integer in ``low..high``, or at least ``low``."""
+def _int_in(low: int, high: int | None = None, step: int = 1):
+    """argparse type: an integer in ``low..high``, or at least ``low``, and a multiple of ``step``."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low or high is not None and value > high:
             bound = f"at least {low}" if high is None else f"in {low}..{high}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        if value % step:
+            raise argparse.ArgumentTypeError(f"must be a multiple of {step}, got {text}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _seeds(text: str) -> list[int]:
+    """argparse type of ``search --seeds``: 128-bit hex values, not all zero."""
+    try:
+        seeds = [int(s, 16) for s in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad seed hex: {exc}") from None
+    if any(not 0 <= s < (1 << 128) for s in seeds):
+        raise argparse.ArgumentTypeError("seeds must be 128-bit values")
+    if not any(seeds):
+        raise argparse.ArgumentTypeError("the seeds span only 0; give a nonzero seed")
+    return seeds
 
 
 def _budget(text: str) -> float:
@@ -209,27 +225,15 @@ def cmd_search(args) -> tuple[dict, list[str]]:
     else:
         oracle = ks_oracle(aes_core().normalized(), power=args.power)
     rng = Random(args.seed)
+    seeds = args.seeds
     if args.seed_in_lp:
         u = lp_pattern_subspace()
-        # one getrandbits(1) per row, not gf2.random_member: the seeded
-        # reports replay these draws
-        seeds = []
-        for _ in range(n_seeds):
-            x = 0
-            for row in u.basis:
-                if rng.getrandbits(1):
-                    x ^= row
-            seeds.append(x or u.basis[0])
-    elif args.seeds is not None:
-        try:
-            seeds = [int(s, 16) for s in args.seeds.split(",")]
-        except ValueError as exc:
-            raise InputError(f"bad seed hex: {exc}") from None
-        if any(not 0 <= s < (1 << 128) for s in seeds):
-            raise InputError("seeds must be 128-bit values")
-        if not any(seeds):
-            raise InputError("the seeds span only 0; give a nonzero seed")
-    else:
+        # one getrandbits(1) per row, bit j selecting row j, not the one
+        # getrandbits(32) of gf2.random_member: the seeded reports replay
+        # these draws
+        seeds = [matrix_apply(u.basis, sum(rng.getrandbits(1) << j for j in range(u.dim))) or u.basis[0]
+                 for _ in range(n_seeds)]
+    elif seeds is None:
         seeds = [rng.getrandbits(128) or 1 for _ in range(n_seeds)]
     result = closure_search(
         oracle,
@@ -278,8 +282,6 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
         if not sampled and value is not None:
             raise InputError(f"{flag} applies only to --rho aes --mode sampled")
     samples = 512 if args.samples is None else args.samples
-    if samples % PROBE_SAMPLES:
-        raise InputError(f"--samples must be a multiple of {PROBE_SAMPLES}, got {samples}")
     if args.rho == "aes" and args.n is not None:
         raise InputError("--n applies only to a toy --rho; the AES word is 32 bits")
     n = 3 if args.n is None else args.n
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeds = p.add_mutually_exclusive_group()
     seeds.add_argument("--seed-in-lp", action="store_true",
                        help="draw seeds inside the known pattern subspace")
-    seeds.add_argument("--seeds", help="comma-separated 128-bit hex seeds")
+    seeds.add_argument("--seeds", type=_seeds, help="comma-separated 128-bit hex seeds")
     p.add_argument("--n-seeds", type=_int_in(1, MAX_SEEDS), default=None,
                    help="random seeds to draw, without --seeds (default 1)")
     p.add_argument("--with-constants", action="store_true",
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",
                    help="sampled (--rho aes only) adds closure probes beyond the exhaustive budget")
-    p.add_argument("--samples", type=_int_in(PROBE_SAMPLES), default=None,
+    p.add_argument("--samples", type=_int_in(PROBE_SAMPLES, step=PROBE_SAMPLES), default=None,
                    help=f"sampled mode: one closure probe per {PROBE_SAMPLES} samples (default 512)")
     p.add_argument("--budget-ms", type=_budget, default=None,
                    help="sampled mode: time budget of each closure probe")

@@ -11,8 +11,9 @@ members are drawn by ``random_member`` (``matrix_apply`` of one
 ``getrandbits(len(rows))``, bit j selecting row j) or, for a batch, by
 ``RowTables.random_members``, which takes the same Mersenne Twister words
 in one ``getrandbits`` call and so makes the identical draws.  The one
-exception is the seeds of ``search --seed-in-lp``, which the CLI draws
-one ``getrandbits(1)`` per basis row so that its seeded reports replay.
+exception is the seeds of ``search --seed-in-lp``: the CLI draws one
+``getrandbits(1)`` per basis row so that its seeded reports replay, and
+applies that mask with ``matrix_apply`` too.
 Every difference table of a map given as a numpy table is scanned by
 ``derivative``.
 
@@ -247,10 +248,6 @@ class Subspace:
         object.__setattr__(obj, "basis", tuple(basis))
         object.__setattr__(obj, "pivots", tuple(pivots))
         return obj
-
-    @classmethod
-    def zero(cls, m: int) -> "Subspace":
-        return cls(m)
 
     @classmethod
     def full(cls, m: int) -> "Subspace":

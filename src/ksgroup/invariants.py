@@ -55,7 +55,7 @@ import numpy as np
 from .gf2 import (DimensionMismatch, RowTables, Subspace, check_vector, derivative, matrix_apply,
                   random_member, rref_insert)
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
-from .sbox import anti_invariance_order, differential_uniformity
+from .sbox import anti_invariance_order, differential_profile
 
 
 # ---------------------------------------------------------------------
@@ -65,7 +65,6 @@ from .sbox import anti_invariance_order, differential_uniformity
 @dataclass(frozen=True)
 class LinearBlockCheck:
     ok: bool | None  # None = inconclusive (over budget), never a guess
-    checked: int
     witness: tuple[int, int] | None = None  # (x, u) with f(x+u)+f(x) outside U
     reason: str = ""
 
@@ -81,22 +80,17 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
     if oracle.m != u.m:
         raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
     if u.is_trivial:
-        return LinearBlockCheck(ok=True, checked=0, reason="trivial partition")
-    n_points = 1 << oracle.m
-    if n_points > MAX_EXHAUSTIVE_POINTS:
-        return LinearBlockCheck(
-            ok=None, checked=0, reason=f"2^{oracle.m} points exceed the exhaustive budget",
-        )
+        return LinearBlockCheck(ok=True, reason="trivial partition")
+    if 1 << oracle.m > MAX_EXHAUSTIVE_POINTS:
+        return LinearBlockCheck(ok=None, reason=f"2^{oracle.m} points exceed the exhaustive budget")
     table = np.array(oracle.table(), dtype=np.uint32)
     reducer = RowTables.pivot_map(u)
-    checked = 0
     for w in u.basis:
         # one word per point: the exhaustive budget keeps m below 32
         bad = np.flatnonzero(reducer.residuals(derivative(table, w)[:, None]))
-        checked += n_points
         if bad.size:
-            return LinearBlockCheck(ok=False, checked=checked, witness=(int(bad[0]), w))
-    return LinearBlockCheck(ok=True, checked=checked)
+            return LinearBlockCheck(ok=False, witness=(int(bad[0]), w))
+    return LinearBlockCheck(ok=True)
 
 
 ESCAPE_CHUNK = 1024  # draws per batch of a batched scan
@@ -124,6 +118,8 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
     """
     if oracle.m != u.m:
         raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
+    if samples < 0:
+        raise ValueError(f"samples must be at least 0, got {samples}")
     # a scan of no draws builds no tables
     if oracle.many is None or u.dim == u.m or samples < 1:
         return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
@@ -442,7 +438,7 @@ def spn_primitivity_certificate(
         raise ValueError(f"delta must be in 2..{s - 1}")
     f = sbox.normalized()
 
-    du = differential_uniformity(f)
+    du = differential_profile(f).delta
     clause_du = CertificateClause(
         name="differential-uniformity",
         passed=du <= (1 << delta),
@@ -525,8 +521,11 @@ def verify_lp_subspace(
 
     All byte-order conventions are screened first and the first all-pass
     one is verified in full; a closure search seeded inside U confirms the
-    convention independently.
+    convention independently.  ``samples`` must be at least 1: a pass of no
+    draws cannot fail, so it would verify nothing.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     oracle = ks_oracle(aes_core().normalized(), power=4)
     rng = Random(seed)
 

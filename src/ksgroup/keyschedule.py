@@ -315,35 +315,24 @@ def ks_oracle(
 # AES-128 instance
 
 
-def round_constant(i: int) -> int:
-    """rc_i = x^(i-1) in the Rijndael field, by repeated doubling."""
-    if i < 1:
-        raise ValueError("round index starts at 1")
-    rc = 1
-    for _ in range(i - 1):
-        rc <<= 1
-        if rc >> 8:
-            rc ^= 0x11B
-    return rc
-
-
-def aes128_round_key_step(x: int, i: int) -> int:
-    if not 1 <= i <= 10:
-        raise ValueError(f"round index must be 1..10, got {i}")
-    return ks_apply(aes_core(), x) ^ round_constant(i) * _E32
-
-
 def aes128_expand_key(master: int) -> list[int]:
     """Round keys 0..10; round key 0 is the master key."""
     keys = [master]
-    for i in range(1, 11):
-        keys.append(aes128_round_key_step(keys[-1], i))
+    for c in aes_round_constant_states(10):
+        keys.append(ks_apply(aes_core(), keys[-1]) ^ c)
     return keys
 
 
 def aes_round_constant_states(rounds: int) -> list[int]:
     """Per-round translations E(rc_i) = (rc_i, rc_i, rc_i, rc_i), i = 1..rounds,
-    for at most the ten rounds of AES-128."""
+    for at most the ten rounds of AES-128; rc_i = x^(i-1) in the Rijndael
+    field, by repeated doubling."""
     if rounds > 10:
         raise ValueError(f"AES-128 has ten round constants, {rounds} requested")
-    return [round_constant(i) * _E32 for i in range(1, rounds + 1)]
+    states, rc = [], 1
+    for _ in range(rounds):
+        states.append(rc * _E32)
+        rc <<= 1
+        if rc >> 8:
+            rc ^= 0x11B
+    return states

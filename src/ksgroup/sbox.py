@@ -88,10 +88,6 @@ def differential_profile(sb: PermutationOracle) -> DifferentialProfile:
     return DifferentialProfile(delta, min_image)
 
 
-def differential_uniformity(sb: PermutationOracle) -> int:
-    return differential_profile(sb).delta
-
-
 # ---------------------------------------------------------------------
 # Anti-invariance
 

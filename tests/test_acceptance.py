@@ -25,7 +25,7 @@ from ksgroup.invariants import (
     verify_lp_subspace,
 )
 from ksgroup.keyschedule import (
-    aes128_round_key_step,
+    aes128_expand_key,
     aes_core,
     ks_apply,
     ks_inverse,
@@ -118,10 +118,9 @@ def test_criterion_4_fips_agreement():
     checked = 0
     for key in keys:
         ref = fips197.round_keys(key)
-        x = vec_from_hex(key.hex(), 128)
+        model = aes128_expand_key(vec_from_hex(key.hex(), 128))
         for i in range(1, 11):
-            x = aes128_round_key_step(x, i)
-            assert unflatten_state(x) == tuple(int.from_bytes(bytes(w), "little") for w in ref[i])
+            assert unflatten_state(model[i]) == tuple(int.from_bytes(bytes(w), "little") for w in ref[i])
             checked += 1
     verdict(
         4,

@@ -448,6 +448,28 @@ def test_parser_exclusive_inputs(argv):
         build_parser().parse_args(argv)
 
 
+PARSER_FORMATS = [
+    (["search", "--seeds", "0"], "the seeds span only 0"),
+    (["search", "--seeds", "0,00"], "the seeds span only 0"),
+    (["search", "--seeds", "zz"], "bad seed hex"),
+    (["search", "--seeds", "1" + "0" * 32], "seeds must be 128-bit values"),
+    (["primitivity", "--samples", "300"], "must be a multiple of 256"),
+]
+
+
+@pytest.mark.parametrize("argv, message", PARSER_FORMATS, ids=[" ".join(argv) for argv, _ in PARSER_FORMATS])
+def test_parser_refuses_bad_values(argv, message):
+    # seed hex and the probe multiple are argument types: the parse alone
+    # refuses them, before any subcommand runs
+    with pytest.raises(InputError, match=f"argument {argv[-2]}: {message}"):
+        build_parser().parse_args(argv)
+
+
+def test_parser_returns_the_seed_list():
+    args = build_parser().parse_args(["search", "--seeds", "ff,0"])
+    assert args.seeds == [0xFF, 0]
+
+
 def test_toy_bound_message_names_the_budget(capsys):
     assert run(["primitivity", "--n", "6"]) == 2
     assert capsys.readouterr().err == "input error: toy verdicts need 4n <= 20 bits\n"

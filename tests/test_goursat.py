@@ -35,8 +35,8 @@ def test_factor1_times_zero():
     g = decompose(u, 2, 2)
     assert g.left_image == Subspace.full(2)
     assert g.left_kernel == Subspace.full(2)
-    assert g.right_image == Subspace.zero(2)
-    assert g.right_kernel == Subspace.zero(2)
+    assert g.right_image == Subspace(2)
+    assert g.right_kernel == Subspace(2)
     assert all(matrix_apply(g.hom, a) == 0 for a in g.left_image.basis)
 
 
@@ -45,8 +45,8 @@ def test_diagonal():
     g = decompose(u, 2, 2)
     assert g.left_image == Subspace.full(2)
     assert g.right_image == Subspace.full(2)
-    assert g.left_kernel == Subspace.zero(2)
-    assert g.right_kernel == Subspace.zero(2)
+    assert g.left_kernel == Subspace(2)
+    assert g.right_kernel == Subspace(2)
     assert [matrix_apply(g.hom, 1 << i) for i in range(2)] == [1, 2]
 
 
@@ -57,8 +57,8 @@ def test_full_space():
 
 
 def test_zero_components_reconstruct_to_zero():
-    g = decompose(Subspace.zero(4), 2, 2)
-    assert reconstruct(g) == Subspace.zero(4)
+    g = decompose(Subspace(4), 2, 2)
+    assert reconstruct(g) == Subspace(4)
 
 
 def test_full_image_full_kernel_zero_hom_gives_product():
@@ -128,7 +128,7 @@ def test_invalid_data_raises_named_error():
         left_image=Subspace(2, [0b01]),
         left_kernel=Subspace.full(2),  # kernel not inside image
         right_image=Subspace.full(2),
-        right_kernel=Subspace.zero(2),
+        right_kernel=Subspace(2),
         hom=(0, 0),
     )
     with pytest.raises(GoursatInvariantError, match="left_kernel"):
@@ -139,9 +139,9 @@ def test_quotient_mismatch_raises():
     bad = GoursatDecomposition(
         m1=2, m2=2,
         left_image=Subspace.full(2),
-        left_kernel=Subspace.zero(2),
-        right_image=Subspace.zero(2),
-        right_kernel=Subspace.zero(2),
+        left_kernel=Subspace(2),
+        right_image=Subspace(2),
+        right_kernel=Subspace(2),
         hom=(0, 0),
     )
     with pytest.raises(GoursatInvariantError, match="quotient"):
@@ -150,7 +150,7 @@ def test_quotient_mismatch_raises():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        decompose(Subspace.zero(5), 2, 2)
+        decompose(Subspace(5), 2, 2)
 
 
 # ---------------------------------------------------------------------
@@ -162,22 +162,22 @@ def test_tower_of_diagonal():
     diag = Subspace(4 * n, [(1 << i) | (1 << (2 * n + i)) for i in range(2 * n)])
     tw = tower_decompose(diag)
     # the right kernel of a diagonal is zero, so its split is all-zero
-    assert tw.top.right_kernel == Subspace.zero(2 * n)
+    assert tw.top.right_kernel == Subspace(2 * n)
     z = tw.right_kernel_split
-    assert z.left_image == z.right_image == Subspace.zero(n)
+    assert z.left_image == z.right_image == Subspace(n)
     # the left image is all of V^2, so its split has full left image
     assert tw.left_image_split.left_image == Subspace.full(n)
 
 
 def test_tower_of_zero():
-    tw = tower_decompose(Subspace.zero(8))
+    tw = tower_decompose(Subspace(8))
     for g in (tw.top, tw.left_image_split, tw.right_kernel_split):
         assert g.left_image.dim == 0 and g.right_image.dim == 0
 
 
 def test_tower_rejects_bad_ambient():
     with pytest.raises(ValueError):
-        tower_decompose(Subspace.zero(6))
+        tower_decompose(Subspace(6))
 
 
 def test_tower_report_roundtrips_each_level():

@@ -202,7 +202,7 @@ def unionfind_primitivity(oracle):
 
 def test_trivial_subspaces_are_blocks():
     _, oracle = toy_ks_oracle(3, 0)
-    assert is_linear_block(oracle, Subspace.zero(12)).ok
+    assert is_linear_block(oracle, Subspace(12)).ok
     assert is_linear_block(oracle, Subspace.full(12)).ok
 
 
@@ -247,7 +247,7 @@ def test_over_budget_is_inconclusive_not_false():
 def test_only_the_exhaustive_mode_exists():
     _, oracle = toy_ks_oracle(3, 0)
     with pytest.raises(ValueError, match="sampled"):
-        is_linear_block(oracle, Subspace.zero(12), mode="sampled")
+        is_linear_block(oracle, Subspace(12), mode="sampled")
 
 
 def test_linear_block_rejects_a_width_mismatch():
@@ -294,6 +294,15 @@ def test_escapes_against_brute_force_scan(case, samples, seed):
 def test_escapes_rejects_a_width_mismatch(oracle, u):
     with pytest.raises(DimensionMismatch, match="dimensions differ"):
         escapes(oracle, u, 100, Random(0))
+
+
+@pytest.mark.parametrize("oracle", [
+    PermutationOracle.from_table(range(16), "identity"),
+    ks_oracle(aes_core().normalized(), 1),
+], ids=["per-point", "twin"])
+def test_escapes_rejects_negative_samples(oracle):
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        escapes(oracle, Subspace(oracle.m, [1]), -3, Random(0))
 
 
 # ---------------------------------------------------------------------
@@ -584,7 +593,7 @@ def test_transversal_verdict_matches_unionfind_n2(seed):
 def test_closure_zero_seed_stays_zero():
     _, oracle = toy_ks_oracle(3, 6, normalized=True)
     res = closure_search(oracle, [0], samples_per_round=32, stable_rounds=4)
-    assert res.subspace == Subspace.zero(12)
+    assert res.subspace == Subspace(12)
     assert res.fresh_invariance_ok
     assert not res.proper
 
@@ -902,6 +911,14 @@ def test_lp_invariance_resolved_convention():
     assert rep.failures == 0
     assert rep.screening["word-major"] == 0
     assert all(fails > 0 for name, fails in rep.screening.items() if name != "word-major")
+
+
+@pytest.mark.parametrize("samples", [0, -7])
+def test_lp_pass_of_no_draws_is_refused(samples):
+    # a pass of no draws cannot fail, so it would report the convention
+    # resolved with zero failures having verified nothing
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_lp_subspace(samples=samples, run_closure=False)
 
 
 def test_lp_zero_maps_to_zero():

@@ -7,17 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgroup import fips197
-from ksgroup.gf2 import DimensionMismatch, vec_from_hex, vec_to_hex
+from ksgroup.gf2 import DimensionMismatch, vec_from_hex, vec_from_words, vec_to_hex, vec_to_words
 from ksgroup.keyschedule import (
     PermutationOracle,
     aes128_expand_key,
-    aes128_round_key_step,
     aes_core,
     aes_round_constant_states,
     ks_apply,
     ks_inverse,
     ks_oracle,
-    round_constant,
     unflatten_state,
 )
 from ksgroup.invariants import random_affine_word_permutation
@@ -340,34 +338,31 @@ def test_width_mismatch_rejected():
 
 
 def test_round_constants():
-    assert [round_constant(i) for i in range(1, 11)] == [
+    assert aes_round_constant_states(10) == [rc * E32 for rc in (
         0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
-    ]
+    )]
 
 
 def test_step_matches_fips_on_appendix_key():
     ref = fips197.round_keys(APPENDIX_KEY)
     x = vec_from_hex(APPENDIX_KEY.hex(), 128)
-    for i in range(1, 11):
-        x = aes128_round_key_step(x, i)
+    for i, c in enumerate(aes_round_constant_states(10), 1):
+        x = ks_apply(aes_core(), x) ^ c
         assert unflatten_state(x) == fips_state(ref[i])
 
 
 def test_step_with_zero_constant_reduces_to_apply():
     st = vec_from_hex("000102030405060708090a0b0c0d0e0f", 128)
-    stepped = aes128_round_key_step(st, 1)
-    assert stepped ^ round_constant(1) * E32 == ks_apply(aes_core(), st)
+    stepped = aes128_expand_key(st)[1]
+    assert stepped ^ aes_round_constant_states(1)[0] == ks_apply(aes_core(), st)
 
 
 def test_step_matches_fips_on_random_keys():
     rng = random.Random(55)
     for _ in range(100):
         key = rng.getrandbits(128).to_bytes(16, "big")
-        ref = fips197.round_keys(key)
-        x = vec_from_hex(key.hex(), 128)
-        for i in range(1, 11):
-            x = aes128_round_key_step(x, i)
-            assert unflatten_state(x) == fips_state(ref[i])
+        keys = aes128_expand_key(vec_from_hex(key.hex(), 128))
+        assert [unflatten_state(k) for k in keys] == [fips_state(r) for r in fips197.round_keys(key)]
 
 
 def test_expand_key_matches_fips_end_to_end():
@@ -379,8 +374,7 @@ def test_expand_key_matches_fips_end_to_end():
 def test_expand_zero_key_first_round():
     keys = aes128_expand_key(0)
     t = aes_core().forward(0)
-    rc = round_constant(1)
-    assert unflatten_state(keys[1]) == (t ^ rc,) * 4
+    assert unflatten_state(keys[1]) == (t ^ 0x01,) * 4
 
 
 def test_expand_is_deterministic():
@@ -388,11 +382,21 @@ def test_expand_is_deterministic():
     assert aes128_expand_key(master) == aes128_expand_key(master)
 
 
-def test_round_index_out_of_range():
-    with pytest.raises(ValueError):
-        aes128_round_key_step(0, 0)
-    with pytest.raises(ValueError):
-        aes128_round_key_step(0, 11)
+@pytest.mark.parametrize("power", range(1, 11))
+def test_oracle_with_constants_is_the_standard_expansion(power):
+    # the composite that search --with-constants runs sends a key to its
+    # round key number ``power`` of the word-level reference, per point and
+    # through the array twin
+    rng = random.Random(power)
+    keys = [APPENDIX_KEY] + [rng.getrandbits(128).to_bytes(16, "big") for _ in range(3)]
+    xs = [vec_from_hex(key.hex(), 128) for key in keys]
+    want = [
+        int.from_bytes(bytes(b for w in fips197.round_keys(key)[power] for b in w), "little")
+        for key in keys
+    ]
+    oracle = ks_oracle(aes_core(), power, aes_round_constant_states(power))
+    assert [oracle.forward(x) for x in xs] == want
+    assert [vec_from_words(w) for w in oracle.many[0](vec_to_words(xs, 128))] == want
 
 
 def test_round_constant_states_stop_at_ten():
