@@ -99,11 +99,6 @@ def vec_to_words(vectors: Sequence[int], m: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=WORD).reshape(len(vectors), words)
 
 
-def vec_from_words(words: np.ndarray) -> int:
-    """The vector held by one row of ``vec_to_words``."""
-    return int.from_bytes(words.astype(WORD).tobytes(), "little")
-
-
 class RowTables:
     """The linear map x -> sum of ``rows[i]`` over the set bits i of x,
     applied to a batch: one 256-entry table per input byte that carries a
@@ -249,10 +244,6 @@ class Subspace:
         object.__setattr__(obj, "pivots", tuple(pivots))
         return obj
 
-    @classmethod
-    def full(cls, m: int) -> "Subspace":
-        return cls._from_rref(m, [1 << i for i in range(m)], range(m))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -275,15 +266,10 @@ class Subspace:
 
     __contains__ = contains
 
-    def _check_same(self, other: "Subspace") -> None:
+    def sum(self, other: "Subspace") -> "Subspace":
         if self.m != other.m:
             raise DimensionMismatch(f"ambient dimensions differ: {self.m} != {other.m}")
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_same(other)
         return Subspace(self.m, self.basis + other.basis)
-
-    __add__ = sum
 
     def elements(self) -> Iterator[int]:
         """All 2^dim members, Gray-code order (constant work per element)."""
@@ -319,17 +305,6 @@ class Subspace:
     def __repr__(self) -> str:
         rows = ",".join(format(v, "x") for v in self.basis)
         return f"Subspace(m={self.m}, dim={self.dim}, basis=[{rows}])"
-
-
-def gaussian_binomial(m: int, k: int) -> int:
-    """Number of k-dimensional subspaces of F_2^m."""
-    if not 0 <= k <= m:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= (1 << m) - (1 << i)
-        den *= (1 << k) - (1 << i)
-    return num // den
 
 
 def _rref_bases(m: int, k: int, low: int, used: int) -> Iterator[tuple[int, ...]]:

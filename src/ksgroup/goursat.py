@@ -119,29 +119,6 @@ def reconstruct(g: GoursatDecomposition) -> Subspace:
     return out
 
 
-@dataclass(frozen=True)
-class GoursatTower:
-    """Two-level decomposition of a subspace of V^4 seen as V^2 x V^2."""
-
-    n: int
-    top: GoursatDecomposition
-    left_image_split: GoursatDecomposition
-    right_kernel_split: GoursatDecomposition
-
-
-def tower_decompose(u: Subspace) -> GoursatTower:
-    if u.m % 4:
-        raise ValueError(f"ambient dimension {u.m} is not divisible by 4")
-    n = u.m // 4
-    top = decompose(u, 2 * n, 2 * n)
-    return GoursatTower(
-        n=n,
-        top=top,
-        left_image_split=decompose(top.left_image, n, n),
-        right_kernel_split=decompose(top.right_kernel, n, n),
-    )
-
-
 def _level_report(g: GoursatDecomposition, source: Subspace, with_hom: bool = True) -> dict:
     """Dimensions of one tower level; ``roundtrip_ok`` compares the
     reconstruction with ``source``, the subspace that was decomposed."""
@@ -162,14 +139,17 @@ def _level_report(g: GoursatDecomposition, source: Subspace, with_hom: bool = Tr
 
 def tower_report(u: Subspace, with_hom: bool = False) -> dict:
     """JSON-ready summary of the full tower over a subspace of V^4."""
-    tower = tower_decompose(u)
-    top = _level_report(tower.top, u, with_hom)
+    if u.m % 4:
+        raise ValueError(f"ambient dimension {u.m} is not divisible by 4")
+    n = u.m // 4
+    g = decompose(u, 2 * n, 2 * n)
+    top = _level_report(g, u, with_hom)
     return {
         "ambient": u.m,
-        "word_bits": tower.n,
+        "word_bits": n,
         "dim": u.dim,
         "top": top,
-        "left_image_split": _level_report(tower.left_image_split, tower.top.left_image, with_hom),
-        "right_kernel_split": _level_report(tower.right_kernel_split, tower.top.right_kernel, with_hom),
+        "left_image_split": _level_report(decompose(g.left_image, n, n), g.left_image, with_hom),
+        "right_kernel_split": _level_report(decompose(g.right_kernel, n, n), g.right_kernel, with_hom),
         "roundtrip_ok": top["roundtrip_ok"],
     }

@@ -55,7 +55,7 @@ import numpy as np
 from .gf2 import (DimensionMismatch, RowTables, Subspace, check_vector, derivative, matrix_apply,
                   random_member, rref_insert)
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
-from .sbox import anti_invariance_order, differential_profile
+from .sbox import audit_sbox
 
 
 # ---------------------------------------------------------------------
@@ -165,7 +165,6 @@ def min_block_subspace(oracle: PermutationOracle, v: int) -> Subspace:
 class BlockVerdict:
     status: str  # "primitive" | "imprimitive" | "inconclusive"
     witness: Subspace | None
-    points: int
     pairs_checked: int
     reason: str = ""
     witness_certified: bool | None = None
@@ -183,7 +182,7 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
     n_points = 1 << m
     if n_points > MAX_EXHAUSTIVE_POINTS:
         return BlockVerdict(
-            status="inconclusive", witness=None, points=n_points, pairs_checked=0,
+            status="inconclusive", witness=None, pairs_checked=0,
             reason=f"2^{m} points exceed the exhaustive budget",
         )
     for v in range(1, n_points):
@@ -192,12 +191,12 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
             break
     else:
         return BlockVerdict(
-            status="primitive", witness=None, points=n_points, pairs_checked=n_points - 1,
+            status="primitive", witness=None, pairs_checked=n_points - 1,
         )
     if not is_linear_block(oracle, witness).ok:
         raise AssertionError("imprimitivity witness failed the linear-block re-check")
     return BlockVerdict(
-        status="imprimitive", witness=witness, points=n_points,
+        status="imprimitive", witness=witness,
         pairs_checked=v, witness_certified=True,
     )
 
@@ -436,20 +435,18 @@ def spn_primitivity_certificate(
     b = n // s
     if not 2 <= delta <= s - 1:
         raise ValueError(f"delta must be in 2..{s - 1}")
-    f = sbox.normalized()
-
-    du = differential_profile(f).delta
+    # the DDT does not see the output translation that normalized() removes
+    audit = audit_sbox(sbox, delta - 1)
     clause_du = CertificateClause(
         name="differential-uniformity",
-        passed=du <= (1 << delta),
-        detail=f"uniformity {du} vs bound 2^{delta} = {1 << delta}",
+        passed=audit.delta <= (1 << delta),
+        detail=f"uniformity {audit.delta} vs bound 2^{delta} = {1 << delta}",
     )
-    anti = anti_invariance_order(f, delta - 1)
     clause_anti = CertificateClause(
         name="anti-invariance",
-        passed=anti.order >= delta - 1,
-        detail=f"order {anti.order} vs required {delta - 1}",
-        witness=anti.witness,
+        passed=audit.anti.order >= delta - 1,
+        detail=f"order {audit.anti.order} vs required {delta - 1}",
+        witness=audit.anti.witness,
     )
     sums = brick_invariant_sums(rows, s, b)
     clause_bricks = CertificateClause(

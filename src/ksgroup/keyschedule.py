@@ -26,8 +26,8 @@ which is checked bit-for-bit against a word-oriented FIPS-197 reference
 in the tests.  SubBytes is ``AES_SBOX``, a ``PermutationOracle`` table
 like every S-box.
 
-``aes_core``, ``normalized`` and ``inverse`` (of an oracle with one) and
-``ks_oracle`` over a 32-bit word map with one pass an array twin,
+``aes_core``, ``normalized`` (of an oracle with one) and ``ks_oracle``
+over a 32-bit word map with one pass an array twin,
 ``PermutationOracle.many``: forward and backward on (N, 4) uint32 word
 columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
 forward step is ``np.bitwise_xor.accumulate`` across the columns, then
@@ -152,10 +152,9 @@ class PermutationOracle:
     to_table = table
 
     def inverse(self) -> "PermutationOracle":
-        """The same bijection with forward and backward swapped, twin too;
-        the inverse's derivatives need not share the transversal."""
-        many = None if self.many is None else self.many[::-1]
-        return PermutationOracle(self.m, self.backward, self.forward, self.descriptor + "^-1", many=many)
+        """The same bijection with forward and backward swapped, evaluated
+        per point; the inverse's derivatives need not share the transversal."""
+        return PermutationOracle(self.m, self.backward, self.forward, self.descriptor + "^-1")
 
 
 # FIPS-197 SubBytes table.

@@ -170,7 +170,9 @@ def parse_sbox_text(text: str) -> PermutationOracle:
     except ValueError as exc:
         raise SBoxFormatError(f"bad hex token: {exc}") from None
     n = len(values)
-    if (1 << (n - 1).bit_length()) != n or n < 2:
+    if n < 2:
+        raise SBoxFormatError(f"a table needs at least 2 entries, got {n}")
+    if (1 << (n - 1).bit_length()) != n:
         raise SBoxFormatError(f"entry count {n} is not a power of two")
     if n > 1 << 16:
         raise SBoxError(f"width {(n - 1).bit_length()} exceeds the 16-bit table limit")

@@ -94,6 +94,18 @@ def test_sbox_audit_malformed_exit_2(tmp_path, capsys):
     assert run(["sbox-audit", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty S-box file"),
+    ("0", "a table needs at least 2 entries, got 1"),
+    ("00 01 02", "entry count 3 is not a power of two"),
+], ids=["empty", "one-entry", "three-entries"])
+def test_sbox_audit_format_messages(tmp_path, capsys, text, message):
+    path = tmp_path / "table.hex"
+    path.write_text(text)
+    assert run(["sbox-audit", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: parse error: {message}\n"
+
+
 def test_sbox_audit_binary_file_exit_2(tmp_path, capsys):
     path = tmp_path / "binary.hex"
     path.write_bytes(b"\xff\xfe\x80")

@@ -3,14 +3,15 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ksgroup.gf2 import (
+    WORD,
     CapacityError,
     DimensionMismatch,
     Subspace,
     enumerate_subspaces,
-    gaussian_binomial,
     vec_from_hex,
     vec_to_hex,
 )
@@ -75,6 +76,26 @@ def intersect(a, b):
     mask = (1 << m) - 1
     ech = Subspace(2 * m, [u | (u << m) for u in a.basis] + list(b.basis))
     return Subspace(m, [r >> m for r in ech.basis if not (r & mask)])
+
+
+def gaussian_binomial(m: int, k: int) -> int:
+    """Number of k-dimensional subspaces of F_2^m."""
+    if not 0 <= k <= m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= (1 << m) - (1 << i)
+        den *= (1 << k) - (1 << i)
+    return num // den
+
+
+def full_space(m: int) -> Subspace:
+    return Subspace(m, [1 << i for i in range(m)])
+
+
+def vec_from_words(words: np.ndarray) -> int:
+    """The vector held by one row of ``gf2.vec_to_words``."""
+    return int.from_bytes(words.astype(WORD).tobytes(), "little")
 
 
 def naive_rref_basis(elements):
@@ -167,7 +188,7 @@ def test_sum_intersect_idempotent():
 
 def test_independent_lines():
     a, b = Subspace(4, [0b0001]), Subspace(4, [0b0010])
-    assert (a + b).dim == 2
+    assert a.sum(b).dim == 2
     assert intersect(a, b).dim == 0
 
 
@@ -179,9 +200,9 @@ def test_dimension_formula_against_element_listing():
         e1, e2 = naive_span_set(s1.basis), naive_span_set(s2.basis)
         union_span = naive_span_set(list(s1.basis) + list(s2.basis))
         meet = e1 & e2
-        assert len(union_span) == 1 << (s1 + s2).dim
+        assert len(union_span) == 1 << s1.sum(s2).dim
         assert len(meet) == 1 << intersect(s1, s2).dim
-        assert (s1 + s2).dim + intersect(s1, s2).dim == s1.dim + s2.dim
+        assert s1.sum(s2).dim + intersect(s1, s2).dim == s1.dim + s2.dim
         # element-level agreement, not just dimensions
         assert naive_span_set(intersect(s1, s2).basis) == meet
 

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from ksgroup.gf2 import Subspace, enumerate_subspaces, matrix_apply
+from ksgroup.gf2 import Subspace, enumerate_subspaces, matrix_apply, vec_to_hex
 from ksgroup.goursat import (
     GoursatDecomposition,
     GoursatInvariantError,
     decompose,
     reconstruct,
-    tower_decompose,
     tower_report,
 )
 from ksgroup.invariants import lp_pattern_subspace
+from test_gf2 import full_space
 
 
 def random_subspace(rng, m, max_gens=None):
@@ -33,8 +33,8 @@ def complete_basis(u: Subspace) -> list[int]:
 def test_factor1_times_zero():
     u = Subspace(4, [0b0001, 0b0010])  # F_2^2 x {0}
     g = decompose(u, 2, 2)
-    assert g.left_image == Subspace.full(2)
-    assert g.left_kernel == Subspace.full(2)
+    assert g.left_image == full_space(2)
+    assert g.left_kernel == full_space(2)
     assert g.right_image == Subspace(2)
     assert g.right_kernel == Subspace(2)
     assert all(matrix_apply(g.hom, a) == 0 for a in g.left_image.basis)
@@ -43,17 +43,17 @@ def test_factor1_times_zero():
 def test_diagonal():
     u = Subspace(4, [0b0101, 0b1010])  # {(x, x)}
     g = decompose(u, 2, 2)
-    assert g.left_image == Subspace.full(2)
-    assert g.right_image == Subspace.full(2)
+    assert g.left_image == full_space(2)
+    assert g.right_image == full_space(2)
     assert g.left_kernel == Subspace(2)
     assert g.right_kernel == Subspace(2)
     assert [matrix_apply(g.hom, 1 << i) for i in range(2)] == [1, 2]
 
 
 def test_full_space():
-    g = decompose(Subspace.full(4), 2, 2)
-    assert g.left_image == g.left_kernel == Subspace.full(2)
-    assert g.right_image == g.right_kernel == Subspace.full(2)
+    g = decompose(full_space(4), 2, 2)
+    assert g.left_image == g.left_kernel == full_space(2)
+    assert g.right_image == g.right_kernel == full_space(2)
 
 
 def test_zero_components_reconstruct_to_zero():
@@ -64,11 +64,11 @@ def test_zero_components_reconstruct_to_zero():
 def test_full_image_full_kernel_zero_hom_gives_product():
     g = GoursatDecomposition(
         m1=2, m2=2,
-        left_image=Subspace.full(2), left_kernel=Subspace.full(2),
-        right_image=Subspace.full(2), right_kernel=Subspace.full(2),
+        left_image=full_space(2), left_kernel=full_space(2),
+        right_image=full_space(2), right_kernel=full_space(2),
         hom=(0, 0),
     )
-    assert reconstruct(g) == Subspace.full(4)
+    assert reconstruct(g) == full_space(4)
 
 
 # ---------------------------------------------------------------------
@@ -126,8 +126,8 @@ def test_invalid_data_raises_named_error():
     bad = GoursatDecomposition(
         m1=2, m2=2,
         left_image=Subspace(2, [0b01]),
-        left_kernel=Subspace.full(2),  # kernel not inside image
-        right_image=Subspace.full(2),
+        left_kernel=full_space(2),  # kernel not inside image
+        right_image=full_space(2),
         right_kernel=Subspace(2),
         hom=(0, 0),
     )
@@ -138,7 +138,7 @@ def test_invalid_data_raises_named_error():
 def test_quotient_mismatch_raises():
     bad = GoursatDecomposition(
         m1=2, m2=2,
-        left_image=Subspace.full(2),
+        left_image=full_space(2),
         left_kernel=Subspace(2),
         right_image=Subspace(2),
         right_kernel=Subspace(2),
@@ -160,24 +160,55 @@ def test_dimension_mismatch_rejected():
 def test_tower_of_diagonal():
     n = 2
     diag = Subspace(4 * n, [(1 << i) | (1 << (2 * n + i)) for i in range(2 * n)])
-    tw = tower_decompose(diag)
+    rep = tower_report(diag)
     # the right kernel of a diagonal is zero, so its split is all-zero
-    assert tw.top.right_kernel == Subspace(2 * n)
-    z = tw.right_kernel_split
-    assert z.left_image == z.right_image == Subspace(n)
+    assert rep["top"]["right_kernel_dim"] == 0
+    z = rep["right_kernel_split"]
+    assert z["left_image_dim"] == z["right_image_dim"] == 0
     # the left image is all of V^2, so its split has full left image
-    assert tw.left_image_split.left_image == Subspace.full(n)
+    assert rep["left_image_split"]["left_image_dim"] == n
 
 
 def test_tower_of_zero():
-    tw = tower_decompose(Subspace(8))
-    for g in (tw.top, tw.left_image_split, tw.right_kernel_split):
-        assert g.left_image.dim == 0 and g.right_image.dim == 0
+    rep = tower_report(Subspace(8))
+    for level in ("top", "left_image_split", "right_kernel_split"):
+        assert rep[level]["left_image_dim"] == rep[level]["right_image_dim"] == 0
 
 
 def test_tower_rejects_bad_ambient():
-    with pytest.raises(ValueError):
-        tower_decompose(Subspace(6))
+    with pytest.raises(ValueError, match="not divisible by 4"):
+        tower_report(Subspace(6))
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_tower_levels_are_direct_decompositions(m):
+    # each level equals a decompose of U over V^2 x V^2, of its left image
+    # over V x V and of its right kernel over V x V, written out here
+    rng = random.Random(m)
+    n = m // 4
+    for _ in range(40):
+        u = random_subspace(rng, m)
+        top = decompose(u, 2 * n, 2 * n)
+        levels = {
+            "top": (top, u),
+            "left_image_split": (decompose(top.left_image, n, n), top.left_image),
+            "right_kernel_split": (decompose(top.right_kernel, n, n), top.right_kernel),
+        }
+        rep = tower_report(u, with_hom=True)
+        assert (rep["ambient"], rep["word_bits"], rep["dim"]) == (m, n, u.dim)
+        for name, (g, source) in levels.items():
+            assert rep[name] == {
+                "m1": g.m1,
+                "m2": g.m2,
+                "left_image_dim": g.left_image.dim,
+                "left_kernel_dim": g.left_kernel.dim,
+                "right_image_dim": g.right_image.dim,
+                "right_kernel_dim": g.right_kernel.dim,
+                "quotient_dim": g.left_image.dim - g.left_kernel.dim,
+                "roundtrip_ok": reconstruct(g) == source,
+                "hom_rows": [vec_to_hex(r, g.m2) for r in g.hom],
+            }, name
+        assert rep["roundtrip_ok"] is rep["top"]["roundtrip_ok"] is True
 
 
 def test_tower_report_roundtrips_each_level():

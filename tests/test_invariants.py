@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksgroup import invariants, keyschedule, sbox
 from ksgroup.gf2 import (DimensionMismatch, Subspace, derivative, enumerate_subspaces, matrix_apply,
                          random_member, rref_insert)
 from ksgroup.invariants import (
@@ -29,7 +30,8 @@ from ksgroup.invariants import (
     verify_lp_subspace,
 )
 from ksgroup.keyschedule import aes_core
-from ksgroup.sbox import AES_SBOX
+from ksgroup.sbox import AES_SBOX, anti_invariance_order, differential_profile, inversion_sbox
+from test_gf2 import full_space
 
 # ---------------------------------------------------------------------
 # Helpers and oracles
@@ -203,7 +205,7 @@ def unionfind_primitivity(oracle):
 def test_trivial_subspaces_are_blocks():
     _, oracle = toy_ks_oracle(3, 0)
     assert is_linear_block(oracle, Subspace(12)).ok
-    assert is_linear_block(oracle, Subspace.full(12)).ok
+    assert is_linear_block(oracle, full_space(12)).ok
 
 
 def test_translations_preserve_every_partition():
@@ -458,9 +460,30 @@ def test_over_budget_inconclusive():
 def test_primitivity_width_comes_from_the_oracles():
     _, oracle = toy_ks_oracle(3, 0)
     verdict = primitivity_check(oracle)
-    assert verdict.points == 1 << 12
-    if verdict.status == "primitive":
-        assert verdict.pairs_checked == 4095
+    assert (verdict.status, verdict.pairs_checked) == ("primitive", (1 << 12) - 1)
+
+
+def test_call_shapes_the_benchmark_reads():
+    # perfbench's toy-lift gate re-certifies the witness of the Imprimitive
+    # lift of toy map 5 with this call, and its kernels read sbox.AES_SBOX
+    # outside their error guard
+    rho = random_nonaffine_word_permutation(3, Random(5))
+    verdict = primitivity_check(ks_oracle(rho, 1))
+    assert verdict.status == "imprimitive"
+    assert is_linear_block(ks_oracle(rho, 1), verdict.witness, mode="exhaustive").ok
+    assert sbox.AES_SBOX is keyschedule.AES_SBOX
+
+
+def test_witness_recheck_refuses_a_non_block(monkeypatch):
+    # the lift of a non-affine map here is primitive, so span{e_0} is a
+    # proper subspace that is no block; a minimal-block step that returned
+    # it must be caught by the exhaustive re-check, not reported
+    _, oracle = toy_ks_oracle(3, 0)
+    fake = Subspace(12, [1])
+    assert is_linear_block(oracle, fake).ok is False
+    monkeypatch.setattr(invariants, "min_block_subspace", lambda oracle, v: fake)
+    with pytest.raises(AssertionError, match="failed the linear-block re-check"):
+        primitivity_check(oracle)
 
 
 def test_witness_cosets_permuted_by_translations():
@@ -888,6 +911,49 @@ def test_certificate_double_rotation_fails_brick_clause():
     assert "brick-sums" in cert.failing()
     clause = next(c for c in cert.clauses if c.name == "brick-sums")
     assert clause.witness == (0, 2)
+
+
+def direct_sbox_clauses(sb, delta):
+    """The certificate's two S-box clauses built directly: the DDT and the
+    anti-invariance order of the 0-fixed representative."""
+    f = sb.normalized()
+    du = differential_profile(f).delta
+    anti = anti_invariance_order(f, delta - 1)
+    return [
+        ("differential-uniformity", du <= 1 << delta,
+         f"uniformity {du} vs bound 2^{delta} = {1 << delta}", None),
+        ("anti-invariance", anti.order >= delta - 1, f"order {anti.order} vs required {delta - 1}",
+         anti.witness),
+    ]
+
+
+def shuffled_sbox(s, seed):
+    """A shuffled s-bit table that does not fix 0."""
+    table = list(range(1 << s))
+    Random(seed).shuffle(table)
+    if table[0] == 0:
+        table[0], table[1] = table[1], table[0]
+    return PermutationOracle.from_table(table, f"shuffled(s={s}, seed={seed})")
+
+
+# every delta at 4, 5 and 6 bits; at 8 bits deltas 4..7 take about 50 s a
+# table, so shuffled 8-bit tables run deltas 2 and 3
+CERTIFICATE_CASES = [
+    *[(shuffled_sbox(s, seed), delta) for s in (4, 5, 6) for seed in range(3) for delta in range(2, s)],
+    *[(shuffled_sbox(8, seed), delta) for seed in range(2) for delta in (2, 3)],
+    *[(inversion_sbox(4, 0b10011), delta) for delta in (2, 3)],
+    *[(AES_SBOX, delta) for delta in (2, 3)],
+]
+
+
+@pytest.mark.parametrize("sb, delta", CERTIFICATE_CASES,
+                         ids=[f"{sb.descriptor}-delta{d}" for sb, d in CERTIFICATE_CASES])
+def test_certificate_sbox_clauses_match_a_direct_construction(sb, delta):
+    s = sb.m
+    rows = [1 << ((i + s) % (2 * s)) for i in range(2 * s)]  # swap two bricks
+    cert = spn_primitivity_certificate(sb, rows, delta)
+    got = [(c.name, c.passed, c.detail, c.witness) for c in cert.clauses[:2]]
+    assert got == direct_sbox_clauses(sb, delta)
 
 
 # ---------------------------------------------------------------------

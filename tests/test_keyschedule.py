@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksgroup import fips197
-from ksgroup.gf2 import DimensionMismatch, vec_from_hex, vec_from_words, vec_to_hex, vec_to_words
+from ksgroup.gf2 import DimensionMismatch, vec_from_hex, vec_to_hex, vec_to_words
 from ksgroup.keyschedule import (
     PermutationOracle,
     aes128_expand_key,
@@ -20,6 +20,7 @@ from ksgroup.keyschedule import (
 )
 from ksgroup.invariants import random_affine_word_permutation
 from ksgroup.sbox import AES_SBOX
+from test_gf2 import vec_from_words
 
 S = AES_SBOX.table()
 
