@@ -1,7 +1,6 @@
 """Mutation check: every listed mutant of ``src/ksgroup`` must fail a test.
 
-    python3 bench/mutants.py            # every mutant
-    python3 bench/mutants.py NAME ...   # only the named ones
+    python3 bench/mutants.py
 
 Run from the root of a checkout.  Each entry of ``MUTANTS`` names a file
 of ``src/ksgroup``, an exact text that occurs once in it, the text that
@@ -148,29 +147,24 @@ def run(mutant: Mutant) -> str:
     return {0: "survived", 1: "killed"}.get(rc, "error")
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not names or m.name in names]
+def main() -> int:
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="ksgroup-clean-") as tmp:
         _copy(Path(tmp))
-        clean = _pytest(Path(tmp), tuple(dict.fromkeys(t for m in chosen for t in m.tests)))
+        clean = _pytest(Path(tmp), tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)))
     if clean != 0:
         print("the listed tests do not pass on the clean copy", file=sys.stderr)
         return 1
     outcomes = {}
-    for m in chosen:
+    for m in MUTANTS:
         start = time.perf_counter()
         outcomes[m.name] = run(m)
         print(f"{outcomes[m.name]:9} {m.name} ({time.perf_counter() - start:.1f} s)", flush=True)
     survivors = [name for name, outcome in outcomes.items() if outcome != "killed"]
-    print(json.dumps({"mutants": len(chosen), "killed": len(chosen) - len(survivors),
+    print(json.dumps({"mutants": len(MUTANTS), "killed": len(MUTANTS) - len(survivors),
                       "not_killed": survivors, "seconds": round(time.perf_counter() - t0, 1)}))
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
