@@ -15,7 +15,7 @@ Random(0))``, whose lift is primitive, and the operator is
 * ``block.m12.transversal.ms``, ``block.m16.transversal.ms`` -- the same
   block grown over the operator's transversal, the 2^n states (0, 0, 0, z);
 * ``primitivity.n3.ms``, ``primitivity.n4.ms`` -- one lifted
-  ``primitivity_check(oracle)``: 4095 and 65535 blocks.
+  ``primitivity_check(oracle)``: 4095 and 65535 seeds decided.
 
 Block figures are the mean of ``CALLS`` calls, and every figure is the
 median of ``REPEATS`` runs, except ``primitivity.n4.ms``, which is run

@@ -46,6 +46,11 @@ MUTANTS = [
            "    if not is_linear_block(oracle, witness).ok:\n",
            "    if False:\n",
            (INV + "test_witness_recheck_refuses_a_non_block",)),
+    Mutant("block-stops-at-its-own-seed", "invariants.py",
+           "        if min(*values, *rows.values()) < full_below:\n",
+           "        if min(*values, *rows.values()) <= full_below:\n",
+           (INV + "test_full_below_one_grows_every_block_of_a_lift",
+            INV + "test_early_stop_verdict_equals_full_growth")),
     Mutant("negative-power-twin-not-reversed", "keyschedule.py",
            "            list(vec_to_words(constants, m)),\n        )[::order]\n",
            "            list(vec_to_words(constants, m)),\n        )\n",

@@ -19,9 +19,15 @@ Contents:
   tests check it against a union-find over all 2^m points (Atkinson
   1975), which assumes no linearity, and the verdicts built on it against
   a numpy scan of every point.
-* ``primitivity_check`` -- minimal blocks for every v != 0; Primitive only
-  when all of them are the full space, Imprimitive verdicts carry a
-  witness that is re-certified with ``is_linear_block``.
+* ``primitivity_check`` -- minimal blocks for every v != 0, in increasing
+  order; Primitive only when all of them are the full space, Imprimitive
+  verdicts carry a witness that is re-certified with ``is_linear_block``.
+  The containment rule (Dixon and Mortimer, *Permutation Groups*, 1.5)
+  cuts each growth short: a block holding a nonzero u is a subspace
+  through u closed under the derivatives, so it holds the block of u, the
+  smallest such subspace.  Once every seed below v is known to have the
+  full block, a block of v that reaches one of them is the full space, and
+  only the first proper block is grown to closure.
 * ``closure_search`` -- Monte-Carlo search for an invariant subspace
   containing a seed, for widths where tables are impossible.
 * brick sums, affineness tests, the SPN primitivity certificate, and the
@@ -131,7 +137,7 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
 # Minimal blocks: translations are generators, so blocks are subspaces
 
 
-def min_block_subspace(oracle: PermutationOracle, v: int) -> Subspace:
+def min_block_subspace(oracle: PermutationOracle, v: int, *, full_below: int = 1) -> Subspace:
     """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
     in W.  Equals the union-find block through {0, v} of <f, T_m>: with
     all translations present, blocks through 0 are exactly such subspaces.
@@ -143,6 +149,14 @@ def min_block_subspace(oracle: PermutationOracle, v: int) -> Subspace:
     transversal (``PermutationOracle.transversal``), at which the
     derivative takes every value it takes: 2^n of them for the power-1
     operator on 4n bits, all 2^m for any other oracle.
+
+    ``full_below`` is the caller's promise that every nonzero point below
+    it has the full space as its block.  By the containment rule a block
+    that holds a nonzero u holds the whole block of u: it is a subspace
+    through u closed under the derivatives, and the block of u is the
+    smallest one.  So before each scan's values are inserted, the full
+    space is returned if a value or a basis row of the span is a nonzero
+    point below ``full_below``.  The default of 1 promises nothing.
     """
     m = oracle.m
     if not 0 < v < 1 << m:
@@ -152,7 +166,11 @@ def min_block_subspace(oracle: PermutationOracle, v: int) -> Subspace:
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
         w = queue.pop()
-        queue += rref_insert(rows, {table[x ^ w] ^ table[x] for x in points})
+        values = {table[x ^ w] ^ table[x] for x in points}
+        # f is a bijection and the rows are independent, so all are nonzero
+        if min(*values, *rows.values()) < full_below:
+            return Subspace._from_rref(m, [1 << i for i in range(m)], range(m))
+        queue += rref_insert(rows, values)
     pivots = sorted(rows)
     return Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
 
@@ -174,9 +192,16 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
     """Exhaustive minimal-block search for <f, T_m> over every v != 0.
 
     Each seed's block is grown by ``min_block_subspace``, over the oracle's
-    transversal, and the search stops at the first proper one.  An
-    Imprimitive witness is re-certified with the exhaustive
-    ``is_linear_block``, over every point, before the verdict is returned.
+    transversal, in increasing order, and the search stops at the first
+    proper one.  Containment rule: a block holding a nonzero u holds the
+    block of u, since it is a subspace through u closed under the
+    derivatives and the block of u is the smallest one.  So at seed v,
+    where every nonzero u < v has the full block, ``full_below=v`` stops
+    a growth that reaches such a u.  The first proper block holds none
+    and is grown to closure, so the witness and ``pairs_checked`` are
+    those of growing every block in full.  An Imprimitive witness is
+    re-certified with the exhaustive ``is_linear_block``, over every
+    point, before the verdict is returned.
     """
     m = oracle.m
     n_points = 1 << m
@@ -186,7 +211,7 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
             reason=f"2^{m} points exceed the exhaustive budget",
         )
     for v in range(1, n_points):
-        witness = min_block_subspace(oracle, v)
+        witness = min_block_subspace(oracle, v, full_below=v)
         if not witness.is_trivial:
             break
     else:

@@ -224,7 +224,7 @@ def test_criterion_7_toy_primitivity_reduction():
         7,
         lifted_primitive >= 20 and affine_imprimitive >= 5 and elapsed < 600,
         f"{lifted_primitive} base-primitive non-affine toy maps lifted Primitive "
-        f"(all 4095 minimal blocks each); {affine_imprimitive}/{affine_attempts} "
+        f"(all 4095 seeds decided each); {affine_imprimitive}/{affine_attempts} "
         f"affine maps lifted Imprimitive with certified witnesses; "
         f"total {elapsed:.1f}s (< 600s)",
     )

@@ -163,27 +163,46 @@ def min_block(oracle, v):
     return MinBlockResult(points=block, subspace=sp if (1 << sp.dim) == len(block) else None)
 
 
+def all_points_block(table, v):
+    """The block through {0, v} of a uint32 table, grown over every point,
+    one numpy pass per derivative: each f(x+w)+f(x) is reduced against the
+    span's rows and the distinct residuals are inserted."""
+    m = table.size.bit_length() - 1
+    rows = {}
+    queue = rref_insert(rows, [v])
+    while queue and len(rows) < m:
+        w = queue.pop()
+        values = derivative(table, w)
+        for p, row in rows.items():
+            values ^= ((values >> np.uint32(p)) & np.uint32(1)) * np.uint32(row)
+        present = np.zeros(1 << m, dtype=bool)
+        present[values] = True
+        queue += rref_insert(rows, np.flatnonzero(present).tolist())
+    return Subspace(m, rows.values())
+
+
 def all_points_primitivity(oracle):
-    """(status, witness, pairs_checked) of the seed-by-seed block scan over
-    every point, one numpy pass per derivative: each f(x+w)+f(x) is reduced
-    against the span's rows and the distinct residuals are inserted.  It
-    ignores the transversal, so primitivity_check must reproduce it."""
+    """(status, witness, pairs_checked) of the seed-by-seed block scan with
+    ``all_points_block``.  It ignores the transversal, so primitivity_check
+    must reproduce it."""
     m = oracle.m
     table = np.array(oracle.table(), dtype=np.uint32)
     for v in range(1, 1 << m):
-        rows = {}
-        queue = rref_insert(rows, [v])
-        while queue and len(rows) < m:
-            w = queue.pop()
-            values = derivative(table, w)
-            for p, row in rows.items():
-                values ^= ((values >> np.uint32(p)) & np.uint32(1)) * np.uint32(row)
-            present = np.zeros(1 << m, dtype=bool)
-            present[values] = True
-            queue += rref_insert(rows, np.flatnonzero(present).tolist())
-        if len(rows) < m:
-            return "imprimitive", Subspace(m, rows.values()), v
+        block = all_points_block(table, v)
+        if not block.is_trivial:
+            return "imprimitive", block, v
     return "primitive", None, (1 << m) - 1
+
+
+def full_growth_primitivity(oracle):
+    """(status, witness, pairs_checked, witness_certified) of the ordered
+    seed scan with every block grown to closure: ``min_block_subspace``
+    without a ``full_below`` promise, the witness re-checked exhaustively."""
+    for v in range(1, 1 << oracle.m):
+        block = min_block_subspace(oracle, v)
+        if not block.is_trivial:
+            return "imprimitive", block, v, is_linear_block(oracle, block).ok
+    return "primitive", None, (1 << oracle.m) - 1, None
 
 
 def unionfind_primitivity(oracle):
@@ -481,7 +500,7 @@ def test_witness_recheck_refuses_a_non_block(monkeypatch):
     _, oracle = toy_ks_oracle(3, 0)
     fake = Subspace(12, [1])
     assert is_linear_block(oracle, fake).ok is False
-    monkeypatch.setattr(invariants, "min_block_subspace", lambda oracle, v: fake)
+    monkeypatch.setattr(invariants, "min_block_subspace", lambda oracle, v, *, full_below=1: fake)
     with pytest.raises(AssertionError, match="failed the linear-block re-check"):
         primitivity_check(oracle)
 
@@ -599,6 +618,50 @@ def test_transversal_verdict_equals_all_points_verdict(kind, seed):
     verdict = primitivity_check(oracle)
     assert (verdict.status, verdict.witness, verdict.pairs_checked) == all_points_primitivity(oracle)
     assert verdict.witness_certified is (True if verdict.witness is not None else None)
+
+
+# per (kind, lifted): how many of the maps from seeds 0..149 are imprimitive
+IMPRIMITIVE_OF_150 = {("random", False): 25, ("random", True): 25,
+                      ("affine", False): 111, ("affine", True): 132}
+
+
+@pytest.mark.parametrize("kind, lifted", IMPRIMITIVE_OF_150)
+def test_early_stop_verdict_equals_full_growth(kind, lifted):
+    # every block a seed reaches below it is full, so stopping there keeps
+    # the status, the first proper block and pairs_checked
+    draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
+    imprimitive = 0
+    for seed in range(150):
+        rho = draw(3, Random(seed))
+        oracle = ks_oracle(rho, 1) if lifted else PermutationOracle.from_table(rho.table())
+        verdict = primitivity_check(oracle)
+        assert (verdict.status, verdict.witness, verdict.pairs_checked,
+                verdict.witness_certified) == full_growth_primitivity(oracle)
+        imprimitive += verdict.status == "imprimitive"
+    assert imprimitive == IMPRIMITIVE_OF_150[kind, lifted]
+
+
+def test_full_below_one_grows_every_block_of_a_lift():
+    # the lift of this affine map has blocks of every even dimension, the
+    # one of seed 1 among the proper ones; no promise means full growth
+    oracle = ks_oracle(random_affine_word_permutation(3, Random(1)), 1)
+    table = np.array(oracle.table(), dtype=np.uint32)
+    dims = set()
+    for v in range(1, 1 << 12):
+        block = all_points_block(table, v)
+        assert min_block_subspace(oracle, v, full_below=1) == block
+        assert min_block_subspace(oracle, v) == block
+        dims.add(block.dim)
+    assert dims == {2, 4, 6, 8, 10, 12}
+    assert min_block_subspace(oracle, 1).dim < 12
+
+
+def test_a_block_cut_short_is_the_full_space():
+    # the lift of toy map 0 is primitive, so the block of every seed is
+    # full, also where the promise about the seeds below stops its growth
+    _, oracle = toy_ks_oracle(3, 0)
+    for v in range(1, 1 << 12, 97):
+        assert min_block_subspace(oracle, v, full_below=v) == full_space(12)
 
 
 @pytest.mark.parametrize("seed", range(6))
