@@ -279,11 +279,6 @@ class Subspace:
             acc ^= self.basis[_pivot(i)]
             yield acc
 
-    def to_text(self) -> str:
-        lines = [f"m={self.m}"]
-        lines += [vec_to_hex(v, self.m) for v in self.basis]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Subspace":
         lines = [ln.strip() for ln in text.splitlines()]

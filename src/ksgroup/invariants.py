@@ -39,14 +39,14 @@ membership in a fixed subspace, so for an oracle with an array twin
 ``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  An ``escapes`` scan of a
 proper subspace adds up the escaping draws of each chunk.  Every closure
 round after the first is batched: the draws of the rounds up to the next
-stable or max-rounds stop are scanned as one stream, up to the first draw
-with an image outside the span (or a budget stop, checked between
-chunks), and the rounds before it are counted as the loop would.  The rng
-is then rewound to the start of the round holding that draw, and that
-round, which grows the span, is run point by point.  The batches draw
-from the Python ``Random`` in the per-point order, so every result, count
-and rng state at return equals the per-point loop's.  Only the first
-round, which usually grows, and the escaping rounds run point by point.
+stable or max-rounds stop are scanned as one stream, and the stream is
+counted only if every image stays in the span.  At an image outside it,
+or a budget stop (checked between chunks), the rng is rewound to the
+stream's start and its rounds run point by point until one grows the
+span.  The batches draw from the Python ``Random`` in the per-point
+order, so every result, count and rng state at return equals the
+per-point loop's.  Only the first round and the rounds of a rewound
+stream run point by point.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
         raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
-    # a scan of no draws builds no tables
-    if oracle.many is None or u.dim == u.m or samples < 1:
+    if oracle.many is None or u.dim == u.m:
         return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
     members, reducer = RowTables(u.basis, u.m), RowTables.pivot_map(u)
     return sum(int(out.sum()) for out in _outside(oracle.many[:1], members, reducer, samples, rng))
@@ -289,40 +288,32 @@ def closure_search(
 
     rounds = stable = evals = 0
     members = reducer = None  # tables of the batched rounds, rebuilt when the span grows
+    streaming = oracle.many is not None  # cleared while a rewound stream reruns point by point
     while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
         if over_budget():
             stop_reason = "budget"
             break
-        if rounds and oracle.many is not None:
+        if rounds and streaming:
             # after the first round the span rarely grows: scan the draws of
             # the rounds up to the next stable or max-rounds stop as one
-            # stream, in chunks, up to the first draw with an image outside
-            # the span, and count the rounds before it as the loop would
+            # stream, in chunks, and count it only if every image stays in
+            # the span.  Otherwise rewind to its start and run its rounds
+            # point by point until one grows the span
             if members is None or members.k != len(residuals):
                 order = sorted(rows)
                 span = Subspace._from_rref(m, [rows[p] for p in order], order)
                 members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
             planned = min(stable_rounds - stable, max_rounds - rounds)
             state = rng.getstate()
-            clean, escaped = 0, False  # draws before the first escape or a budget stop
-            for out in _outside(oracle.many, members, reducer, planned * samples_per_round, rng):
-                escaped = bool(out.any())
-                clean += int(out.argmax()) if escaped else len(out)
-                if escaped or over_budget():
-                    break
-            done = clean // samples_per_round if clean < planned * samples_per_round else planned
-            rounds += done
-            stable += done
-            evals += 2 * done * samples_per_round
-            if done < planned:
-                # rewind to the start of the first unfinished round
+            outside = _outside(oracle.many, members, reducer, planned * samples_per_round, rng)
+            if any(out.any() or over_budget() for out in outside):
                 rng.setstate(state)
-                skip = done * samples_per_round
-                for start in range(0, skip, ESCAPE_CHUNK):
-                    members.random_members(min(ESCAPE_CHUNK, skip - start), rng)
-            if not escaped:
-                continue
-            # an image left the span: run the round that holds it point by point
+                streaming = False
+            else:
+                rounds += planned
+                stable += planned
+                evals += 2 * planned * samples_per_round
+            continue
         grew = False
         for _ in range(samples_per_round):
             u = random_member(residuals, rng)
@@ -334,7 +325,10 @@ def closure_search(
             if len(rows) == m:
                 break
         rounds += 1
-        stable = 0 if grew else stable + 1
+        if grew:
+            stable, streaming = 0, oracle.many is not None
+        else:
+            stable += 1
     else:
         stop_reason = "full" if len(rows) == m else "stable" if stable >= stable_rounds else "max-rounds"
 

@@ -151,11 +151,6 @@ class PermutationOracle:
     # the benchmark harness in perfbench/ still calls the old name
     to_table = table
 
-    def inverse(self) -> "PermutationOracle":
-        """The same bijection with forward and backward swapped, evaluated
-        per point; the inverse's derivatives need not share the transversal."""
-        return PermutationOracle(self.m, self.backward, self.forward, self.descriptor + "^-1")
-
 
 # FIPS-197 SubBytes table.
 AES_SBOX = PermutationOracle.from_table((
@@ -183,7 +178,7 @@ def aes_core() -> PermutationOracle:
     """RotWord then SubWord on the word's four little-endian bytes: byte j
     of the image is S(byte j+1 mod 4)."""
     sbox = bytes(AES_SBOX.table())
-    inv_sbox = bytes(AES_SBOX.inverse().table())
+    inv_sbox = bytes(map(AES_SBOX.backward, range(256)))
     sbox_arr = np.frombuffer(sbox, dtype=np.uint8)
     inv_sbox_arr = np.frombuffer(inv_sbox, dtype=np.uint8)
 

@@ -11,6 +11,7 @@ import pytest
 
 from ksgroup.cli import InputError, build_parser, run
 from ksgroup.invariants import lp_pattern_subspace
+from test_gf2 import subspace_text
 
 
 def run_json(capsys, argv):
@@ -292,7 +293,7 @@ def test_primitivity_probes_count_only_certified_subspaces(capsys):
 
 def test_goursat_lp_subspace(tmp_path, capsys):
     path = tmp_path / "lp.sub"
-    path.write_text(lp_pattern_subspace().to_text())
+    path.write_text(subspace_text(lp_pattern_subspace()))
     rc, rep = run_json(capsys, ["goursat", str(path)])
     assert rc == 0
     assert rep["roundtrip_ok"] is True

@@ -20,6 +20,7 @@ import pytest
 
 from ksgroup.cli import run
 from ksgroup.invariants import lp_pattern_subspace
+from test_gf2 import subspace_text
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 
@@ -31,7 +32,7 @@ def shuffled_table(s: int, seed: int) -> str:
 
 
 FILES = {
-    "{lp_subspace}": ("lp.sub", lp_pattern_subspace().to_text()),
+    "{lp_subspace}": ("lp.sub", subspace_text(lp_pattern_subspace())),
     # f(0) != 0 and a fixed point; the 4-bit table has a 2-dim witness
     "{sbox3}": ("sbox3.hex", "2 1 4 5 3 7 6 0"),
     "{sbox4}": ("sbox4.hex", "a 0 c 6 3 1 2 d 4 b e 5 9 8 7 f"),

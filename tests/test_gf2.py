@@ -93,6 +93,13 @@ def full_space(m: int) -> Subspace:
     return Subspace(m, [1 << i for i in range(m)])
 
 
+def subspace_text(s: Subspace) -> str:
+    """The text form that ``Subspace.from_text`` reads: ``m=<int>``, then
+    one hex row per basis vector."""
+    lines = [f"m={s.m}", *(vec_to_hex(v, s.m) for v in s.basis)]
+    return "\n".join(lines) + "\n"
+
+
 def vec_from_words(words: np.ndarray) -> int:
     """The vector held by one row of ``gf2.vec_to_words``."""
     return int.from_bytes(words.astype(WORD).tobytes(), "little")
@@ -278,7 +285,7 @@ def test_text_roundtrip():
     rng = random.Random(11)
     for m in (1, 4, 8, 12, 32):
         s = Subspace(m, [rng.getrandbits(m) for _ in range(4)])
-        assert Subspace.from_text(s.to_text()) == s
+        assert Subspace.from_text(subspace_text(s)) == s
 
 
 def test_text_recanonicalizes():

@@ -430,19 +430,51 @@ def test_batched_closure_replays_the_per_point_loop(case):
 
 def test_batched_closure_budget_stop_ends_on_a_round():
     # the budget is read between the chunks of a stream: a stop there
-    # counts the whole rounds scanned and leaves the rng after them
+    # rewinds the rng to the stream's start and counts none of its rounds
     ticks = itertools.count(step=0.001)  # each clock reading is 1 ms later
     kwargs = dict(samples_per_round=300, seed=5, fresh_samples=5)
     RecordedRandom.made.clear()
     with mock.patch.object(invariants, "Random", RecordedRandom), \
             mock.patch.object(invariants.time, "perf_counter", lambda: next(ticks)):
         got = closure_search(LP4, [LP_SEED], budget_ms=3.5, **kwargs)
-    # readings: t0, round 1 (per point), round 2, then two chunks of the
-    # stream (2048 draws, 6 whole rounds) before the stop
-    assert (got.stop_reason, got.rounds) == ("budget", 7)
-    expected, ref_rng = per_point_closure_search(LP4, [LP_SEED], max_rounds=7, **kwargs)
+    # readings: t0, round 1 (per point), round 2, two chunks of the stream
+    # from round 2 (the stop), then the loop's own check
+    assert (got.stop_reason, got.rounds) == ("budget", 1)
+    expected, ref_rng = per_point_closure_search(LP4, [LP_SEED], max_rounds=got.rounds, **kwargs)
     assert (got.subspace, got.evaluations) == (expected.subspace, expected.evaluations)
     assert RecordedRandom.made[-1].getstate() == ref_rng.getstate()
+
+
+def test_rewound_stream_reruns_point_by_point():
+    # a stream that meets an escape is counted for none of its rounds: the
+    # first draw after the rewind is a per-point one, also when clean
+    # rounds came before the escape
+    draws = []
+
+    class Rewinds(Random):
+        def setstate(self, state):
+            draws.append("rewind")
+            super().setstate(state)
+
+    def members(self, count, rng):
+        draws.append("batch")
+        return batch(self, count, rng)
+
+    def member(rows, rng):
+        draws.append("point")
+        return point(rows, rng)
+
+    batch, point = RowTables.random_members, invariants.random_member
+    with mock.patch.object(invariants, "Random", Rewinds), \
+            mock.patch.object(RowTables, "random_members", members), \
+            mock.patch.object(invariants, "random_member", member):
+        closure_search(LP4, [LP_SEED], samples_per_round=1, stable_rounds=6, seed=4, fresh_samples=0)
+    rewinds = [i for i, d in enumerate(draws) if d == "rewind"]
+    assert rewinds and all(draws[i + 1] == "point" for i in rewinds)
+    # some rewound stream held a clean round: more than one per-point
+    # round ran before the next stream
+    reruns = [list(itertools.takewhile("point".__eq__, draws[i + 1:])) for i in rewinds]
+    assert max(map(len, reruns)) > 1
 
 
 def test_batched_closure_draws_at_most_a_chunk_at_once():

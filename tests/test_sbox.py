@@ -165,7 +165,8 @@ def test_uniformity_invariant_under_inversion():
         for _ in range(5):
             rng.shuffle(perm)
             sb = PermutationOracle.from_table(perm)
-            assert differential_profile(sb.inverse()).delta == differential_profile(sb).delta
+            inverse = PermutationOracle(s, sb.backward, sb.forward)
+            assert differential_profile(inverse).delta == differential_profile(sb).delta
 
 
 # ---------------------------------------------------------------------
@@ -241,14 +242,6 @@ def test_anti_invariance_invariant_under_linear_equivalence():
 def test_identity_equiv_is_identity():
     ident = PermutationOracle.from_table(range(256))
     assert apply_affine_equiv(AES_SBOX, ident, ident).table() == AES_SBOX.table()
-
-
-def test_invert_is_involution():
-    rng = random.Random(3)
-    perm = list(range(32))
-    rng.shuffle(perm)
-    sb = PermutationOracle.from_table(perm)
-    assert sb.inverse().inverse().table() == sb.table()
 
 
 def test_uniformity_invariant_under_affine_equiv():
