@@ -110,6 +110,12 @@ MUTANTS = [
            "        passed=True,\n",
            (INV + "test_certificate_linear_sbox_fails_anti_clause",
             INV + "test_certificate_sbox_clauses_match_a_direct_construction")),
+    Mutant("anti-invariance-stops-at-d", "sbox.py",
+           "                if len(rows) > d:\n",
+           "                if len(rows) >= d:\n",
+           ("tests/test_sbox.py::test_anti_invariance_linear_map_is_zero",
+            "tests/test_sbox.py::test_aes_anti_invariance_order_3_with_a_witness_at_dim_4",
+            KP + "test_anti_invariance_against_image_closure")),
     Mutant("tower-splits-swapped", "goursat.py",
            '        "left_image_split": _level_report(decompose(g.left_image, n, n), g.left_image, with_hom),\n'
            '        "right_kernel_split": _level_report(decompose(g.right_kernel, n, n), g.right_kernel, '

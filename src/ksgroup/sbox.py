@@ -6,6 +6,12 @@ other bijection in the package, affine maps included; ``AES_SBOX`` is
 defined in ``keyschedule`` and re-exported here.  Only the two properties
 needed for the primitivity certificate are computed; no Walsh spectrum,
 no algebraic degree.
+
+The anti-invariance scan inserts the images of a candidate subspace W of
+dimension d one at a time and moves on to the next W at the first image
+that takes their span past d.  This is exact: the map is injective, so
+the image has 2^d points; once its span exceeds d it is no subspace, and
+if every image goes in with the span still at d, the 2^d points fill it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Subspace, derivative, enumerate_subspaces
+from .gf2 import Subspace, derivative, enumerate_subspaces, rref_insert
 from .keyschedule import AES_SBOX, PermutationOracle  # noqa: F401  (AES_SBOX is re-exported)
 
 
@@ -98,7 +104,9 @@ class AntiInvariance:
 
     When ``order < max_tested`` the blocking witness is the first subspace
     (in enumeration order) of dimension s-order-1 whose image is closed
-    under addition.
+    under addition.  A candidate W of dimension d is dropped at the first
+    image that takes the span of its images past d; one whose 2^d images
+    all go in with the span at d maps onto that span.
     """
 
     order: int
@@ -118,7 +126,12 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
         for w in enumerate_subspaces(s, dims=(d,)):
             # the image of an injective map has 2^d points; it is a subspace
             # exactly when its span is no bigger
-            if Subspace(s, (t[x] for x in w.elements())).dim == d:
+            rows: dict[int, int] = {}
+            for x in w.elements():
+                rref_insert(rows, (t[x],))
+                if len(rows) > d:
+                    break
+            else:
                 return AntiInvariance(order=k - 1, max_tested=max_delta, witness=w)
     return AntiInvariance(order=max_delta, max_tested=max_delta, witness=None)
 

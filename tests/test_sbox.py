@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ksgroup.gf2 import Subspace
+from ksgroup.gf2 import Subspace, enumerate_subspaces
 from ksgroup.invariants import random_affine_word_permutation
 from ksgroup.keyschedule import PermutationOracle
 from ksgroup.sbox import (
@@ -233,6 +233,52 @@ def test_anti_invariance_invariant_under_linear_equivalence():
         post = random_affine_word_permutation(4, rng).normalized()
         eq = apply_affine_equiv(sb, pre, post).normalized()
         assert anti_invariance_order(eq, 3).order == base
+
+
+class Counting(tuple):
+    """A table that counts how often it is read."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def whole_span_anti_invariance(table, max_delta):
+    """(order, witness) by the whole-span rule: the first W of dimension
+    s-k, k = 1, 2, ..., whose 2^(s-k) images span only s-k dimensions."""
+    s = (len(table) - 1).bit_length()
+    for k in range(1, max_delta + 1):
+        for w in enumerate_subspaces(s, dims=(s - k,)):
+            if Subspace(s, (table[x] for x in w.elements())).dim == s - k:
+                return k - 1, w
+    return max_delta, None
+
+
+def test_anti_invariance_stops_each_image_past_d():
+    # spanning every image of every candidate read the AES table 723 520
+    # times at max_delta 2; stopping at the first image past d reads it 94 763
+    aes = AES_SBOX.normalized()
+    table = Counting(aes.table())
+    res = anti_invariance_order(PermutationOracle(8, aes.forward, aes.backward, table=table), 2)
+    assert (res.order, res.witness) == (2, None)
+    assert table.reads < 150_000
+
+
+@pytest.mark.parametrize("table", [
+    AES_SBOX.normalized().table(),
+    (0, *random.Random(0).sample(range(1, 256), 255)),
+], ids=["aes", "shuffled"])
+def test_anti_invariance_matches_the_whole_span_rule(table):
+    res = anti_invariance_order(PermutationOracle.from_table(table), 2)
+    assert (res.order, res.witness) == whole_span_anti_invariance(table, 2)
+
+
+def test_aes_anti_invariance_order_3_with_a_witness_at_dim_4():
+    res = anti_invariance_order(AES_SBOX.normalized(), 4)
+    assert (res.order, res.max_tested) == (3, 4)
+    assert res.witness.basis == (0x01, 0x0C, 0x50, 0xE0)
 
 
 # ---------------------------------------------------------------------
