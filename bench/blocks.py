@@ -15,11 +15,17 @@ Random(0))``, whose lift is primitive, and the operator is
 * ``block.m12.transversal.ms``, ``block.m16.transversal.ms`` -- the same
   block grown over the operator's transversal, the 2^n states (0, 0, 0, z);
 * ``primitivity.n3.ms``, ``primitivity.n4.ms`` -- one lifted
-  ``primitivity_check(oracle)``: 4095 and 65535 seeds decided.
+  ``primitivity_check(oracle)``: 4095 and 65535 seeds decided;
+* ``table.n5.ms`` -- ``ks_oracle(rho, 1).table()`` for the n = 5 map,
+  construction included: the 2^20-entry table of the lift;
+* ``primitivity.affine.n5.ms`` -- one ``primitivity_check`` of the lift of
+  ``random_affine_word_permutation(5, Random(0))``, table built first,
+  which stops at its first proper block, the block of seed 1.
 
 Block figures are the mean of ``CALLS`` calls, and every figure is the
 median of ``REPEATS`` runs, except ``primitivity.n4.ms``, which is run
-once.  ``WIDTHS`` lists the word widths n measured.
+once.  ``WIDTHS`` lists the word widths n of the block and Primitive
+figures.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import statistics
 from random import Random
 from time import perf_counter
 
-from ksgroup.invariants import min_block_subspace, primitivity_check, random_nonaffine_word_permutation
+from ksgroup.invariants import (min_block_subspace, primitivity_check, random_affine_word_permutation,
+                                random_nonaffine_word_permutation)
 from ksgroup.keyschedule import PermutationOracle, ks_oracle
 
 REPEATS = 5
@@ -63,6 +70,15 @@ def main() -> None:
             assert primitivity_check(oracle).status == "primitive"
 
         figures[f"primitivity.n{n}.ms"] = median_ms(check, repeats=REPEATS if n == 3 else 1)
+    rho = random_nonaffine_word_permutation(5, Random(0))
+    figures["table.n5.ms"] = median_ms(lambda: ks_oracle(rho, 1).table())
+    affine = ks_oracle(random_affine_word_permutation(5, Random(0)), 1)
+    affine.table()
+
+    def early_stop() -> None:
+        assert primitivity_check(affine).pairs_checked == 1
+
+    figures["primitivity.affine.n5.ms"] = median_ms(early_stop)
     print(json.dumps({k: round(v, 3) for k, v in figures.items()}, indent=2))
 
 

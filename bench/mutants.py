@@ -53,6 +53,15 @@ MUTANTS = [
            "        if min(*values, *rows.values()) <= full_below:\n",
            (INV + "test_full_below_one_grows_every_block_of_a_lift",
             INV + "test_early_stop_verdict_equals_full_growth")),
+    Mutant("precheck-decides-its-own-seed", "invariants.py",
+           "        decided = (table[seeds[:, None] ^ points] ^ table[points]).min(axis=1) < seeds\n",
+           "        decided = (table[seeds[:, None] ^ points] ^ table[points]).min(axis=1) <= seeds\n",
+           (INV + "test_precheck_grows_only_the_undecided_seeds",
+            INV + "test_early_stop_verdict_equals_full_growth")),
+    Mutant("lift-table-drops-the-second-shift", "keyschedule.py",
+           "    xs ^= (xs << 2 * n) & mask\n",
+           "",
+           ("tests/test_keyschedule.py::test_power_one_lift_table_is_the_per_point_table",)),
     Mutant("negative-power-twin-not-reversed", "keyschedule.py",
            "            list(vec_to_words(constants, m)),\n        )[::order]\n",
            "            list(vec_to_words(constants, m)),\n        )\n",

@@ -27,7 +27,10 @@ Contents:
   through u closed under the derivatives, so it holds the block of u, the
   smallest such subspace.  Once every seed below v is known to have the
   full block, a block of v that reaches one of them is the full space, and
-  only the first proper block is grown to closure.
+  only the first proper block is grown to closure.  Most seeds are decided
+  by their first derivative scan alone; that scan is made for a chunk of
+  seeds at once, one numpy gather over the transversal, and only the
+  undecided seeds are grown by ``min_block_subspace``.
 * ``closure_search`` -- Monte-Carlo search for an invariant subspace
   containing a seed, for widths where tables are impossible.
 * brick sums, affineness tests, the SPN primitivity certificate, and the
@@ -187,20 +190,45 @@ class BlockVerdict:
     witness_certified: bool | None = None
 
 
+PRECHECK_ENTRIES = 1 << 16  # seeds times transversal points per precheck chunk
+
+
+def _undecided_seeds(oracle: PermutationOracle) -> Iterator[int]:
+    """The nonzero seeds v, in increasing order, whose first derivative
+    scan reaches no nonzero point below v.
+
+    That scan is the first one of ``min_block_subspace(oracle, v,
+    full_below=v)``, whose rows then hold only v: it returns the full
+    space exactly when min over the transversal of f(x+v)+f(x) is below
+    v.  The test is made for a chunk of seeds at once, one numpy gather of
+    at most about ``PRECHECK_ENTRIES`` entries, and a chunk is built only
+    when the scan reaches it.
+    """
+    table = np.array(oracle.table(), dtype=np.uint32)
+    points = np.array(oracle.transversal, dtype=np.uint32)
+    chunk = max(1, PRECHECK_ENTRIES // len(points))
+    for start in range(1, 1 << oracle.m, chunk):
+        seeds = np.arange(start, min(start + chunk, 1 << oracle.m), dtype=np.uint32)
+        decided = (table[seeds[:, None] ^ points] ^ table[points]).min(axis=1) < seeds
+        yield from seeds[~decided].tolist()
+
+
 def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
     """Exhaustive minimal-block search for <f, T_m> over every v != 0.
 
-    Each seed's block is grown by ``min_block_subspace``, over the oracle's
-    transversal, in increasing order, and the search stops at the first
-    proper one.  Containment rule: a block holding a nonzero u holds the
-    block of u, since it is a subspace through u closed under the
-    derivatives and the block of u is the smallest one.  So at seed v,
-    where every nonzero u < v has the full block, ``full_below=v`` stops
-    a growth that reaches such a u.  The first proper block holds none
-    and is grown to closure, so the witness and ``pairs_checked`` are
-    those of growing every block in full.  An Imprimitive witness is
-    re-certified with the exhaustive ``is_linear_block``, over every
-    point, before the verdict is returned.
+    Seeds are decided in increasing order, over the oracle's transversal,
+    and the search stops at the first proper block.  Containment rule: a
+    block holding a nonzero u holds the block of u, since it is a subspace
+    through u closed under the derivatives and the block of u is the
+    smallest one.  So at seed v, where every nonzero u < v has the full
+    block, a block that reaches such a u is the full space.  Most seeds
+    are decided by their first derivative scan, which ``_undecided_seeds``
+    makes for a chunk of seeds at once in numpy; only the rest are grown
+    by ``min_block_subspace(oracle, v, full_below=v)``.  The first proper
+    block holds no smaller seed and is grown to closure, so the witness
+    and ``pairs_checked`` are those of growing every block in full.  An
+    Imprimitive witness is re-certified with the exhaustive
+    ``is_linear_block``, over every point, before the verdict is returned.
     """
     m = oracle.m
     n_points = 1 << m
@@ -209,7 +237,7 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
             status="inconclusive", witness=None, pairs_checked=0,
             reason=f"2^{m} points exceed the exhaustive budget",
         )
-    for v in range(1, n_points):
+    for v in _undecided_seeds(oracle):
         witness = min_block_subspace(oracle, v, full_below=v)
         if not witness.is_trivial:
             break

@@ -77,7 +77,10 @@ class PermutationOracle:
 
     ``many`` is an optional array twin of the two directions (``Many``);
     an oracle without one is evaluated per point.  ``table`` is the
-    forward map on 0..2^m-1 if known, else ``table()`` computes it once.
+    forward map on 0..2^m-1 if known (``from_table``, ``normalized`` of a
+    tabulated oracle, and ``ks_oracle`` at power 1, which builds it in
+    numpy), else ``table()`` computes it once, one ``forward`` call per
+    point.
 
     ``transversal`` is a set of points at which every derivative
     f(x+w)+f(x) takes all of its values, whatever w is.  It is every point
@@ -243,6 +246,18 @@ def _ks_inverse_many(rho_fwd: Callable[[np.ndarray], np.ndarray], ys: np.ndarray
     return xs
 
 
+def _ks_table(rho: PermutationOracle, constant: int) -> tuple[int, ...]:
+    """The table of x -> ``ks_apply(rho, x)`` + constant over every 4n-bit
+    state, by the same shifts on a numpy range."""
+    n = rho.m
+    mask = (1 << 4 * n) - 1
+    xs = np.arange(1 << 4 * n, dtype=np.uint32)
+    t = np.array(rho.table(), dtype=np.uint32)[xs >> 3 * n]
+    xs ^= (xs << n) & mask
+    xs ^= (xs << 2 * n) & mask
+    return tuple((xs ^ t * (mask // ((1 << n) - 1)) ^ constant).tolist())
+
+
 def _chain(step: Callable, undo: Callable, constants: Sequence) -> tuple[Callable, Callable]:
     """x -> step(x) + c for each c in turn, and its inverse."""
 
@@ -277,7 +292,9 @@ def ks_oracle(
     depends on x only through x4 (a constant cancels in the sum), so each
     of its values occurs at the state with z = x4.  Other powers keep all
     points: at power 2 most derivatives take values that no state (0, 0, 0, z)
-    reaches.
+    reaches.  At power 1 within ``MAX_EXHAUSTIVE_POINTS`` the operator's
+    table is built at once in numpy from rho's; any other operator is
+    tabulated one ``forward`` call per point.
     """
     m = 4 * rho.m
     descriptor = f"ks({rho.descriptor})^{power}"
@@ -301,8 +318,13 @@ def ks_oracle(
             functools.partial(_ks_inverse_many, rho.many[0]),
             list(vec_to_words(constants, m)),
         )[::order]
-    transversal = range(0, 1 << m, 1 << 3 * rho.m) if power == 1 else None
-    return PermutationOracle(m, *scalar[::order], descriptor, many=many, transversal=transversal)
+    transversal = table = None
+    if power == 1:
+        transversal = range(0, 1 << m, 1 << 3 * rho.m)
+        if 1 << m <= MAX_EXHAUSTIVE_POINTS:
+            table = _ks_table(rho, constants[0])
+    return PermutationOracle(m, *scalar[::order], descriptor, many=many, table=table,
+                             transversal=transversal)
 
 
 # ---------------------------------------------------------------------

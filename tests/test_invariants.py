@@ -1,6 +1,7 @@
 """Linear-block checks, minimal blocks, closure search, certificates."""
 
 import random
+import tracemalloc
 from dataclasses import dataclass
 from random import Random
 
@@ -638,6 +639,56 @@ def test_early_stop_verdict_equals_full_growth(kind, lifted):
                 verdict.witness_certified) == full_growth_primitivity(oracle)
         imprimitive += verdict.status == "imprimitive"
     assert imprimitive == IMPRIMITIVE_OF_150[kind, lifted]
+
+
+def test_precheck_grows_only_the_undecided_seeds(monkeypatch):
+    # the lift of toy map 0 is primitive: a seed goes to min_block_subspace
+    # exactly when its first derivative scan, here made point by point,
+    # reaches no nonzero point below it
+    _, oracle = toy_ks_oracle(3, 0)
+    table = oracle.table()
+    undecided = [v for v in range(1, 1 << 12)
+                 if min(table[x ^ v] ^ table[x] for x in oracle.transversal) >= v]
+    grown = []
+
+    def counting(oracle, v, **kwargs):
+        grown.append(v)
+        return min_block_subspace(oracle, v, **kwargs)
+
+    monkeypatch.setattr(invariants, "min_block_subspace", counting)
+    assert primitivity_check(oracle).status == "primitive"
+    assert grown == undecided
+    assert len(grown) < (1 << 12) - 1
+
+
+# a bare table of the lift has all 4096 points as its transversal, so its
+# precheck runs in chunks of 16 seeds; a Primitive one takes about a second
+TABLE_VERDICT_MAPS_N3 = [
+    *(("random", seed) for seed in range(6)),
+    *(("affine", seed) for seed in range(20)),
+]
+
+
+@pytest.mark.parametrize("kind, seed", TABLE_VERDICT_MAPS_N3)
+def test_lift_verdict_equals_its_bare_table_verdict(kind, seed):
+    draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
+    oracle = ks_oracle(draw(3, Random(seed)), 1)
+    assert primitivity_check(PermutationOracle.from_table(oracle.table())) == primitivity_check(oracle)
+
+
+def test_precheck_is_built_chunk_by_chunk():
+    # this affine lift stops at seed 1; a precheck of all 2^20 seeds at
+    # once would gather 2^20 x 32 entries first (264 MB traced at peak)
+    oracle = ks_oracle(random_affine_word_permutation(5, Random(0)), 1)
+    oracle.table()
+    tracemalloc.start()
+    try:
+        verdict = primitivity_check(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (verdict.status, verdict.pairs_checked) == ("imprimitive", 1)
+    assert peak < 30 << 20  # 20.1 MB measured, most of it the witness re-check
 
 
 def test_full_below_one_grows_every_block_of_a_lift():

@@ -539,7 +539,8 @@ def test_blocks_bench_script_runs(capsys, monkeypatch):
     monkeypatch.setattr(script, "WIDTHS", (3,))
     script.main()
     figures = json.loads(capsys.readouterr().out)
-    assert set(figures) == {"block.m12.all.ms", "block.m12.transversal.ms", "primitivity.n3.ms"}
+    assert set(figures) == {"block.m12.all.ms", "block.m12.transversal.ms", "primitivity.n3.ms",
+                            "table.n5.ms", "primitivity.affine.n5.ms"}
 
 
 def test_mutant_list_matches_the_source():

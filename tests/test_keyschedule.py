@@ -18,7 +18,7 @@ from ksgroup.keyschedule import (
     ks_oracle,
     unflatten_state,
 )
-from ksgroup.invariants import random_affine_word_permutation
+from ksgroup.invariants import random_affine_word_permutation, random_nonaffine_word_permutation
 from ksgroup.sbox import AES_SBOX
 from test_gf2 import vec_from_words
 
@@ -173,6 +173,36 @@ def test_from_table_of_the_one_point_space():
     # F_2^0 has the one point 0: the inverse self-check must not probe 1
     oracle = PermutationOracle.from_table([0])
     assert (oracle.m, oracle.table(), oracle.forward(0), oracle.backward(0)) == (0, (0,), 0, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("kind", ["affine", "nonaffine", "normalized"])
+def test_power_one_lift_table_is_the_per_point_table(n, kind):
+    # built in numpy at construction, with and without a round constant
+    rng = random.Random(10 * n + len(kind))
+    # every map of F_2^n is affine for n <= 2
+    rho = random_affine_word_permutation(n, rng) if kind == "affine" else \
+        random_nonaffine_word_permutation(n, rng) if n >= 3 else toy_rho(n, n)
+    if kind == "normalized":
+        rho = rho.normalized()
+    per_point = tuple(ks_apply(rho, x) for x in range(1 << 4 * n))
+    assert ks_oracle(rho, 1)._table == per_point
+    c = rng.getrandbits(4 * n) | 1
+    assert ks_oracle(rho, 1, [c])._table == tuple(y ^ c for y in per_point)
+
+
+@pytest.mark.parametrize("power", [2, 3, 0, -1, -2])
+def test_other_powers_tabulate_per_point(power):
+    rho = toy_rho(3, 4)
+    oracle = ks_oracle(rho, power)
+    assert oracle._table is None
+    step = ks_apply if power > 0 else ks_inverse
+    expected = []
+    for x in range(1 << 12):
+        for _ in range(abs(power)):
+            x = step(rho, x)
+        expected.append(x)
+    assert oracle.table() == tuple(expected)
 
 
 # ---------------------------------------------------------------------
