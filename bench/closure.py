@@ -1,20 +1,27 @@
-"""Timings behind BENCH_closure.json and BENCH_stable_runs.json: the batched
-closure round, escapes scan and member draws.
+"""Timings behind BENCH_closure.json and BENCH_stable_runs.json: the
+growing and the batched closure round, escapes scan, member draws and the
+operator's array twin.
 
     PYTHONPATH=src python3 bench/closure.py
 
 Run from the root of a checkout; it measures the ``ksgroup`` package found
 on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
 
+* ``closure.first_round.ms`` -- the first, growing closure round of 256
+  draws (``max_rounds=1``, ``fresh_samples=0``): power-4 constant-free AES
+  operator, seeded with the first basis row of the pattern subspace,
+  ``seed=0``.  The span grows from dim 1 to dim 32 early in the round;
 * ``closure.stable_round.ms`` -- one stable dim-32 closure round of 256
-  draws: power-4 constant-free AES operator, seeded with the first basis
-  row of the pattern subspace, ``seed=0``.  The first round grows the span
-  to dim 32 and every later one is stable, so a round is the time of 17
-  rounds minus the time of 1, over 16;
+  draws from the same start.  Every round after the first is stable, so
+  a round is the time of 17 rounds minus the time of 1, over 16;
 * ``escapes.d32.10k.ms`` -- 10^4 ``escapes`` draws of the same operator on
   the pattern subspace, ``Random(0)``;
 * ``members.d32.1k.ms`` -- ``RowTables`` built over the pattern subspace
   basis and 1024 ``random_members`` draws from ``Random(0)``;
+* ``twin.p4.1k.us`` -- the array twin of the same operator, forward then
+  backward, on 1024 states drawn with ``Random(0)``, as ``vec_to_words``
+  rows; the median is of ``REPEATS`` runs of ``TWIN_CALLS`` such pairs,
+  per pair;
 * ``lp_verify.seed0.ms`` -- one in-process ``lp-verify --seed 0`` with
   stdout captured.
 
@@ -31,12 +38,13 @@ from random import Random
 from time import perf_counter
 
 from ksgroup import cli
-from ksgroup.gf2 import RowTables
+from ksgroup.gf2 import RowTables, vec_to_words
 from ksgroup.invariants import closure_search, escapes, lp_pattern_subspace
 from ksgroup.keyschedule import aes_core, ks_oracle
 
 REPEATS = 7
 STABLE_ROUNDS = 16
+TWIN_CALLS = 100
 
 
 def median_ms(fn) -> float:
@@ -61,13 +69,23 @@ def main() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["--output", "json", "lp-verify", "--seed", "0"]) == 0
 
+    def twin() -> None:
+        for _ in range(TWIN_CALLS):
+            forward(states)
+            backward(states)
+
+    rng = Random(0)
+    states = vec_to_words([rng.getrandbits(128) for _ in range(1024)], 128)
+    forward, backward = oracle.many
     first = median_ms(lambda: closure(1))
     many = median_ms(lambda: closure(1 + STABLE_ROUNDS))
     print(json.dumps({
+        "closure.first_round.ms": round(first, 3),
         "closure.stable_round.ms": round((many - first) / STABLE_ROUNDS, 3),
         "escapes.d32.10k.ms": round(median_ms(lambda: escapes(oracle, lp, 10_000, Random(0))), 3),
         "members.d32.1k.ms": round(median_ms(
             lambda: RowTables(lp.basis, 128).random_members(1024, Random(0))), 3),
+        "twin.p4.1k.us": round(median_ms(twin) * 1000 / TWIN_CALLS, 1),
         "lp_verify.seed0.ms": round(median_ms(lp_verify), 3),
     }, indent=2))
 

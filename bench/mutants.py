@@ -75,23 +75,37 @@ MUTANTS = [
            "            masks[:, -1] >>= 0\n",
            (KP + "test_random_members_multi_word_draws",)),
     Mutant("closure-rng-not-rewound", "invariants.py",
-           "                rng.setstate(state)\n                streaming = False\n",
-           "                streaming = False\n",
+           "                    rng.setstate(state)\n                    streaming, tail = False, 0\n",
+           "                    streaming, tail = False, 0\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_batched_closure_budget_stop_ends_on_a_round")),
     Mutant("stream-counted-after-an-escape", "invariants.py",
-           "            else:\n                rounds += planned\n",
-           "            if True:\n                rounds += planned\n",
+           "                else:\n                    evals += 2 * draws\n",
+           "                if True:\n                    evals += 2 * draws\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_batched_closure_budget_stop_ends_on_a_round")),
     Mutant("stream-ignores-max-rounds", "invariants.py",
-           "            planned = min(stable_rounds - stable, max_rounds - rounds)\n",
-           "            planned = stable_rounds - stable\n",
+           "min(stable_rounds - (0 if grown else stable + 1), max_rounds - rounds - 1)\n",
+           "(stable_rounds - (0 if grown else stable + 1))\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
     Mutant("stream-forward-images-only", "invariants.py",
-           "            outside = _outside(oracle.many, members,",
-           "            outside = _outside(oracle.many[:1], members,",
+           "                outside = _outside(oracle.many, members,",
+           "                outside = _outside(oracle.many[:1], members,",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
+    Mutant("mid-round-stream-skips-the-rest-of-its-round", "invariants.py",
+           "                draws = samples_per_round - done + tail * samples_per_round\n",
+           "                draws = tail * samples_per_round\n",
+           (KP + "test_batched_closure_replays_the_per_point_loop",
+            KP + "test_growing_round_streams_its_clean_tail")),
+    Mutant("row-test-reads-word-0-only", "invariants.py",
+           "            for column in reducer.residuals(f(xs)).T:\n",
+           "            for column in reducer.residuals(f(xs)).T[:1]:\n",
+           (KP + "test_batched_closure_replays_the_per_point_loop",
+            KP + "test_batched_escapes_replays_the_per_point_loop")),
+    Mutant("inverse-twin-drops-a-neighbour-xor", "keyschedule.py",
+           "    np.bitwise_xor(ys[:, 2], ys[:, 1], out=xs[:, 2])\n",
+           "    xs[:, 2] = ys[:, 2]\n",
+           (KP + "test_array_twin_matches_the_operator",)),
     Mutant("escapes-counts-first-chunk-only", "invariants.py",
            "    return sum(int(out.sum()) for out in _outside(oracle.many[:1], members, reducer, samples, rng))\n",
            "    return int(next(_outside(oracle.many[:1], members, reducer, samples, rng)).sum())\n",

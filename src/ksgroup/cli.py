@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -433,7 +434,9 @@ def cmd_certificate(args) -> tuple[dict, list[str]]:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process: parsing keeps no state in it."""
     parser = _Parser(
         prog="ksgroup",
         description="algebraic analysis of AES-like key schedules",

@@ -40,20 +40,23 @@ Contents:
 membership in a fixed subspace, so for an oracle with an array twin
 (``PermutationOracle.many``) they evaluate their draws with
 ``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  An ``escapes`` scan of a
-proper subspace adds up the escaping draws of each chunk.  Every closure
-round after the first is batched: the draws of the rounds up to the next
-stable or max-rounds stop are scanned as one stream, and the stream is
-counted only if every image stays in the span.  At an image outside it,
-or a budget stop (checked between chunks), the rng is rewound to the
-stream's start and its rounds run point by point until one grows the
+proper subspace adds up the escaping draws of each chunk.  A closure
+streams once its span stops growing: at the end of a round, or inside a
+round that grew, after ``STREAM_AFTER`` draws in a row that left the span
+as it was.  The stream is the draws left in that round and those of the
+rounds up to the next stable or max-rounds stop, scanned as one, and it
+is counted only if every image stays in the span.  At an image outside
+it, or a budget stop (checked between chunks), the rng is rewound to the
+stream's start and the draws run point by point until one grows the
 span.  The batches draw from the Python ``Random`` in the per-point
 order, so every result, count and rng state at return equals the
-per-point loop's.  Only the first round and the rounds of a rewound
-stream run point by point.
+per-point loop's.  Only the draws before the span stops growing and the
+draws of a rewound stream run point by point.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -61,8 +64,8 @@ from random import Random
 
 import numpy as np
 
-from .gf2 import (DimensionMismatch, RowTables, Subspace, check_vector, derivative, matrix_apply,
-                  random_member, rref_insert)
+from .gf2 import (WORD, DimensionMismatch, RowTables, Subspace, check_vector, derivative,
+                  matrix_apply, random_member, rref_insert)
 from .keyschedule import MAX_EXHAUSTIVE_POINTS, PermutationOracle, aes_core, ks_oracle
 from .sbox import audit_sbox
 
@@ -103,6 +106,7 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
 
 
 ESCAPE_CHUNK = 1024  # draws per batch of a batched scan
+STREAM_AFTER = 8  # draws without growth after which a growing closure round is streamed
 
 
 def _outside(maps: Sequence, members: RowTables, reducer: RowTables, samples: int,
@@ -113,7 +117,12 @@ def _outside(maps: Sequence, members: RowTables, reducer: RowTables, samples: in
     (a ``RowTables.pivot_map``) reduces against."""
     for start in range(0, samples, ESCAPE_CHUNK):
         xs = members.random_members(min(ESCAPE_CHUNK, samples - start), rng)
-        yield np.logical_or.reduce([reducer.residuals(f(xs)).any(axis=1) for f in maps])
+        # a draw is outside when any word of any residual is nonzero
+        words = np.zeros(len(xs), WORD)
+        for f in maps:
+            for column in reducer.residuals(f(xs)).T:
+                words |= column
+        yield words != 0
 
 
 def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -> int:
@@ -315,48 +324,45 @@ def closure_search(
         return budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms
 
     rounds = stable = evals = 0
-    members = reducer = None  # tables of the batched rounds, rebuilt when the span grows
+    members = reducer = None  # tables of the stream, rebuilt when the span grows
     streaming = oracle.many is not None  # cleared while a rewound stream reruns point by point
     while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
         if over_budget():
             stop_reason = "budget"
             break
-        if rounds and streaming:
-            # after the first round the span rarely grows: scan the draws of
-            # the rounds up to the next stable or max-rounds stop as one
-            # stream, in chunks, and count it only if every image stays in
-            # the span.  Otherwise rewind to its start and run its rounds
-            # point by point until one grows the span
-            if members is None or members.k != len(residuals):
-                order = sorted(rows)
-                span = Subspace._from_rref(m, [rows[p] for p in order], order)
-                members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
-            planned = min(stable_rounds - stable, max_rounds - rounds)
-            state = rng.getstate()
-            outside = _outside(oracle.many, members, reducer, planned * samples_per_round, rng)
-            if any(out.any() or over_budget() for out in outside):
-                rng.setstate(state)
-                streaming = False
-            else:
-                rounds += planned
-                stable += planned
-                evals += 2 * planned * samples_per_round
-            continue
-        grew = False
-        for _ in range(samples_per_round):
+        # the draw of this round that last grew the span; whole rounds streamed after this one
+        grown = tail = 0
+        for done in range(1, samples_per_round + 1):
             u = random_member(residuals, rng)
             new = rref_insert(rows, (oracle.forward(u), oracle.backward(u)))
             evals += 2
             if new:
-                grew = True
+                grown, streaming = done, oracle.many is not None
                 residuals += new
-            if len(rows) == m:
-                break
-        rounds += 1
-        if grew:
-            stable, streaming = 0, oracle.many is not None
-        else:
-            stable += 1
+                if len(rows) == m:
+                    break
+            if streaming and (done == samples_per_round or grown and done - grown >= STREAM_AFTER):
+                # the span has stopped growing: scan the draws left in this
+                # round and those of the rounds up to the next stable or
+                # max-rounds stop as one stream, in chunks, and count it only
+                # if every image stays in the span.  Otherwise rewind to its
+                # start and go on point by point until a draw grows the span
+                if members is None or members.k != len(residuals):
+                    order = sorted(rows)
+                    span = Subspace._from_rref(m, [rows[p] for p in order], order)
+                    members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
+                tail = min(stable_rounds - (0 if grown else stable + 1), max_rounds - rounds - 1)
+                draws = samples_per_round - done + tail * samples_per_round
+                state = rng.getstate()
+                outside = _outside(oracle.many, members, reducer, draws, rng)
+                if any(out.any() or over_budget() for out in outside):
+                    rng.setstate(state)
+                    streaming, tail = False, 0
+                else:
+                    evals += 2 * draws
+                    break
+        rounds += 1 + tail
+        stable = tail if grown else stable + 1 + tail
     else:
         stop_reason = "full" if len(rows) == m else "stable" if stable >= stable_rounds else "max-rounds"
 
@@ -521,9 +527,11 @@ LP_PATTERN: dict[str, tuple[tuple[int, int], ...]] = {
 LP_CONVENTIONS = ("word-major", "word-major-bytes-reversed", "byte-sliced", "byte-sliced-bytes-reversed")
 
 
+@functools.cache
 def lp_pattern_subspace(convention: str = "word-major") -> Subspace:
     """The 32-dimensional pattern subspace of F_2^128 (one free byte per
-    symbol a, b, c, d) under the given slot-to-position convention."""
+    symbol a, b, c, d) under the given slot-to-position convention, built
+    once per convention (a ``Subspace`` is immutable)."""
     if convention not in LP_CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     transpose = convention.startswith("byte-sliced")

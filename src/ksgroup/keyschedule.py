@@ -30,10 +30,11 @@ like every S-box.
 over a 32-bit word map with one pass an array twin,
 ``PermutationOracle.many``: forward and backward on (N, 4) uint32 word
 columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
-forward step is ``np.bitwise_xor.accumulate`` across the columns, then
-rho(word 4) XORed into every column; the inverse step XORs neighbouring
-columns, then rho(word 4) into word 1.  The AES word map's twin is a byte
-rotation and one S-box gather.  Other oracles have no twin and are
+forward step XORs rho(word 4) into word 1 and then runs the XOR across
+the words, three column XORs into one output array; the inverse step
+XORs each word with its neighbour, then rho(word 4) into word 1.  The AES
+word map's twin gathers the S-box on the bytes as they lie and then
+rotates each word with two shifts.  Other oracles have no twin and are
 evaluated per point.
 """
 
@@ -193,13 +194,15 @@ def aes_core() -> PermutationOracle:
         b = y.to_bytes(4, "little").translate(inv_sbox)
         return int.from_bytes(b[3:] + b[:3], "little")
 
+    # the S-box acts bytewise, so it is gathered on the bytes in place and
+    # the word rotated after: byte j takes byte j+1 when shifted right by 8
     def fwd_many(xs: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(xs, dtype=WORD).view(np.uint8)
-        return np.ascontiguousarray(sbox_arr[b[:, [1, 2, 3, 0]]]).view(WORD)
+        w = sbox_arr.take(np.ascontiguousarray(xs, dtype=WORD).view(np.uint8)).view(WORD)
+        return (w >> 8) | (w << 24)
 
     def bwd_many(ys: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(ys, dtype=WORD).view(np.uint8)
-        return np.ascontiguousarray(inv_sbox_arr[b][:, [3, 0, 1, 2]]).view(WORD)
+        w = inv_sbox_arr.take(np.ascontiguousarray(ys, dtype=WORD).view(np.uint8)).view(WORD)
+        return (w << 8) | (w >> 24)
 
     return PermutationOracle(WORD_BITS, fwd, bwd, "aes-core", many=(fwd_many, bwd_many))
 
@@ -232,17 +235,26 @@ def ks_inverse(rho: PermutationOracle, x: int) -> int:
 
 
 def _ks_apply_many(rho_fwd: Callable[[np.ndarray], np.ndarray], xs: np.ndarray) -> np.ndarray:
-    """``ks_apply`` on an (N, 4) batch of 32-bit word columns: the running
-    XOR across the words is A, then rho(word 4) is XORed into every word."""
-    return np.bitwise_xor.accumulate(xs, axis=1) ^ rho_fwd(xs[:, 3:])
+    """``ks_apply`` on an (N, 4) batch of 32-bit word columns: word 1 plus
+    rho(word 4), then each word is the one before it plus its own input
+    word, three column XORs into one output array."""
+    ys = np.empty_like(xs)
+    np.bitwise_xor(xs[:, :1], rho_fwd(xs[:, 3:]), out=ys[:, :1])
+    np.bitwise_xor(ys[:, 0], xs[:, 1], out=ys[:, 1])
+    np.bitwise_xor(ys[:, 1], xs[:, 2], out=ys[:, 2])
+    np.bitwise_xor(ys[:, 2], xs[:, 3], out=ys[:, 3])
+    return ys
 
 
 def _ks_inverse_many(rho_fwd: Callable[[np.ndarray], np.ndarray], ys: np.ndarray) -> np.ndarray:
     """``ks_inverse`` on a batch: A^-1 XORs each word with the word before
-    it, then rho(word 4) is XORed into word 1."""
-    xs = ys.copy()
-    xs[:, 1:] ^= ys[:, :-1]
-    xs[:, :1] ^= rho_fwd(xs[:, 3:])
+    it, three column XORs into one output array, then rho(word 4) goes
+    into word 1."""
+    xs = np.empty_like(ys)
+    np.bitwise_xor(ys[:, 3], ys[:, 2], out=xs[:, 3])
+    np.bitwise_xor(ys[:, 2], ys[:, 1], out=xs[:, 2])
+    np.bitwise_xor(ys[:, 1], ys[:, 0], out=xs[:, 1])
+    np.bitwise_xor(ys[:, :1], rho_fwd(xs[:, 3:]), out=xs[:, :1])
     return xs
 
 

@@ -6,9 +6,11 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from ksgroup import cli
 from ksgroup.cli import InputError, build_parser, run
 from ksgroup.invariants import lp_pattern_subspace
 from test_gf2 import subspace_text
@@ -532,6 +534,41 @@ def test_oversized_input_exits_2_without_traceback(tmp_path, argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error:")
+
+
+# ---------------------------------------------------------------------
+# one parser per process
+
+
+def test_shared_parser_carries_no_state_between_runs(capsys):
+    # run() parses with one parser built once per process; every run,
+    # including those after an input error, reports what a run with a
+    # freshly built parser reports
+    runs = [
+        ["--output", "json", "expand", FIPS_KEY],
+        ["--output", "json", "search", "--power", "1", "--seeds", "ff", "--samples", "2",
+         "--stable-rounds", "1", "--seed", "3"],
+        ["search", "--power", "1", "--seeds", "ff", "--seed-in-lp"],
+        ["lp-verify", "--samples", "20", "--no-closure", "--seed", "2"],
+        ["--output", "json", "search", "--power", "2", "--seed", "4", "--samples", "1"],
+        ["--output", "json", "sbox-audit", "--aes", "--max-delta", "0"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in runs:
+            rc = run(argv)
+            out, err = capsys.readouterr()
+            if argv[:2] == ["--output", "json"]:
+                out = strip_runtime(json.loads(out))
+            seen.append((rc, out, err))
+        return seen
+
+    assert build_parser() is build_parser()
+    shared = outcomes()
+    assert [rc for rc, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+    with mock.patch.object(cli, "build_parser", build_parser.__wrapped__):
+        assert outcomes() == shared
 
 
 # ---------------------------------------------------------------------

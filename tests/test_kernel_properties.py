@@ -392,6 +392,72 @@ LP4 = ks_oracle(aes_core().normalized(), 4)
 LP_SEED = lp_pattern_subspace().basis[0]
 
 
+def two_flip_oracle():
+    """An involution of F_2^128 with an array twin that flips bit 10 when
+    bits 0..3 are set and bit 11 when bits 0..5 are set.  From the seeds
+    e_0..e_5 the span gains e_10 after about 16 draws and e_11 after about
+    64 more, so a growing round goes quiet for more than ``STREAM_AFTER``
+    draws and then grows again."""
+
+    def flip(x):
+        return x ^ ((x & 0xF) == 0xF) << 10 ^ ((x & 0x3F) == 0x3F) << 11
+
+    def flip_many(xs):
+        low = xs[:, 0]
+        ys = xs.copy()
+        ys[:, 0] ^= ((low & 0xF) == 0xF).astype(ys.dtype) << 10
+        ys[:, 0] ^= ((low & 0x3F) == 0x3F).astype(ys.dtype) << 11
+        return ys
+
+    return PermutationOracle(128, flip, flip, "two-flip", many=(flip_many, flip_many))
+
+
+TWO_FLIP_CASE = (two_flip_oracle(), [1 << i for i in range(6)],
+                 dict(samples_per_round=256, stable_rounds=2, seed=0, max_rounds=60, fresh_samples=5))
+
+
+class DrawLog:
+    """Patches the closure's draws and rewinds to log them in order:
+    "point" per ``random_member`` call, ("batch", count) per
+    ``RowTables.random_members`` call and "rewind" per ``setstate``; the
+    rngs the closure made are kept in ``rngs``."""
+
+    def __init__(self):
+        self.events, self.rngs = [], []
+        log, rngs = self.events, self.rngs
+        batch, point = RowTables.random_members, invariants.random_member
+
+        class Rewinds(Random):
+            def __init__(self, seed=None):
+                super().__init__(seed)
+                rngs.append(self)
+
+            def setstate(self, state):
+                log.append("rewind")
+                super().setstate(state)
+
+        def members(tables, count, rng):
+            log.append(("batch", count))
+            return batch(tables, count, rng)
+
+        def member(rows, rng):
+            log.append("point")
+            return point(rows, rng)
+
+        self.patches = [mock.patch.object(invariants, "Random", Rewinds),
+                        mock.patch.object(RowTables, "random_members", members),
+                        mock.patch.object(invariants, "random_member", member)]
+
+    def __enter__(self):
+        for p in self.patches:
+            p.start()
+        return self.events
+
+    def __exit__(self, *exc):
+        for p in reversed(self.patches):
+            p.stop()
+
+
 class RecordedRandom(Random):
     """Random that remembers its instances, to read an rng kept inside."""
 
@@ -418,6 +484,13 @@ class RecordedRandom(Random):
                                fresh_samples=5)))
 @example((LP4, [LP_SEED], dict(samples_per_round=300, stable_rounds=64, seed=4, max_rounds=5,
                                fresh_samples=0)))
+# a mid-round stream that meets a later growth and is rewound, and
+# mid-round streams that stop on max_rounds, inside and after their round
+@example(TWO_FLIP_CASE)
+@example((LP4, [LP_SEED], dict(samples_per_round=256, stable_rounds=64, seed=0, max_rounds=1,
+                               fresh_samples=0)))
+@example((LP4, [LP_SEED], dict(samples_per_round=256, stable_rounds=64, seed=1, max_rounds=3,
+                               fresh_samples=5)))
 def test_batched_closure_replays_the_per_point_loop(case):
     oracle, seeds, kwargs = case
     expected, ref_rng = per_point_closure_search(oracle, seeds, **kwargs)
@@ -477,6 +550,55 @@ def test_rewound_stream_reruns_point_by_point():
     assert max(map(len, reruns)) > 1
 
 
+def test_growing_round_streams_its_clean_tail():
+    # the span reaches dim 32 early in the first round; the rest of that
+    # round is scanned in the stream, not point by point
+    with DrawLog() as events:
+        res = closure_search(LP4, [LP_SEED], samples_per_round=256, fresh_samples=0)
+    assert res.subspace == lp_pattern_subspace() and res.stop_reason == "stable"
+    assert "rewind" not in events
+    assert events.count("point") < 256
+    assert sum(e[1] for e in events if e != "point") == 256 * 65 - events.count("point")
+
+
+def test_a_late_growth_rewinds_a_mid_round_stream():
+    # the replay example TWO_FLIP_CASE: once e_10 is in, the first round
+    # goes quiet and streams, the stream meets the draw that brings in
+    # e_11 and is rewound, and the rerun is point by point up to that
+    # growth and the next quiet stretch, all inside the first round
+    oracle, seeds, kwargs = TWO_FLIP_CASE
+    log = DrawLog()
+    with log as events:
+        res = closure_search(oracle, seeds, **kwargs)
+    assert (res.subspace, res.rounds) == (Subspace(128, seeds + [1 << 10, 1 << 11]), 3)
+    rewind = events.index("rewind")
+    assert events[rewind - 1][0] == "batch" and events[rewind + 1] == "point"
+    before = events[:rewind - 1]
+    rerun = list(itertools.takewhile(lambda e: e == "point", events[rewind + 1:]))
+    assert set(before) == {"point"}
+    assert len(before) + len(rerun) < kwargs["samples_per_round"]
+
+
+def test_budget_stop_in_a_mid_round_stream():
+    # the stream that starts inside the growing first round is stopped by
+    # the budget between its chunks: it is rewound, the rest of the round
+    # runs point by point and the search stops before the second round
+    ticks = itertools.count(step=0.001)  # each clock reading is 1 ms later
+    kwargs = dict(samples_per_round=300, seed=5, fresh_samples=5)
+    log = DrawLog()
+    with log as events, mock.patch.object(invariants.time, "perf_counter", lambda: next(ticks)):
+        got = closure_search(LP4, [LP_SEED], budget_ms=2.5, **kwargs)
+    # readings: t0, round 1, two chunks of the stream (the stop), the loop
+    assert (got.stop_reason, got.rounds) == ("budget", 1)
+    first = next(i for i, e in enumerate(events) if e != "point")
+    assert first < 300
+    assert events[first:first + 3] == [("batch", 1024), ("batch", 1024), "rewind"]
+    assert events.count("point") == 300
+    expected, ref_rng = per_point_closure_search(LP4, [LP_SEED], max_rounds=1, **kwargs)
+    assert (got.subspace, got.evaluations) == (expected.subspace, expected.evaluations)
+    assert log.rngs[-1].getstate() == ref_rng.getstate()
+
+
 def test_batched_closure_draws_at_most_a_chunk_at_once():
     # a stable round of many draws is scanned in chunks, so the memory of a
     # batch does not grow with samples_per_round
@@ -529,8 +651,8 @@ def test_closure_bench_script_runs(capsys, monkeypatch):
     monkeypatch.setattr(script, "REPEATS", 1)
     script.main()
     figures = json.loads(capsys.readouterr().out)
-    assert set(figures) == {"closure.stable_round.ms", "escapes.d32.10k.ms", "members.d32.1k.ms",
-                            "lp_verify.seed0.ms"}
+    assert set(figures) == {"closure.first_round.ms", "closure.stable_round.ms", "escapes.d32.10k.ms",
+                            "members.d32.1k.ms", "twin.p4.1k.us", "lp_verify.seed0.ms"}
 
 
 def test_blocks_bench_script_runs(capsys, monkeypatch):
