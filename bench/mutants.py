@@ -97,6 +97,10 @@ MUTANTS = [
            "                draws = tail * samples_per_round\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_growing_round_streams_its_clean_tail")),
+    Mutant("mid-round-stream-one-draw-short", "invariants.py",
+           "                draws = samples_per_round - done + tail * samples_per_round\n",
+           "                draws = max(samples_per_round - done - 1, 0) + tail * samples_per_round\n",
+           (KP + "test_batched_closure_replays_the_per_point_loop",)),
     Mutant("row-test-reads-word-0-only", "invariants.py",
            "            for column in reducer.residuals(f(xs)).T:\n",
            "            for column in reducer.residuals(f(xs)).T[:1]:\n",
@@ -134,11 +138,16 @@ MUTANTS = [
            (INV + "test_certificate_linear_sbox_fails_anti_clause",
             INV + "test_certificate_sbox_clauses_match_a_direct_construction")),
     Mutant("anti-invariance-stops-at-d", "sbox.py",
-           "                if len(rows) > d:\n",
-           "                if len(rows) >= d:\n",
+           "                if rank > d:\n",
+           "                if rank >= d:\n",
            ("tests/test_sbox.py::test_anti_invariance_linear_map_is_zero",
             "tests/test_sbox.py::test_aes_anti_invariance_order_3_with_a_witness_at_dim_4",
             KP + "test_anti_invariance_against_image_closure")),
+    Mutant("anti-invariance-stores-images-unreduced", "sbox.py",
+           "                    row = slots[top]\n",
+           "                    row = 0\n",
+           ("tests/test_sbox.py::test_anti_invariance_matches_the_whole_span_rule",
+            "tests/test_sbox.py::test_anti_invariance_stops_each_image_past_d")),
     Mutant("tower-splits-swapped", "goursat.py",
            '        "left_image_split": _level_report(decompose(g.left_image, n, n), g.left_image, with_hom),\n'
            '        "right_kernel_split": _level_report(decompose(g.right_kernel, n, n), g.right_kernel, '

@@ -6,7 +6,10 @@ this way, vector addition is ``^`` and the vector routines stay allocation
 free.  Subspaces are kept in reduced row-echelon form with strictly
 increasing pivots, which makes the representation unique: structural
 equality of two ``Subspace`` objects is subspace equality.  All
-incremental elimination goes through ``rref_insert`` and all random
+incremental elimination that keeps a basis goes through ``rref_insert``;
+the one elimination that keeps none is the rank count of
+``sbox.anti_invariance_order``, which reduces each image against an
+echelon list indexed by top bit and counts the rows.  All random
 members are drawn by ``random_member`` (``matrix_apply`` of one
 ``getrandbits(len(rows))``, bit j selecting row j) or, for a batch, by
 ``RowTables.random_members``, which takes the same Mersenne Twister words

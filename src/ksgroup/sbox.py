@@ -12,6 +12,10 @@ dimension d one at a time and moves on to the next W at the first image
 that takes their span past d.  This is exact: the map is injective, so
 the image has 2^d points; once its span exceeds d it is no subspace, and
 if every image goes in with the span still at d, the 2^d points fill it.
+Only the span's rank is needed, so it is counted in an echelon list of s
+slots, slot p holding the one row with top bit p: an image is reduced by
+the row in its top-bit slot until it is 0 (in the span) or lands in an
+empty slot (the rank grows by one).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Subspace, derivative, enumerate_subspaces, rref_insert
+from .gf2 import Subspace, derivative, enumerate_subspaces
 from .keyschedule import AES_SBOX, PermutationOracle  # noqa: F401  (AES_SBOX is re-exported)
 
 
@@ -106,7 +110,8 @@ class AntiInvariance:
     (in enumeration order) of dimension s-order-1 whose image is closed
     under addition.  A candidate W of dimension d is dropped at the first
     image that takes the span of its images past d; one whose 2^d images
-    all go in with the span at d maps onto that span.
+    all go in with the span at d maps onto that span.  The span's rank is
+    counted in a top-bit echelon list, with no basis kept.
     """
 
     order: int
@@ -125,11 +130,21 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
         d = s - k
         for w in enumerate_subspaces(s, dims=(d,)):
             # the image of an injective map has 2^d points; it is a subspace
-            # exactly when its span is no bigger
-            rows: dict[int, int] = {}
+            # exactly when its span is no bigger.  slots[p] is the span's row
+            # with top bit p, or 0
+            slots = [0] * s
+            rank = 0
             for x in w.elements():
-                rref_insert(rows, (t[x],))
-                if len(rows) > d:
+                y = t[x]
+                while y:
+                    top = y.bit_length() - 1
+                    row = slots[top]
+                    if not row:
+                        slots[top] = y
+                        rank += 1
+                        break
+                    y ^= row
+                if rank > d:
                     break
             else:
                 return AntiInvariance(order=k - 1, max_tested=max_delta, witness=w)

@@ -372,12 +372,19 @@ def test_random_members_multi_word_draws(k, count):
 
 @st.composite
 def closure_cases(draw):
-    oracle = draw(aes_oracles())
     lp = lp_pattern_subspace()
-    seeds = draw(st.lists(st.one_of(st.integers(0, (1 << 128) - 1), st.sampled_from(lp.basis)),
-                          min_size=1, max_size=2))
+    if draw(st.booleans()):
+        # seeds in the pattern subspace, which LP4 leaves invariant: rounds
+        # of 10 to 20 draws stop growing and can stream from inside a round
+        oracle, seeds = LP4, draw(st.lists(st.sampled_from(lp.basis), min_size=1, max_size=2))
+        samples_per_round = draw(st.sampled_from(range(10, 21)))
+    else:
+        oracle = draw(aes_oracles())
+        seeds = draw(st.lists(st.one_of(st.integers(0, (1 << 128) - 1), st.sampled_from(lp.basis)),
+                              min_size=1, max_size=2))
+        samples_per_round = draw(st.integers(1, 3))
     kwargs = dict(
-        samples_per_round=draw(st.integers(1, 3)),
+        samples_per_round=samples_per_round,
         stable_rounds=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32)),
         max_rounds=draw(st.integers(1, 60)),
@@ -468,7 +475,8 @@ class RecordedRandom(Random):
         RecordedRandom.made.append(self)
 
 
-@REPLAY
+# twice REPLAY's examples: half of them are the LP4 rounds of 10 to 20 draws
+@settings(max_examples=2 * REPLAY.max_examples, deadline=None)
 @given(closure_cases())
 @example((LP4, [LP_SEED], dict(samples_per_round=1, stable_rounds=6, seed=3, max_rounds=60,
                                fresh_samples=1500)))
@@ -510,8 +518,11 @@ def test_batched_closure_budget_stop_ends_on_a_round():
     with mock.patch.object(invariants, "Random", RecordedRandom), \
             mock.patch.object(invariants.time, "perf_counter", lambda: next(ticks)):
         got = closure_search(LP4, [LP_SEED], budget_ms=3.5, **kwargs)
-    # readings: t0, round 1 (per point), round 2, two chunks of the stream
-    # from round 2 (the stop), then the loop's own check
+    # readings: t0, the loop's check before round 1, then one after each
+    # 1024-draw chunk of the stream that starts inside round 1 after its
+    # 25th per-point draw; the third (4 ms) is the stop, so the stream is
+    # rewound, the round's other 275 draws run point by point, and the
+    # loop's next check ends the search
     assert (got.stop_reason, got.rounds) == ("budget", 1)
     expected, ref_rng = per_point_closure_search(LP4, [LP_SEED], max_rounds=got.rounds, **kwargs)
     assert (got.subspace, got.evaluations) == (expected.subspace, expected.evaluations)

@@ -1,5 +1,6 @@
 """S-box property checks: DDT oracles, uniformity, anti-invariance, equivalence."""
 
+import itertools
 import random
 
 import pytest
@@ -263,16 +264,25 @@ def test_anti_invariance_stops_each_image_past_d():
     table = Counting(aes.table())
     res = anti_invariance_order(PermutationOracle(8, aes.forward, aes.backward, table=table), 2)
     assert (res.order, res.witness) == (2, None)
-    assert table.reads < 150_000
+    assert table.reads == 94_763
 
 
-@pytest.mark.parametrize("table", [
-    AES_SBOX.normalized().table(),
-    (0, *random.Random(0).sample(range(1, 256), 255)),
-], ids=["aes", "shuffled"])
-def test_anti_invariance_matches_the_whole_span_rule(table):
-    res = anti_invariance_order(PermutationOracle.from_table(table), 2)
-    assert (res.order, res.witness) == whole_span_anti_invariance(table, 2)
+def seeded_zero_fixing_tables(s, count, seed):
+    rng = random.Random(seed)
+    return [(0, *rng.sample(range(1, 1 << s), (1 << s) - 1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("cases", [
+    [(AES_SBOX.normalized().table(), 2)],
+    [((0, *random.Random(0).sample(range(1, 256), 255)), 2)],
+    [((0, *perm), 2) for perm in itertools.permutations(range(1, 8))],
+    [(table, max_delta) for s in (4, 5) for table in seeded_zero_fixing_tables(s, 6, s)
+     for max_delta in range(s)],
+], ids=["aes", "shuffled", "every-3-bit", "seeded-4-and-5-bit"])
+def test_anti_invariance_matches_the_whole_span_rule(cases):
+    for table, max_delta in cases:
+        res = anti_invariance_order(PermutationOracle.from_table(table), max_delta)
+        assert (res.order, res.witness) == whole_span_anti_invariance(table, max_delta)
 
 
 def test_aes_anti_invariance_order_3_with_a_witness_at_dim_4():
