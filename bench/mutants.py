@@ -9,11 +9,15 @@ are first run on a clean copy of ``src/`` and ``tests/``, where they must
 pass.  Then each mutant gets its own copy in a temporary directory, with
 the one substitution made, and its tests are run there with pytest.  A
 mutant is killed when a test fails; one that passes every test survived.
-A run that outlives ``TIMEOUT_S`` is stopped and counts as an error, so a
-mutant that loops forever cannot hang the script.  The script prints one
-line per mutant and a closing JSON summary, and exits 1 when any mutant
-survived or a run did not end in a plain pass or fail.  ``tests/test_kernel_properties.py`` checks that every old text
-still occurs exactly once, so the list cannot go stale unseen.
+A kill needs a failing example, not a minimal one, so every copy, the
+clean one included, gets a ``conftest.py`` that loads a hypothesis profile
+without the shrink phase: a property that fails on a mutant stops at its
+first failing example.  A run that outlives ``TIMEOUT_S`` is stopped and
+counts as an error, so a mutant that loops forever cannot hang the
+script.  The script prints one line per mutant and a closing JSON
+summary, and exits 1 when any mutant survived or a run did not end in a
+plain pass or fail.  ``tests/test_kernel_properties.py`` checks that every
+old text still occurs exactly once, so the list cannot go stale unseen.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ MUTANTS = [
            "            masks[:, -1] >>= 0\n",
            (KP + "test_random_members_multi_word_draws",)),
     Mutant("closure-rng-not-rewound", "invariants.py",
-           "                    rng.setstate(state)\n                    streaming, tail = False, 0\n",
-           "                    streaming, tail = False, 0\n",
+           "                    rng.setstate(state)\n                    streaming = False\n",
+           "                    streaming = False\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_batched_closure_budget_stop_ends_on_a_round")),
     Mutant("stream-counted-after-an-escape", "invariants.py",
@@ -85,22 +89,31 @@ MUTANTS = [
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_batched_closure_budget_stop_ends_on_a_round")),
     Mutant("stream-ignores-max-rounds", "invariants.py",
-           "min(stable_rounds - (0 if grown else stable + 1), max_rounds - rounds - 1)\n",
-           "(stable_rounds - (0 if grown else stable + 1))\n",
+           "                end = min(grew + stable_rounds, max_rounds)\n",
+           "                end = grew + stable_rounds\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
     Mutant("stream-forward-images-only", "invariants.py",
            "                outside = _outside(oracle.many, members,",
            "                outside = _outside(oracle.many[:1], members,",
-           (KP + "test_batched_closure_replays_the_per_point_loop",)),
+           (KP + "test_batched_closure_replays_the_per_point_loop",
+            KP + "test_a_stream_checks_backward_images")),
     Mutant("mid-round-stream-skips-the-rest-of-its-round", "invariants.py",
-           "                draws = samples_per_round - done + tail * samples_per_round\n",
-           "                draws = tail * samples_per_round\n",
+           "                draws = (end - rounds) * samples_per_round - done\n",
+           "                draws = (end - rounds - 1) * samples_per_round\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_growing_round_streams_its_clean_tail")),
     Mutant("mid-round-stream-one-draw-short", "invariants.py",
-           "                draws = samples_per_round - done + tail * samples_per_round\n",
-           "                draws = max(samples_per_round - done - 1, 0) + tail * samples_per_round\n",
+           "                draws = (end - rounds) * samples_per_round - done\n",
+           "                draws = max((end - rounds) * samples_per_round - done - 1, 0)\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
+    Mutant("stop-round-one-early", "invariants.py",
+           "                grew, quiet, streaming = rounds + 1, 0, oracle.many is not None\n",
+           "                grew, quiet, streaming = rounds, 0, oracle.many is not None\n",
+           (KP + "test_batched_closure_replays_the_per_point_loop",)),
+    Mutant("stream-starts-one-draw-late", "invariants.py",
+           "            if streaming and quiet >= STREAM_AFTER:\n",
+           "            if streaming and quiet > STREAM_AFTER:\n",
+           (KP + "test_batched_closure_draws_at_most_a_chunk_at_once",)),
     Mutant("row-test-reads-word-0-only", "invariants.py",
            "            for column in reducer.residuals(f(xs)).T:\n",
            "            for column in reducer.residuals(f(xs)).T[:1]:\n",
@@ -163,11 +176,21 @@ MUTANTS = [
 ]
 
 
+# loaded before the tests are imported, so every @settings that leaves
+# phases unset inherits it
+NO_SHRINK = """from hypothesis import Phase, settings
+
+settings.register_profile("no-shrink", phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+settings.load_profile("no-shrink")
+"""
+
+
 def _copy(dest: Path) -> None:
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, dest / name, ignore=skip)
     shutil.copy(ROOT / "pyproject.toml", dest)
+    (dest / "conftest.py").write_text(NO_SHRINK)
 
 
 def _pytest(where: Path, tests: tuple[str, ...]) -> int | None:

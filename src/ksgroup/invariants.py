@@ -41,17 +41,16 @@ membership in a fixed subspace, so for an oracle with an array twin
 (``PermutationOracle.many``) they evaluate their draws with
 ``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  An ``escapes`` scan of a
 proper subspace adds up the escaping draws of each chunk.  A closure
-streams once its span stops growing: at the end of a round, or inside a
-round that grew, after ``STREAM_AFTER`` draws in a row that left the span
-as it was.  The stream is the draws left in that round and those of the
-rounds up to the next stable or max-rounds stop, scanned as one, and it
-is counted only if every image stays in the span.  At an image outside
-it, or a budget stop (checked between chunks), the rng is rewound to the
-stream's start and the draws run point by point until one grows the
-span.  The batches draw from the Python ``Random`` in the per-point
-order, so every result, count and rng state at return equals the
-per-point loop's.  Only the draws before the span stops growing and the
-draws of a rewound stream run point by point.
+streams once ``STREAM_AFTER`` draws in a row have left its span as it
+was, wherever in a round that happens.  The stream is every draw left up
+to the next stable or max-rounds stop, scanned as one, and it is counted
+only if every image stays in the span.  At an image outside it, or a
+budget stop (checked between chunks), the rng is rewound to the stream's
+start and the draws run point by point until one grows the span.  The
+batches draw from the Python ``Random`` in the per-point order, so every
+result, count and rng state at return equals the per-point loop's.  Only
+the draws up to ``STREAM_AFTER`` past the last growth and the draws of a
+rewound stream run point by point.
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
 
 
 ESCAPE_CHUNK = 1024  # draws per batch of a batched scan
-STREAM_AFTER = 8  # draws without growth after which a growing closure round is streamed
+STREAM_AFTER = 8  # draws in a row without growth after which a closure streams to its stop
 
 
 def _outside(maps: Sequence, members: RowTables, reducer: RowTables, samples: int,
@@ -323,48 +322,48 @@ def closure_search(
     def over_budget() -> bool:
         return budget_ms is not None and (time.perf_counter() - t0) * 1000 > budget_ms
 
-    rounds = stable = evals = 0
+    # grew: the rounds up to and including the last that grew the span; quiet: draws since then
+    rounds = grew = quiet = evals = 0
     members = reducer = None  # tables of the stream, rebuilt when the span grows
     streaming = oracle.many is not None  # cleared while a rewound stream reruns point by point
-    while len(rows) < m and stable < stable_rounds and rounds < max_rounds:
+    while len(rows) < m and rounds < min(grew + stable_rounds, max_rounds):
         if over_budget():
             stop_reason = "budget"
             break
-        # the draw of this round that last grew the span; whole rounds streamed after this one
-        grown = tail = 0
         for done in range(1, samples_per_round + 1):
             u = random_member(residuals, rng)
             new = rref_insert(rows, (oracle.forward(u), oracle.backward(u)))
             evals += 2
+            quiet += 1
             if new:
-                grown, streaming = done, oracle.many is not None
+                grew, quiet, streaming = rounds + 1, 0, oracle.many is not None
                 residuals += new
                 if len(rows) == m:
                     break
-            if streaming and (done == samples_per_round or grown and done - grown >= STREAM_AFTER):
-                # the span has stopped growing: scan the draws left in this
-                # round and those of the rounds up to the next stable or
-                # max-rounds stop as one stream, in chunks, and count it only
-                # if every image stays in the span.  Otherwise rewind to its
-                # start and go on point by point until a draw grows the span
+            if streaming and quiet >= STREAM_AFTER:
+                # the span has stopped growing: scan the draws left up to the
+                # next stable or max-rounds stop as one stream, in chunks, and
+                # count it only if every image stays in the span.  Otherwise
+                # rewind to its start and go on point by point until a draw
+                # grows the span
                 if members is None or members.k != len(residuals):
                     order = sorted(rows)
                     span = Subspace._from_rref(m, [rows[p] for p in order], order)
                     members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
-                tail = min(stable_rounds - (0 if grown else stable + 1), max_rounds - rounds - 1)
-                draws = samples_per_round - done + tail * samples_per_round
+                end = min(grew + stable_rounds, max_rounds)
+                draws = (end - rounds) * samples_per_round - done
                 state = rng.getstate()
                 outside = _outside(oracle.many, members, reducer, draws, rng)
                 if any(out.any() or over_budget() for out in outside):
                     rng.setstate(state)
-                    streaming, tail = False, 0
+                    streaming = False
                 else:
                     evals += 2 * draws
+                    rounds = end - 1
                     break
-        rounds += 1 + tail
-        stable = tail if grown else stable + 1 + tail
+        rounds += 1
     else:
-        stop_reason = "full" if len(rows) == m else "stable" if stable >= stable_rounds else "max-rounds"
+        stop_reason = "full" if len(rows) == m else "stable" if rounds >= grew + stable_rounds else "max-rounds"
 
     pivots = sorted(rows)
     result = Subspace._from_rref(m, [rows[p] for p in pivots], pivots)

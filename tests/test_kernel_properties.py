@@ -532,33 +532,22 @@ def test_batched_closure_budget_stop_ends_on_a_round():
 def test_rewound_stream_reruns_point_by_point():
     # a stream that meets an escape is counted for none of its rounds: the
     # first draw after the rewind is a per-point one, also when clean
-    # rounds came before the escape
-    draws = []
-
-    class Rewinds(Random):
-        def setstate(self, state):
-            draws.append("rewind")
-            super().setstate(state)
-
-    def members(self, count, rng):
-        draws.append("batch")
-        return batch(self, count, rng)
-
-    def member(rows, rng):
-        draws.append("point")
-        return point(rows, rng)
-
-    batch, point = RowTables.random_members, invariants.random_member
-    with mock.patch.object(invariants, "Random", Rewinds), \
-            mock.patch.object(RowTables, "random_members", members), \
-            mock.patch.object(invariants, "random_member", member):
-        closure_search(LP4, [LP_SEED], samples_per_round=1, stable_rounds=6, seed=4, fresh_samples=0)
+    # rounds came before the escape.  Rounds of one draw: the span gains
+    # e_10, goes quiet and streams across rounds until the draw that
+    # brings in e_11
+    oracle, seeds, _ = TWO_FLIP_CASE
+    kwargs = dict(samples_per_round=1, stable_rounds=64, seed=0, fresh_samples=0)
+    log = DrawLog()
+    with log as draws:
+        got = closure_search(oracle, seeds, **kwargs)
     rewinds = [i for i, d in enumerate(draws) if d == "rewind"]
     assert rewinds and all(draws[i + 1] == "point" for i in rewinds)
     # some rewound stream held a clean round: more than one per-point
     # round ran before the next stream
-    reruns = [list(itertools.takewhile("point".__eq__, draws[i + 1:])) for i in rewinds]
+    reruns = [list(itertools.takewhile(lambda d: d == "point", draws[i + 1:])) for i in rewinds]
     assert max(map(len, reruns)) > 1
+    expected, ref_rng = per_point_closure_search(oracle, seeds, **kwargs)
+    assert got == expected and log.rngs[-1].getstate() == ref_rng.getstate()
 
 
 def test_growing_round_streams_its_clean_tail():
@@ -590,6 +579,41 @@ def test_a_late_growth_rewinds_a_mid_round_stream():
     assert len(before) + len(rerun) < kwargs["samples_per_round"]
 
 
+def three_cycle_oracle():
+    """The 3-cycle a -> b -> c -> a of F_2^128 with an array twin, where
+    a = 0x3F and c = 0x3E lie in span(e_0..e_5) and b = a + e_10 does not:
+    at a only the forward image leaves that span, at c only the backward
+    one."""
+    a, b, c = 0x3F, 0x3F | 1 << 10, 0x3E
+    forward, backward = {a: b, b: c, c: a}, {b: a, c: b, a: c}
+
+    def twin(table):
+        def apply(xs):
+            ys = xs.copy()
+            low = ~xs[:, 1:].any(axis=1)
+            for x, y in table.items():
+                ys[low & (xs[:, 0] == x), 0] = y
+            return ys
+        return apply
+
+    return PermutationOracle(128, lambda x: forward.get(x, x), lambda x: backward.get(x, x), "three-cycle",
+                             many=(twin(forward), twin(backward)))
+
+
+def test_a_stream_checks_backward_images():
+    # the first stream meets c and not a, so only a backward image leaves
+    # the span: the stream is rewound, and the rerun grows the span by e_10
+    seeds = [1 << i for i in range(6)]
+    kwargs = dict(samples_per_round=8, stable_rounds=4, seed=23, fresh_samples=0)
+    log = DrawLog()
+    with log as events:
+        got = closure_search(three_cycle_oracle(), seeds, **kwargs)
+    assert events[:10] == ["point"] * 8 + [("batch", 24), "rewind"]
+    assert got.subspace == Subspace(128, seeds + [1 << 10])
+    expected, ref_rng = per_point_closure_search(three_cycle_oracle(), seeds, **kwargs)
+    assert got == expected and log.rngs[-1].getstate() == ref_rng.getstate()
+
+
 def test_budget_stop_in_a_mid_round_stream():
     # the stream that starts inside the growing first round is stopped by
     # the budget between its chunks: it is rewound, the rest of the round
@@ -611,7 +635,8 @@ def test_budget_stop_in_a_mid_round_stream():
 
 
 def test_batched_closure_draws_at_most_a_chunk_at_once():
-    # a stable round of many draws is scanned in chunks, so the memory of a
+    # the seeds span the pattern subspace, so the stream starts after the
+    # first STREAM_AFTER draws and is scanned in chunks: the memory of a
     # batch does not grow with samples_per_round
     sizes = []
     draw = RowTables.random_members
@@ -624,7 +649,7 @@ def test_batched_closure_draws_at_most_a_chunk_at_once():
     with mock.patch.object(RowTables, "random_members", spy):
         res = closure_search(LP4, lp.basis, samples_per_round=3000, stable_rounds=3, fresh_samples=0)
     assert res.subspace == lp and res.rounds == 3
-    assert sum(sizes) == 2 * 3000 and max(sizes) <= invariants.ESCAPE_CHUNK
+    assert sum(sizes) == 3 * 3000 - invariants.STREAM_AFTER and max(sizes) <= invariants.ESCAPE_CHUNK
 
 
 @st.composite
