@@ -20,8 +20,12 @@ on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
   basis and 1024 ``random_members`` draws from ``Random(0)``;
 * ``twin.p4.1k.us`` -- the array twin of the same operator, forward then
   backward, on 1024 states drawn with ``Random(0)``, as ``vec_to_words``
-  rows; the median is of ``REPEATS`` runs of ``TWIN_CALLS`` such pairs,
-  per pair;
+  rows; the median is of ``REPEATS`` runs of ``CALLS`` such pairs, per
+  pair;
+* ``residuals.d32.1k.us`` -- ``RowTables.pivot_map`` of the pattern
+  subspace, its ``residuals`` of the same 1024 states: the row gather of
+  ``escapes`` and of the closure stream on its own, timed as the twin is,
+  per call;
 * ``lp_verify.seed0.ms`` -- one in-process ``lp-verify --seed 0`` with
   stdout captured.
 
@@ -44,7 +48,7 @@ from ksgroup.keyschedule import aes_core, ks_oracle
 
 REPEATS = 7
 STABLE_ROUNDS = 16
-TWIN_CALLS = 100
+CALLS = 100  # kernel calls per timed run of the twin and residual figures
 
 
 def median_ms(fn) -> float:
@@ -70,13 +74,18 @@ def main() -> None:
             assert cli.run(["--output", "json", "lp-verify", "--seed", "0"]) == 0
 
     def twin() -> None:
-        for _ in range(TWIN_CALLS):
+        for _ in range(CALLS):
             forward(states)
             backward(states)
+
+    def residuals() -> None:
+        for _ in range(CALLS):
+            reducer.residuals(states)
 
     rng = Random(0)
     states = vec_to_words([rng.getrandbits(128) for _ in range(1024)], 128)
     forward, backward = oracle.many
+    reducer = RowTables.pivot_map(lp)
     first = median_ms(lambda: closure(1))
     many = median_ms(lambda: closure(1 + STABLE_ROUNDS))
     print(json.dumps({
@@ -85,7 +94,8 @@ def main() -> None:
         "escapes.d32.10k.ms": round(median_ms(lambda: escapes(oracle, lp, 10_000, Random(0))), 3),
         "members.d32.1k.ms": round(median_ms(
             lambda: RowTables(lp.basis, 128).random_members(1024, Random(0))), 3),
-        "twin.p4.1k.us": round(median_ms(twin) * 1000 / TWIN_CALLS, 1),
+        "twin.p4.1k.us": round(median_ms(twin) * 1000 / CALLS, 1),
+        "residuals.d32.1k.us": round(median_ms(residuals) * 1000 / CALLS, 1),
         "lp_verify.seed0.ms": round(median_ms(lp_verify), 3),
     }, indent=2))
 

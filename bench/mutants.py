@@ -67,13 +67,21 @@ MUTANTS = [
            "",
            ("tests/test_keyschedule.py::test_power_one_lift_table_is_the_per_point_table",)),
     Mutant("negative-power-twin-not-reversed", "keyschedule.py",
-           "            list(vec_to_words(constants, m)),\n        )[::order]\n",
-           "            list(vec_to_words(constants, m)),\n        )\n",
+           "            rows,\n        )[::order]\n",
+           "            rows,\n        )\n",
            (KP + "test_negative_power_is_the_inverse_operator",)),
     Mutant("chain-undoes-constants-forwards", "keyschedule.py",
            "        for c in reversed(constants):\n",
            "        for c in constants:\n",
            ("tests/test_keyschedule.py::test_oracle_with_constants_backward_undoes_forward",)),
+    Mutant("twin-drops-nonzero-constants", "keyschedule.py",
+           "        rows = [row if c else None for c, row in zip(constants, vec_to_words(constants, m))]\n",
+           "        rows = [None for c in constants]\n",
+           (KP + "test_array_twin_matches_the_operator",)),
+    Mutant("row-gather-without-axis", "gf2.py",
+           "            out ^= np.take(table, data[:, j], axis=0)\n",
+           "            out ^= np.take(table, data[:, j])\n",
+           (KP + "test_row_tables_against_matrix_loops",)),
     Mutant("member-draws-last-word-unshifted", "gf2.py",
            "            masks[:, -1] >>= 32 - self.k % 32\n",
            "            masks[:, -1] >>= 0\n",

@@ -22,7 +22,8 @@ Every difference table of a map given as a numpy table is scanned by
 
 ``RowTables`` is the one batch kernel: a linear map given by rows, applied
 to a batch of ``vec_to_words`` arrays through one 256-entry table per
-input byte that carries a nonzero row.  Over a row list it draws random
+input byte that carries a nonzero row, each gathered with ``np.take``
+along axis 0.  Over a row list it draws random
 members; built by ``pivot_map`` it takes the RREF residual x + P(x) of a
 whole batch in one pass.
 
@@ -105,7 +106,8 @@ def vec_to_words(vectors: Sequence[int], m: int) -> np.ndarray:
 class RowTables:
     """The linear map x -> sum of ``rows[i]`` over the set bits i of x,
     applied to a batch: one 256-entry table per input byte that carries a
-    nonzero row, so a batch costs one gather per such byte.
+    nonzero row, so a batch costs one gather per such byte, an ``np.take``
+    of whole table rows along axis 0.
 
     Built over the rows of a sampler it draws random members, and built by
     ``pivot_map`` it gives the RREF residual of every vector of a batch.
@@ -141,10 +143,12 @@ class RowTables:
 
     def apply(self, data: np.ndarray) -> np.ndarray:
         """Images of the inputs given as an (N, B) uint8 array of
-        little-endian bytes, B >= ceil(k/8); bytes past ceil(k/8) are not read."""
+        little-endian bytes, B >= ceil(k/8); bytes past ceil(k/8) are not
+        read.  Each byte's table rows are gathered by ``np.take`` along
+        axis 0: the rows of ``table[data[:, j]]``, several times faster."""
         out = np.zeros((len(data), self.words), WORD)
         for j, table in self.tables:
-            out ^= table[data[:, j]]
+            out ^= np.take(table, data[:, j], axis=0)
         return out
 
     def random_members(self, count: int, rng: Random) -> np.ndarray:

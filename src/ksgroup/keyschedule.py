@@ -32,10 +32,12 @@ over a 32-bit word map with one pass an array twin,
 columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
 forward step XORs rho(word 4) into word 1 and then runs the XOR across
 the words, three column XORs into one output array; the inverse step
-XORs each word with its neighbour, then rho(word 4) into word 1.  The AES
-word map's twin gathers the S-box on the bytes as they lie and then
-rotates each word with two shifts.  Other oracles have no twin and are
-evaluated per point.
+XORs each word with its neighbour, then rho(word 4) into word 1.  The twin
+XORs only the nonzero constants: a zero one, such as every constant of a
+power without ``constants``, is skipped rather than XORed as a broadcast
+row of zeros after each step.  The AES word map's twin gathers the S-box
+on the bytes as they lie and then rotates each word with two shifts.
+Other oracles have no twin and are evaluated per point.
 """
 
 from __future__ import annotations
@@ -271,16 +273,17 @@ def _ks_table(rho: PermutationOracle, constant: int) -> tuple[int, ...]:
 
 
 def _chain(step: Callable, undo: Callable, constants: Sequence) -> tuple[Callable, Callable]:
-    """x -> step(x) + c for each c in turn, and its inverse."""
+    """x -> step(x) + c for each c in turn, and its inverse; a constant of
+    None is no XOR at all."""
 
     def fwd(x):
         for c in constants:
-            x = step(x) ^ c
+            x = step(x) if c is None else step(x) ^ c
         return x
 
     def bwd(y):
         for c in reversed(constants):
-            y = undo(y ^ c)
+            y = undo(y if c is None else y ^ c)
         return y
 
     return fwd, bwd
@@ -325,10 +328,11 @@ def ks_oracle(
     scalar = _chain(functools.partial(ks_apply, rho), functools.partial(ks_inverse, rho), constants)
     many = None
     if rho.many is not None and rho.m == WORD_BITS:
+        rows = [row if c else None for c, row in zip(constants, vec_to_words(constants, m))]
         many = _chain(
             functools.partial(_ks_apply_many, rho.many[0]),
             functools.partial(_ks_inverse_many, rho.many[0]),
-            list(vec_to_words(constants, m)),
+            rows,
         )[::order]
     transversal = table = None
     if power == 1:

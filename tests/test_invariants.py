@@ -197,13 +197,47 @@ def all_points_primitivity(oracle):
 
 def full_growth_primitivity(oracle):
     """(status, witness, pairs_checked, witness_certified) of the ordered
-    seed scan with every block grown to closure: ``min_block_subspace``
-    without a ``full_below`` promise, the witness re-checked exhaustively."""
-    for v in range(1, 1 << oracle.m):
-        block = min_block_subspace(oracle, v)
-        if not block.is_trivial:
-            return "imprimitive", block, v, is_linear_block(oracle, block).ok
-    return "primitive", None, (1 << oracle.m) - 1, None
+    seed scan with every block grown to closure, the witness re-checked
+    exhaustively.
+
+    Every seed grows at once in numpy, with no containment rule and no
+    ``full_below``: each keeps its own echelon rows, indexed by top bit,
+    and its basis vectors in the order they were found.  Step k scans the
+    k-th basis vector of every seed that has one over the transversal and
+    eliminates the values into the rows, so each block ends closed under
+    the derivatives.
+    """
+    m = oracle.m
+    table = np.array(oracle.table(), dtype=np.uint32)
+    points = np.array(oracle.transversal, dtype=np.uint32)
+    seeds = np.arange(1, 1 << m, dtype=np.uint32)
+    echelon = np.zeros((len(seeds), m), np.uint32)  # column b: the row with top bit b, or 0
+    found = np.zeros((len(seeds), m), np.uint32)  # column k: the k-th basis vector found
+    dims = np.zeros(len(seeds), np.intp)
+
+    def insert(values, who):
+        # Gaussian elimination of each seed's values, top bit first, so a
+        # value has bit b when it is at least 2^b; where a seed has no row
+        # at bit b yet, its first value with bit b becomes one
+        for b in range(m - 1, -1, -1):
+            hit = values >= 1 << b
+            row = echelon[who, b]
+            first = np.take_along_axis(values, hit.argmax(axis=1)[:, None], axis=1)[:, 0]
+            new = np.flatnonzero((row == 0) & (first >= 1 << b))
+            row[new] = first[new]
+            echelon[who[new], b] = found[who[new], dims[who[new]]] = first[new]
+            dims[who[new]] += 1
+            values ^= np.where(hit, row[:, None], 0)
+
+    insert(seeds[:, None].copy(), np.arange(len(seeds)))
+    for k in range(m):
+        who = np.flatnonzero((dims > k) & (dims < m))
+        insert(table[found[who, k][:, None] ^ points] ^ table[points], who)
+    proper = np.flatnonzero(dims < m)
+    if not proper.size:
+        return "primitive", None, (1 << m) - 1, None
+    block = Subspace(m, echelon[proper[0]].tolist())
+    return "imprimitive", block, int(seeds[proper[0]]), is_linear_block(oracle, block).ok
 
 
 def unionfind_primitivity(oracle):

@@ -328,6 +328,21 @@ def test_array_twin_matches_the_operator(power, with_constants, normalize, xs):
     assert [vec_from_words(w) for w in core.many[1](low)] == [core.backward(x & 0xFFFFFFFF) for x in xs]
 
 
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("power", [2, 3, 4])
+def test_twin_skips_exactly_the_zero_constants(power, first):
+    # zero states alternate with round constants, so a skip keyed on the
+    # wrong step, or on any constant being zero, changes some image
+    constants = [c if i % 2 == first else 0 for i, c in enumerate(aes_round_constant_states(power))]
+    oracle = ks_oracle(aes_core(), power, constants)
+    rng = Random(power)
+    xs = [0, *(rng.getrandbits(128) for _ in range(7))]
+    forward_many, backward_many = oracle.many
+    words = vec_to_words(xs, 128)
+    assert [vec_from_words(w) for w in forward_many(words)] == [oracle.forward(x) for x in xs]
+    assert [vec_from_words(w) for w in backward_many(words)] == [oracle.backward(x) for x in xs]
+
+
 @REPLAY
 @given(st.integers(1, 4), points128)
 def test_negative_power_is_the_inverse_operator(power, xs):
@@ -688,7 +703,8 @@ def test_closure_bench_script_runs(capsys, monkeypatch):
     script.main()
     figures = json.loads(capsys.readouterr().out)
     assert set(figures) == {"closure.first_round.ms", "closure.stable_round.ms", "escapes.d32.10k.ms",
-                            "members.d32.1k.ms", "twin.p4.1k.us", "lp_verify.seed0.ms"}
+                            "members.d32.1k.ms", "twin.p4.1k.us", "residuals.d32.1k.us",
+                            "lp_verify.seed0.ms"}
 
 
 def test_blocks_bench_script_runs(capsys, monkeypatch):
