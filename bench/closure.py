@@ -1,6 +1,6 @@
 """Timings behind BENCH_closure.json and BENCH_stable_runs.json: the
-growing and the batched closure round, escapes scan, member draws and the
-operator's array twin.
+growing and the batched closure round, a rewound closure, escapes scan,
+member draws and the operator's array twin.
 
     PYTHONPATH=src python3 bench/closure.py
 
@@ -14,6 +14,11 @@ on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
 * ``closure.stable_round.ms`` -- one stable dim-32 closure round of 256
   draws from the same start.  Every round after the first is stable, so
   a round is the time of 17 rounds minus the time of 1, over 16;
+* ``closure.rewound.seed16.ms`` -- a whole closure from the same start
+  with ``seed=16`` and the default 256-draw rounds and 64 stable rounds,
+  ``fresh_samples=0``: its first stream meets a later growth and is
+  rewound.  Before timing, the run is checked to rewind once and to end
+  at dim 32 after 65 rounds;
 * ``escapes.d32.10k.ms`` -- 10^4 ``escapes`` draws of the same operator on
   the pattern subspace, ``Random(0)``;
 * ``members.d32.1k.ms`` -- ``RowTables`` built over the pattern subspace
@@ -40,10 +45,11 @@ import json
 import statistics
 from random import Random
 from time import perf_counter
+from unittest import mock
 
 from ksgroup import cli
 from ksgroup.gf2 import RowTables, vec_to_words
-from ksgroup.invariants import closure_search, escapes, lp_pattern_subspace
+from ksgroup.invariants import ClosureResult, closure_search, escapes, lp_pattern_subspace
 from ksgroup.keyschedule import aes_core, ks_oracle
 
 REPEATS = 7
@@ -69,6 +75,9 @@ def main() -> None:
                              max_rounds=rounds, fresh_samples=0, seed=0)
         assert res.rounds == rounds and res.subspace == lp
 
+    def rewound() -> ClosureResult:
+        return closure_search(oracle, [lp.basis[0]], seed=16, fresh_samples=0)
+
     def lp_verify() -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.run(["--output", "json", "lp-verify", "--seed", "0"]) == 0
@@ -86,11 +95,16 @@ def main() -> None:
     states = vec_to_words([rng.getrandbits(128) for _ in range(1024)], 128)
     forward, backward = oracle.many
     reducer = RowTables.pivot_map(lp)
+    # a rewind is the closure's one setstate call
+    with mock.patch.object(Random, "setstate", autospec=True, side_effect=Random.setstate) as rewinds:
+        res = rewound()
+    assert (rewinds.call_count, res.subspace.dim, res.rounds) == (1, 32, 65)
     first = median_ms(lambda: closure(1))
     many = median_ms(lambda: closure(1 + STABLE_ROUNDS))
     print(json.dumps({
         "closure.first_round.ms": round(first, 3),
         "closure.stable_round.ms": round((many - first) / STABLE_ROUNDS, 3),
+        "closure.rewound.seed16.ms": round(median_ms(rewound), 3),
         "escapes.d32.10k.ms": round(median_ms(lambda: escapes(oracle, lp, 10_000, Random(0))), 3),
         "members.d32.1k.ms": round(median_ms(
             lambda: RowTables(lp.basis, 128).random_members(1024, Random(0))), 3),

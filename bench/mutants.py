@@ -87,8 +87,8 @@ MUTANTS = [
            "            masks[:, -1] >>= 0\n",
            (KP + "test_random_members_multi_word_draws",)),
     Mutant("closure-rng-not-rewound", "invariants.py",
-           "                    rng.setstate(state)\n                    streaming = False\n",
-           "                    streaming = False\n",
+           "                    rng.setstate(state)\n",
+           "                    pass\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_batched_closure_budget_stop_ends_on_a_round")),
     Mutant("stream-counted-after-an-escape", "invariants.py",
@@ -101,8 +101,8 @@ MUTANTS = [
            "                end = grew + stable_rounds\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
     Mutant("stream-forward-images-only", "invariants.py",
-           "                outside = _outside(oracle.many, members,",
-           "                outside = _outside(oracle.many[:1], members,",
+           "                outside = _outside(oracle.many, residuals,",
+           "                outside = _outside(oracle.many[:1], residuals,",
            (KP + "test_batched_closure_replays_the_per_point_loop",
             KP + "test_a_stream_checks_backward_images")),
     Mutant("mid-round-stream-skips-the-rest-of-its-round", "invariants.py",
@@ -115,13 +115,17 @@ MUTANTS = [
            "                draws = max((end - rounds) * samples_per_round - done - 1, 0)\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
     Mutant("stop-round-one-early", "invariants.py",
-           "                grew, quiet, streaming = rounds + 1, 0, oracle.many is not None\n",
-           "                grew, quiet, streaming = rounds, 0, oracle.many is not None\n",
+           "                grew, quiet = rounds + 1, 0\n",
+           "                grew, quiet = rounds, 0\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
     Mutant("stream-starts-one-draw-late", "invariants.py",
-           "            if streaming and quiet >= STREAM_AFTER:\n",
-           "            if streaming and quiet > STREAM_AFTER:\n",
+           "            if oracle.many is not None and quiet == STREAM_AFTER:\n",
+           "            if oracle.many is not None and quiet == STREAM_AFTER + 1:\n",
            (KP + "test_batched_closure_draws_at_most_a_chunk_at_once",)),
+    Mutant("stream-retried-after-a-rewind", "invariants.py",
+           "            if oracle.many is not None and quiet == STREAM_AFTER:\n",
+           "            if oracle.many is not None and quiet >= STREAM_AFTER:\n",
+           (KP + "test_a_late_growth_rewinds_a_mid_round_stream",)),
     Mutant("row-test-reads-word-0-only", "invariants.py",
            "            for column in reducer.residuals(f(xs)).T:\n",
            "            for column in reducer.residuals(f(xs)).T[:1]:\n",
@@ -132,14 +136,15 @@ MUTANTS = [
            "    xs[:, 2] = ys[:, 2]\n",
            (KP + "test_array_twin_matches_the_operator",)),
     Mutant("escapes-counts-first-chunk-only", "invariants.py",
-           "    return sum(int(out.sum()) for out in _outside(oracle.many[:1], members, reducer, samples, rng))\n",
-           "    return int(next(_outside(oracle.many[:1], members, reducer, samples, rng)).sum())\n",
+           "    return sum(int(out.sum()) for out in _outside(oracle.many[:1], u.basis, u, samples, rng))\n",
+           "    return int(next(_outside(oracle.many[:1], u.basis, u, samples, rng)).sum())\n",
            (KP + "test_batched_escapes_replays_the_per_point_loop",)),
     Mutant("escapes-skips-draws-at-full-dimension", "invariants.py",
            "    if oracle.many is None or u.dim == u.m:\n",
            "    if u.dim == u.m:\n        return 0\n    if oracle.many is None:\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",
-            KP + "test_batched_escapes_replays_the_per_point_loop")),
+            KP + "test_batched_escapes_replays_the_per_point_loop",
+            KP + "test_escapes_at_full_dimension_takes_every_draw")),
     Mutant("ks-apply-width-unchecked", "keyschedule.py",
            '    if not 0 <= x <= mask:\n        raise DimensionMismatch(f"state {x:#x} does not fit four '
            '{n}-bit words")\n    t = rho.forward(x >> 3 * n)\n',

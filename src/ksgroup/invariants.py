@@ -41,16 +41,18 @@ membership in a fixed subspace, so for an oracle with an array twin
 (``PermutationOracle.many``) they evaluate their draws with
 ``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  An ``escapes`` scan of a
 proper subspace adds up the escaping draws of each chunk.  A closure
-streams once ``STREAM_AFTER`` draws in a row have left its span as it
-was, wherever in a round that happens.  The stream is every draw left up
-to the next stable or max-rounds stop, scanned as one, and it is counted
-only if every image stays in the span.  At an image outside it, or a
-budget stop (checked between chunks), the rng is rewound to the stream's
-start and the draws run point by point until one grows the span.  The
-batches draw from the Python ``Random`` in the per-point order, so every
-result, count and rng state at return equals the per-point loop's.  Only
-the draws up to ``STREAM_AFTER`` past the last growth and the draws of a
-rewound stream run point by point.
+tries a stream when its quiet count, the draws since the last growth,
+reaches ``STREAM_AFTER``, so once per growth, wherever in a round that
+happens, and the stream builds its tables when it starts.  The stream is
+every draw left up to the next stable or max-rounds stop, scanned as
+one, and it is counted only if every image stays in the span.  At an
+image outside it, or a budget stop (checked between chunks), the rng is
+rewound to the stream's start and the draws run point by point; the
+next stream waits for the next growth.  The batches draw from the Python
+``Random`` in the per-point order, so every result, count and rng state
+at return equals the per-point loop's.  Only the draws up to
+``STREAM_AFTER`` past each growth and the draws of a rewound stream run
+point by point.
 """
 
 from __future__ import annotations
@@ -108,12 +110,13 @@ ESCAPE_CHUNK = 1024  # draws per batch of a batched scan
 STREAM_AFTER = 8  # draws in a row without growth after which a closure streams to its stop
 
 
-def _outside(maps: Sequence, members: RowTables, reducer: RowTables, samples: int,
+def _outside(maps: Sequence, rows: Sequence[int], span: Subspace, samples: int,
              rng: Random) -> Iterator[np.ndarray]:
-    """Scan ``samples`` draws of ``members`` in chunks of ``ESCAPE_CHUNK``,
-    in the per-point order, and yield per chunk which draws have an image
-    under one of the array ``maps`` outside the span that ``reducer``
-    (a ``RowTables.pivot_map``) reduces against."""
+    """Scan ``samples`` random members of span(``rows``) in chunks of
+    ``ESCAPE_CHUNK``, in the per-point order, and yield per chunk which
+    draws have an image under one of the array ``maps`` outside ``span``.
+    The tables are built when the scan starts."""
+    members, reducer = RowTables(rows, span.m), RowTables.pivot_map(span)
     for start in range(0, samples, ESCAPE_CHUNK):
         xs = members.random_members(min(ESCAPE_CHUNK, samples - start), rng)
         # a draw is outside when any word of any residual is nonzero
@@ -139,8 +142,7 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
         raise ValueError(f"samples must be at least 0, got {samples}")
     if oracle.many is None or u.dim == u.m:
         return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
-    members, reducer = RowTables(u.basis, u.m), RowTables.pivot_map(u)
-    return sum(int(out.sum()) for out in _outside(oracle.many[:1], members, reducer, samples, rng))
+    return sum(int(out.sum()) for out in _outside(oracle.many[:1], u.basis, u, samples, rng))
 
 
 # ---------------------------------------------------------------------
@@ -324,8 +326,6 @@ def closure_search(
 
     # grew: the rounds up to and including the last that grew the span; quiet: draws since then
     rounds = grew = quiet = evals = 0
-    members = reducer = None  # tables of the stream, rebuilt when the span grows
-    streaming = oracle.many is not None  # cleared while a rewound stream reruns point by point
     while len(rows) < m and rounds < min(grew + stable_rounds, max_rounds):
         if over_budget():
             stop_reason = "budget"
@@ -336,27 +336,24 @@ def closure_search(
             evals += 2
             quiet += 1
             if new:
-                grew, quiet, streaming = rounds + 1, 0, oracle.many is not None
+                grew, quiet = rounds + 1, 0
                 residuals += new
                 if len(rows) == m:
                     break
-            if streaming and quiet >= STREAM_AFTER:
-                # the span has stopped growing: scan the draws left up to the
-                # next stable or max-rounds stop as one stream, in chunks, and
-                # count it only if every image stays in the span.  Otherwise
-                # rewind to its start and go on point by point until a draw
-                # grows the span
-                if members is None or members.k != len(residuals):
-                    order = sorted(rows)
-                    span = Subspace._from_rref(m, [rows[p] for p in order], order)
-                    members, reducer = RowTables(residuals, m), RowTables.pivot_map(span)
+            if oracle.many is not None and quiet == STREAM_AFTER:
+                # STREAM_AFTER quiet draws, reached once per growth: scan the
+                # draws left up to the next stable or max-rounds stop as one
+                # stream, in chunks, and count it only if every image stays in
+                # the span.  Otherwise rewind to its start and go on point by
+                # point until the next growth
+                order = sorted(rows)
+                span = Subspace._from_rref(m, [rows[p] for p in order], order)
                 end = min(grew + stable_rounds, max_rounds)
                 draws = (end - rounds) * samples_per_round - done
                 state = rng.getstate()
-                outside = _outside(oracle.many, members, reducer, draws, rng)
+                outside = _outside(oracle.many, residuals, span, draws, rng)
                 if any(out.any() or over_budget() for out in outside):
                     rng.setstate(state)
-                    streaming = False
                 else:
                     evals += 2 * draws
                     rounds = end - 1

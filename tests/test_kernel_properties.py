@@ -388,22 +388,28 @@ def test_random_members_multi_word_draws(k, count):
 @st.composite
 def closure_cases(draw):
     lp = lp_pattern_subspace()
+    fresh = [0, 1, 5, 1500]
     if draw(st.booleans()):
         # seeds in the pattern subspace, which LP4 leaves invariant: rounds
         # of 10 to 20 draws stop growing and can stream from inside a round
         oracle, seeds = LP4, draw(st.lists(st.sampled_from(lp.basis), min_size=1, max_size=2))
         samples_per_round = draw(st.sampled_from(range(10, 21)))
-    else:
+    elif draw(st.booleans()):
         oracle = draw(aes_oracles())
         seeds = draw(st.lists(st.one_of(st.integers(0, (1 << 128) - 1), st.sampled_from(lp.basis)),
                               min_size=1, max_size=2))
         samples_per_round = draw(st.integers(1, 3))
+    else:
+        # the span gains e_10, goes quiet and gains e_11, so about two in
+        # five of these cases stream, meet the later growth and rewind
+        oracle, seeds = two_flip_oracle(), [1 << i for i in range(6)]
+        samples_per_round, fresh = draw(st.integers(1, 40)), [0, 1, 5]
     kwargs = dict(
         samples_per_round=samples_per_round,
         stable_rounds=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32)),
         max_rounds=draw(st.integers(1, 60)),
-        fresh_samples=draw(st.sampled_from([0, 1, 5, 1500])),
+        fresh_samples=draw(st.sampled_from(fresh)),
     )
     return oracle, seeds, kwargs
 
@@ -592,6 +598,11 @@ def test_a_late_growth_rewinds_a_mid_round_stream():
     rerun = list(itertools.takewhile(lambda e: e == "point", events[rewind + 1:]))
     assert set(before) == {"point"}
     assert len(before) + len(rerun) < kwargs["samples_per_round"]
+    # one stream per growth: after each rewind the rerun reaches the growing
+    # draw and then STREAM_AFTER quiet draws before the next batch
+    reruns = [len(list(itertools.takewhile(lambda e: e == "point", events[i + 1:])))
+              for i, e in enumerate(events) if e == "rewind"]
+    assert min(reruns) > invariants.STREAM_AFTER
 
 
 def three_cycle_oracle():
@@ -689,6 +700,14 @@ def test_batched_escapes_replays_the_per_point_loop(case):
     assert rng.getstate() == ref.getstate()
 
 
+def test_escapes_at_full_dimension_takes_every_draw():
+    # nothing escapes the full space, yet its draws are taken as the
+    # per-point loop takes them; escape_cases never reach dimension 128
+    rng, ref = Random(0), Random(0)
+    assert escapes(LP4, full_space(128), 7, rng) == per_point_escapes(LP4, full_space(128), 7, ref) == 0
+    assert rng.getstate() == ref.getstate()
+
+
 def load_bench_script(name):
     path = Path(__file__).parents[1] / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
@@ -702,9 +721,9 @@ def test_closure_bench_script_runs(capsys, monkeypatch):
     monkeypatch.setattr(script, "REPEATS", 1)
     script.main()
     figures = json.loads(capsys.readouterr().out)
-    assert set(figures) == {"closure.first_round.ms", "closure.stable_round.ms", "escapes.d32.10k.ms",
-                            "members.d32.1k.ms", "twin.p4.1k.us", "residuals.d32.1k.us",
-                            "lp_verify.seed0.ms"}
+    assert set(figures) == {"closure.first_round.ms", "closure.stable_round.ms", "closure.rewound.seed16.ms",
+                            "escapes.d32.10k.ms", "members.d32.1k.ms", "twin.p4.1k.us",
+                            "residuals.d32.1k.us", "lp_verify.seed0.ms"}
 
 
 def test_blocks_bench_script_runs(capsys, monkeypatch):
