@@ -32,7 +32,10 @@ on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
   ``escapes`` and of the closure stream on its own, timed as the twin is,
   per call;
 * ``lp_verify.seed0.ms`` -- one in-process ``lp-verify --seed 0`` with
-  stdout captured.
+  stdout captured;
+* ``chunk.<c>.lp_verify.seed0.ms`` -- the same with ``ESCAPE_CHUNK`` set
+  to c, for each c in ``CHUNKS``: the sweep behind its value.  The
+  constant is patched in this process only and restored after each figure.
 
 Each figure is the median of ``REPEATS`` runs.
 """
@@ -47,7 +50,7 @@ from random import Random
 from time import perf_counter
 from unittest import mock
 
-from ksgroup import cli
+from ksgroup import cli, invariants
 from ksgroup.gf2 import RowTables, vec_to_words
 from ksgroup.invariants import ClosureResult, closure_search, escapes, lp_pattern_subspace
 from ksgroup.keyschedule import aes_core, ks_oracle
@@ -55,6 +58,7 @@ from ksgroup.keyschedule import aes_core, ks_oracle
 REPEATS = 7
 STABLE_ROUNDS = 16
 CALLS = 100  # kernel calls per timed run of the twin and residual figures
+CHUNKS = (1024, 2048, 4096, 8192)  # ESCAPE_CHUNK values of the sweep
 
 
 def median_ms(fn) -> float:
@@ -101,6 +105,10 @@ def main() -> None:
     assert (rewinds.call_count, res.subspace.dim, res.rounds) == (1, 32, 65)
     first = median_ms(lambda: closure(1))
     many = median_ms(lambda: closure(1 + STABLE_ROUNDS))
+    chunks = {}
+    for c in CHUNKS:
+        with mock.patch.object(invariants, "ESCAPE_CHUNK", c):
+            chunks[f"chunk.{c}.lp_verify.seed0.ms"] = round(median_ms(lp_verify), 3)
     print(json.dumps({
         "closure.first_round.ms": round(first, 3),
         "closure.stable_round.ms": round((many - first) / STABLE_ROUNDS, 3),
@@ -111,6 +119,7 @@ def main() -> None:
         "twin.p4.1k.us": round(median_ms(twin) * 1000 / CALLS, 1),
         "residuals.d32.1k.us": round(median_ms(residuals) * 1000 / CALLS, 1),
         "lp_verify.seed0.ms": round(median_ms(lp_verify), 3),
+        **chunks,
     }, indent=2))
 
 

@@ -100,6 +100,10 @@ MUTANTS = [
            "                end = min(grew + stable_rounds, max_rounds)\n",
            "                end = grew + stable_rounds\n",
            (KP + "test_batched_closure_replays_the_per_point_loop",)),
+    Mutant("stream-checks-first-chunk-only", "invariants.py",
+           "                if any(out.any() or over_budget() for out in outside):\n",
+           "                if any(out.any() or over_budget() for out in list(outside)[:1]):\n",
+           (KP + "test_a_stream_escape_past_its_first_chunk_rewinds",)),
     Mutant("stream-forward-images-only", "invariants.py",
            "                outside = _outside(oracle.many, residuals,",
            "                outside = _outside(oracle.many[:1], residuals,",
@@ -137,7 +141,7 @@ MUTANTS = [
            (KP + "test_array_twin_matches_the_operator",)),
     Mutant("escapes-counts-first-chunk-only", "invariants.py",
            "    return sum(int(out.sum()) for out in _outside(oracle.many[:1], u.basis, u, samples, rng))\n",
-           "    return int(next(_outside(oracle.many[:1], u.basis, u, samples, rng)).sum())\n",
+           "    return sum([int(out.sum()) for out in _outside(oracle.many[:1], u.basis, u, samples, rng)][:1])\n",
            (KP + "test_batched_escapes_replays_the_per_point_loop",)),
     Mutant("escapes-skips-draws-at-full-dimension", "invariants.py",
            "    if oracle.many is None or u.dim == u.m:\n",

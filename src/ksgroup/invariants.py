@@ -39,20 +39,22 @@ Contents:
 ``closure_search`` and ``escapes`` sample a fixed row list and test
 membership in a fixed subspace, so for an oracle with an array twin
 (``PermutationOracle.many``) they evaluate their draws with
-``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  An ``escapes`` scan of a
-proper subspace adds up the escaping draws of each chunk.  A closure
-tries a stream when its quiet count, the draws since the last growth,
-reaches ``STREAM_AFTER``, so once per growth, wherever in a round that
-happens, and the stream builds its tables when it starts.  The stream is
-every draw left up to the next stable or max-rounds stop, scanned as
-one, and it is counted only if every image stays in the span.  At an
-image outside it, or a budget stop (checked between chunks), the rng is
-rewound to the stream's start and the draws run point by point; the
-next stream waits for the next growth.  The batches draw from the Python
-``Random`` in the per-point order, so every result, count and rng state
-at return equals the per-point loop's.  Only the draws up to
-``STREAM_AFTER`` past each growth and the draws of a rewound stream run
-point by point.
+``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  A chunk costs about 140
+small numpy calls whatever its size (the member draw, each step of the
+twin both ways, two residual passes), so chunks are large.  An
+``escapes`` scan of a proper subspace adds up the escaping draws of each
+chunk.  A closure tries a stream when its quiet count, the draws since
+the last growth, reaches ``STREAM_AFTER``, so once per growth, wherever
+in a round that happens, and the stream builds its tables when it
+starts.  The stream is every draw left up to the next stable or
+max-rounds stop, scanned as one, and it is counted only if every image
+stays in the span.  At an image outside it, or a budget stop (checked
+between chunks), the rng is rewound to the stream's start and the draws
+run point by point; the next stream waits for the next growth.  The
+batches draw from the Python ``Random`` in the per-point order, so every
+result, count and rng state at return equals the per-point loop's.  Only
+the draws up to ``STREAM_AFTER`` past each growth and the draws of a
+rewound stream run point by point.
 """
 
 from __future__ import annotations
@@ -106,7 +108,10 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
     return LinearBlockCheck(ok=True)
 
 
-ESCAPE_CHUNK = 1024  # draws per batch of a batched scan
+# draws per batch of a batched scan, 64 KB of states.  A chunk's fixed cost
+# outweighs its draws at 1024; 4096 gives as fast an lp-verify as 8192 with
+# half the memory (bench/closure.py, BENCH_closure.json "chunk_4096")
+ESCAPE_CHUNK = 4096
 STREAM_AFTER = 8  # draws in a row without growth after which a closure streams to its stop
 
 

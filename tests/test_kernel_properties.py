@@ -540,8 +540,8 @@ def test_batched_closure_budget_stop_ends_on_a_round():
             mock.patch.object(invariants.time, "perf_counter", lambda: next(ticks)):
         got = closure_search(LP4, [LP_SEED], budget_ms=3.5, **kwargs)
     # readings: t0, the loop's check before round 1, then one after each
-    # 1024-draw chunk of the stream that starts inside round 1 after its
-    # 25th per-point draw; the third (4 ms) is the stop, so the stream is
+    # ESCAPE_CHUNK-draw chunk of the stream that starts inside round 1 after
+    # its 25th per-point draw; the third (4 ms) is the stop, so the stream is
     # rewound, the round's other 275 draws run point by point, and the
     # loop's next check ends the search
     assert (got.stop_reason, got.rounds) == ("budget", 1)
@@ -605,12 +605,9 @@ def test_a_late_growth_rewinds_a_mid_round_stream():
     assert min(reruns) > invariants.STREAM_AFTER
 
 
-def three_cycle_oracle():
-    """The 3-cycle a -> b -> c -> a of F_2^128 with an array twin, where
-    a = 0x3F and c = 0x3E lie in span(e_0..e_5) and b = a + e_10 does not:
-    at a only the forward image leaves that span, at c only the backward
-    one."""
-    a, b, c = 0x3F, 0x3F | 1 << 10, 0x3E
+def cycle_oracle(a, b, c, name):
+    """The 3-cycle a -> b -> c -> a of F_2^128, points below 2^32, with an
+    array twin."""
     forward, backward = {a: b, b: c, c: a}, {b: a, c: b, a: c}
 
     def twin(table):
@@ -622,8 +619,22 @@ def three_cycle_oracle():
             return ys
         return apply
 
-    return PermutationOracle(128, lambda x: forward.get(x, x), lambda x: backward.get(x, x), "three-cycle",
+    return PermutationOracle(128, lambda x: forward.get(x, x), lambda x: backward.get(x, x), name,
                              many=(twin(forward), twin(backward)))
+
+
+def three_cycle_oracle():
+    """The 3-cycle a -> b -> c -> a, where a = 0x3F and c = 0x3E lie in
+    span(e_0..e_5) and b = a + e_10 does not: at a only the forward image
+    leaves that span, at c only the backward one."""
+    return cycle_oracle(0x3F, 0x3F | 1 << 10, 0x3E, "three-cycle")
+
+
+def rare_cycle_oracle():
+    """The 3-cycle a -> b -> c -> a, where a = 0x2ABC and c = 0x1357 lie in
+    span(e_0..e_13) and b = a + e_20 does not: a member of that span
+    escapes with probability 2/2^14."""
+    return cycle_oracle(0x2ABC, 0x2ABC | 1 << 20, 0x1357, "rare-cycle")
 
 
 def test_a_stream_checks_backward_images():
@@ -640,6 +651,22 @@ def test_a_stream_checks_backward_images():
     assert got == expected and log.rngs[-1].getstate() == ref_rng.getstate()
 
 
+def test_a_stream_escape_past_its_first_chunk_rewinds():
+    # the span is stable from the start, so the first stream begins after
+    # STREAM_AFTER draws and runs about 17 rounds of draws; its first escape
+    # lies past its first chunk, and the stream is rewound all the same
+    seeds = [1 << i for i in range(14)]
+    kwargs = dict(samples_per_round=1024, stable_rounds=16, seed=0, fresh_samples=0)
+    log = DrawLog()
+    with log as events:
+        got = closure_search(rare_cycle_oracle(), seeds, **kwargs)
+    before = events[:events.index("rewind")]
+    assert sum(e != "point" for e in before) >= 2
+    assert got.subspace == Subspace(128, seeds + [1 << 20])
+    expected, ref_rng = per_point_closure_search(rare_cycle_oracle(), seeds, **kwargs)
+    assert got == expected and log.rngs[-1].getstate() == ref_rng.getstate()
+
+
 def test_budget_stop_in_a_mid_round_stream():
     # the stream that starts inside the growing first round is stopped by
     # the budget between its chunks: it is rewound, the rest of the round
@@ -649,11 +676,12 @@ def test_budget_stop_in_a_mid_round_stream():
     log = DrawLog()
     with log as events, mock.patch.object(invariants.time, "perf_counter", lambda: next(ticks)):
         got = closure_search(LP4, [LP_SEED], budget_ms=2.5, **kwargs)
-    # readings: t0, round 1, two chunks of the stream (the stop), the loop
+    # readings: t0, round 1, two ESCAPE_CHUNK-draw chunks of the stream
+    # (the stop), the loop
     assert (got.stop_reason, got.rounds) == ("budget", 1)
     first = next(i for i, e in enumerate(events) if e != "point")
     assert first < 300
-    assert events[first:first + 3] == [("batch", 1024), ("batch", 1024), "rewind"]
+    assert events[first:first + 3] == [("batch", invariants.ESCAPE_CHUNK)] * 2 + ["rewind"]
     assert events.count("point") == 300
     expected, ref_rng = per_point_closure_search(LP4, [LP_SEED], max_rounds=1, **kwargs)
     assert (got.subspace, got.evaluations) == (expected.subspace, expected.evaluations)
@@ -685,14 +713,16 @@ def escape_cases(draw):
     extra = draw(st.lists(st.integers(0, (1 << 128) - 1), max_size=3))
     rows = list(lp.basis) if draw(st.booleans()) else []
     u = Subspace(128, rows + extra)
-    samples = draw(st.sampled_from([0, 1, 7, 1024, 1025, 2500]))
+    chunk = invariants.ESCAPE_CHUNK
+    samples = draw(st.sampled_from([0, 1, 7, chunk, chunk + 1, 2 * chunk + 452]))
     return oracle, u, samples, draw(st.integers(0, 2**32))
 
 
 @REPLAY
 @given(escape_cases())
-@example((LP4, lp_pattern_subspace(), 2500, 0))
-@example((LP4, Subspace(128, [*lp_pattern_subspace().basis, 1 << 127]), 2500, 1))
+@example((LP4, lp_pattern_subspace(), 2 * invariants.ESCAPE_CHUNK + 452, 0))
+@example((LP4, Subspace(128, [*lp_pattern_subspace().basis, 1 << 127]),
+          2 * invariants.ESCAPE_CHUNK + 452, 1))
 def test_batched_escapes_replays_the_per_point_loop(case):
     oracle, u, samples, seed = case
     rng, ref = Random(seed), Random(seed)
@@ -723,7 +753,8 @@ def test_closure_bench_script_runs(capsys, monkeypatch):
     figures = json.loads(capsys.readouterr().out)
     assert set(figures) == {"closure.first_round.ms", "closure.stable_round.ms", "closure.rewound.seed16.ms",
                             "escapes.d32.10k.ms", "members.d32.1k.ms", "twin.p4.1k.us",
-                            "residuals.d32.1k.us", "lp_verify.seed0.ms"}
+                            "residuals.d32.1k.us", "lp_verify.seed0.ms",
+                            *(f"chunk.{c}.lp_verify.seed0.ms" for c in (1024, 2048, 4096, 8192))}
 
 
 def test_blocks_bench_script_runs(capsys, monkeypatch):
