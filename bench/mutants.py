@@ -178,6 +178,21 @@ MUTANTS = [
            "                    row = 0\n",
            ("tests/test_sbox.py::test_anti_invariance_matches_the_whole_span_rule",
             "tests/test_sbox.py::test_anti_invariance_stops_each_image_past_d")),
+    Mutant("anti-invariance-gray-code-assigns", "sbox.py",
+           "                    acc ^= basis[(i & -i).bit_length() - 1]\n",
+           "                    acc = basis[(i & -i).bit_length() - 1]\n",
+           ("tests/test_sbox.py::test_anti_invariance_matches_the_whole_span_rule",
+            "tests/test_sbox.py::test_anti_invariance_stops_each_image_past_d")),
+    Mutant("anti-invariance-witness-pivots", "sbox.py",
+           "[(v & -v).bit_length() - 1 for v in basis]",
+           "range(len(basis))",
+           ("tests/test_sbox.py::test_aes_anti_invariance_order_3_with_a_witness_at_dim_4",)),
+    Mutant("anti-invariance-no-capacity-refusal", "gf2.py",
+           '    if m > MAX_ENUM_DIM:\n        raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, '
+           'got {m}")\n',
+           "",
+           ("tests/test_cli.py::test_sbox_audit_too_wide_to_enumerate_exit_2",
+            "tests/test_gf2.py::test_enumerate_capacity_refused")),
     Mutant("tower-splits-swapped", "goursat.py",
            '        "left_image_split": _level_report(decompose(g.left_image, n, n), g.left_image, with_hom),\n'
            '        "right_kernel_split": _level_report(decompose(g.right_kernel, n, n), g.right_kernel, '

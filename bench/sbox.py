@@ -12,6 +12,9 @@ AES S-box and an 8-bit table that fixes 0 and sends 1..255 to
   and 4;
 * ``anti.shuffled.d2.ms`` -- the same scan of the shuffled table at
   max_delta 2;
+* ``enum.rref_bases.m8.d6.ms`` -- the bare walk of the 10 795 RREF bases
+  of dimension 6 in F_2^8, most of the 11 050 candidates of a max_delta 2
+  scan, with no table read: the enumeration's own share of a scan;
 * ``cli.sbox_audit_aes.ms``, ``cli.certificate_rot1.ms``,
   ``cli.certificate_delta4.ms`` -- one in-process ``cli.run`` of
   ``sbox-audit --aes``, ``certificate --rot-power 1`` and
@@ -31,6 +34,7 @@ from random import Random
 from time import perf_counter
 
 from ksgroup import cli
+from ksgroup.gf2 import rref_bases
 from ksgroup.keyschedule import PermutationOracle
 from ksgroup.sbox import AES_SBOX, anti_invariance_order
 
@@ -64,6 +68,8 @@ def main() -> None:
     for name, (sb, max_delta, order) in cases.items():
         assert anti_invariance_order(sb, max_delta).order == order
         figures[name] = median_ms(lambda: anti_invariance_order(sb, max_delta))
+    assert sum(1 for _ in rref_bases(8, 6)) == 10_795
+    figures["enum.rref_bases.m8.d6.ms"] = median_ms(lambda: sum(1 for _ in rref_bases(8, 6)))
     for name, argv in {
         "cli.sbox_audit_aes.ms": ["sbox-audit", "--aes"],
         "cli.certificate_rot1.ms": ["certificate", "--rot-power", "1"],

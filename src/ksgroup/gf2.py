@@ -32,6 +32,8 @@ little-endian bytes, so byte 0 (coordinates 0..7) is printed first.
 Subspace files, witnesses, AES keys, states and round-key words all use
 it.  ``enumerate_subspaces`` is lazy: it builds each RREF basis in the
 order it yields them, so a scan that stops early pays only for what it saw.
+Its bases come from ``rref_bases``, as row tuples for a scan that needs
+no ``Subspace`` per candidate; both refuse m above ``MAX_ENUM_DIM``.
 """
 
 from __future__ import annotations
@@ -325,19 +327,25 @@ def _rref_bases(m: int, k: int, low: int, used: int) -> Iterator[tuple[int, ...]
             yield (v, *rest)
 
 
+def rref_bases(m: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The RREF basis of every k-dimensional subspace of F_2^m, rows by
+    increasing pivot, built lazily in increasing tuple order."""
+    if m > MAX_ENUM_DIM:
+        raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, got {m}")
+    if not 0 <= k <= m:
+        raise ValueError(f"dimension {k} out of range for m={m}")
+    yield from _rref_bases(m, k, 0, 0)
+
+
 def enumerate_subspaces(m: int, dims: Iterable[int] | None = None) -> Iterator[Subspace]:
     """Yield every subspace of F_2^m exactly once.
 
     Order is deterministic: by dimension, then by the RREF basis tuple.
-    The bases are generated lazily and directly in that order, so each
-    subspace appears once without deduplication or sorting, and the first
-    is yielded before the rest are built.
+    The bases come from ``rref_bases``, lazily and directly in that order,
+    so each subspace appears once without deduplication or sorting, and
+    the first is yielded before the rest are built.
     """
-    if m > MAX_ENUM_DIM:
-        raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, got {m}")
     wanted = range(m + 1) if dims is None else sorted(set(dims))
     for k in wanted:
-        if not 0 <= k <= m:
-            raise ValueError(f"dimension {k} out of range for m={m}")
-        for basis in _rref_bases(m, k, 0, 0):
+        for basis in rref_bases(m, k):
             yield Subspace._from_rref(m, basis, [_pivot(v) for v in basis])

@@ -7,15 +7,17 @@ defined in ``keyschedule`` and re-exported here.  Only the two properties
 needed for the primitivity certificate are computed; no Walsh spectrum,
 no algebraic degree.
 
-The anti-invariance scan inserts the images of a candidate subspace W of
-dimension d one at a time and moves on to the next W at the first image
-that takes their span past d.  This is exact: the map is injective, so
-the image has 2^d points; once its span exceeds d it is no subspace, and
-if every image goes in with the span still at d, the 2^d points fill it.
-Only the span's rank is needed, so it is counted in an echelon list of s
-slots, slot p holding the one row with top bit p: an image is reduced by
-the row in its top-bit slot until it is 0 (in the span) or lands in an
-empty slot (the rank grows by one).
+The anti-invariance scan takes each candidate subspace W of dimension d
+as a tuple of RREF rows from ``gf2.rref_bases``, walks its members in
+Gray-code order, inserts their images one at a time and moves on to the
+next W at the first image that takes their span past d; a ``Subspace``
+is built only for the witness it returns.  This is exact: the map is
+injective, so the image has 2^d points; once its span exceeds d it is no
+subspace, and if every image goes in with the span still at d, the 2^d
+points fill it.  Only the span's rank is needed, so it is counted in an
+echelon list of s slots, slot p holding the one row with top bit p: an
+image is reduced by the row in its top-bit slot until it is 0 (in the
+span) or lands in an empty slot (the rank grows by one).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import Subspace, derivative, enumerate_subspaces
+from .gf2 import Subspace, derivative, rref_bases
 from .keyschedule import AES_SBOX, PermutationOracle  # noqa: F401  (AES_SBOX is re-exported)
 
 
@@ -108,10 +110,11 @@ class AntiInvariance:
 
     When ``order < max_tested`` the blocking witness is the first subspace
     (in enumeration order) of dimension s-order-1 whose image is closed
-    under addition.  A candidate W of dimension d is dropped at the first
-    image that takes the span of its images past d; one whose 2^d images
-    all go in with the span at d maps onto that span.  The span's rank is
-    counted in a top-bit echelon list, with no basis kept.
+    under addition.  A candidate W of dimension d is a row tuple walked in
+    Gray-code order, dropped at the first image that takes the span of its
+    images past d; one whose 2^d images all go in with the span at d maps
+    onto that span, and only it is built as a ``Subspace``.  The span's
+    rank is counted in a top-bit echelon list, with no basis kept.
     """
 
     order: int
@@ -128,14 +131,17 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
     t = sb.table()
     for k in range(1, max_delta + 1):
         d = s - k
-        for w in enumerate_subspaces(s, dims=(d,)):
+        for basis in rref_bases(s, d):
             # the image of an injective map has 2^d points; it is a subspace
             # exactly when its span is no bigger.  slots[p] is the span's row
-            # with top bit p, or 0
+            # with top bit p, or 0; acc walks W in Gray-code order from 0
             slots = [0] * s
             rank = 0
-            for x in w.elements():
-                y = t[x]
+            acc = 0
+            for i in range(1 << d):
+                if i:
+                    acc ^= basis[(i & -i).bit_length() - 1]
+                y = t[acc]
                 while y:
                     top = y.bit_length() - 1
                     row = slots[top]
@@ -147,7 +153,8 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
                 if rank > d:
                     break
             else:
-                return AntiInvariance(order=k - 1, max_tested=max_delta, witness=w)
+                witness = Subspace._from_rref(s, basis, [(v & -v).bit_length() - 1 for v in basis])
+                return AntiInvariance(order=k - 1, max_tested=max_delta, witness=witness)
     return AntiInvariance(order=max_delta, max_tested=max_delta, witness=None)
 
 

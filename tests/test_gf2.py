@@ -12,6 +12,7 @@ from ksgroup.gf2 import (
     DimensionMismatch,
     Subspace,
     enumerate_subspaces,
+    rref_bases,
     vec_from_hex,
     vec_to_hex,
 )
@@ -258,6 +259,9 @@ def test_enumerate_distinct_and_counted(m):
 def test_enumerate_order_is_dim_then_basis(m):
     expected = sorted((len(b), b) for b in map(naive_rref_basis, all_subspace_sets(m)))
     assert [(s.dim, s.basis) for s in enumerate_subspaces(m)] == expected
+    # the bare row tuples are the same bases in the same order
+    for k in range(m + 1):
+        assert list(rref_bases(m, k)) == [s.basis for s in enumerate_subspaces(m, (k,))]
 
 
 def test_enumerate_is_lazy():
@@ -275,6 +279,8 @@ def test_enumerate_is_lazy():
 def test_enumerate_capacity_refused():
     with pytest.raises(CapacityError):
         next(enumerate_subspaces(9))
+    with pytest.raises(CapacityError):
+        next(rref_bases(9, 1))
 
 
 # ---------------------------------------------------------------------

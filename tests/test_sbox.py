@@ -289,6 +289,7 @@ def test_aes_anti_invariance_order_3_with_a_witness_at_dim_4():
     res = anti_invariance_order(AES_SBOX.normalized(), 4)
     assert (res.order, res.max_tested) == (3, 4)
     assert res.witness.basis == (0x01, 0x0C, 0x50, 0xE0)
+    assert res.witness.pivots == (0, 2, 4, 5)
 
 
 # ---------------------------------------------------------------------
