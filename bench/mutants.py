@@ -63,9 +63,10 @@ MUTANTS = [
            (INV + "test_precheck_grows_only_the_undecided_seeds",
             INV + "test_early_stop_verdict_equals_full_growth")),
     Mutant("lift-table-drops-the-second-shift", "keyschedule.py",
-           "    xs ^= (xs << 2 * n) & mask\n",
+           "    x ^= (x << 2 * n) & mask\n",
            "",
-           ("tests/test_keyschedule.py::test_power_one_lift_table_is_the_per_point_table",)),
+           ("tests/test_keyschedule.py::test_power_one_lift_table_is_the_per_point_table",
+            "tests/test_keyschedule.py::test_packed_operator_against_matrix_form")),
     Mutant("negative-power-twin-not-reversed", "keyschedule.py",
            "            rows,\n        )[::order]\n",
            "            rows,\n        )\n",
@@ -74,6 +75,11 @@ MUTANTS = [
            "        for c in reversed(constants):\n",
            "        for c in constants:\n",
            ("tests/test_keyschedule.py::test_oracle_with_constants_backward_undoes_forward",)),
+    Mutant("chain-translates-after-undo", "keyschedule.py",
+           "            y = undo(y if c is None else y ^ c)\n",
+           "            y = undo(y) if c is None else undo(y) ^ c\n",
+           ("tests/test_keyschedule.py::test_oracle_with_constants_backward_undoes_forward",
+            "tests/test_keyschedule.py::test_normalized_table_keeps_the_table")),
     Mutant("twin-drops-nonzero-constants", "keyschedule.py",
            "        rows = [row if c else None for c, row in zip(constants, vec_to_words(constants, m))]\n",
            "        rows = [None for c in constants]\n",
@@ -150,9 +156,9 @@ MUTANTS = [
             KP + "test_batched_escapes_replays_the_per_point_loop",
             KP + "test_escapes_at_full_dimension_takes_every_draw")),
     Mutant("ks-apply-width-unchecked", "keyschedule.py",
-           '    if not 0 <= x <= mask:\n        raise DimensionMismatch(f"state {x:#x} does not fit four '
-           '{n}-bit words")\n    t = rho.forward(x >> 3 * n)\n',
-           "    t = rho.forward(x >> 3 * n)\n",
+           '    if not 0 <= x < 1 << 4 * n:\n        raise DimensionMismatch(f"state {x:#x} does not fit four '
+           '{n}-bit words")\n',
+           "",
            ("tests/test_keyschedule.py::test_width_mismatch_rejected",)),
     Mutant("no-fresh-draws-reads-as-passed", "invariants.py",
            "    fresh_ok = escapes(oracle, result, fresh_samples, rng) == 0 if fresh_samples else None\n",
@@ -183,9 +189,9 @@ MUTANTS = [
            "                    acc = basis[(i & -i).bit_length() - 1]\n",
            ("tests/test_sbox.py::test_anti_invariance_matches_the_whole_span_rule",
             "tests/test_sbox.py::test_anti_invariance_stops_each_image_past_d")),
-    Mutant("anti-invariance-witness-pivots", "sbox.py",
-           "[(v & -v).bit_length() - 1 for v in basis]",
-           "range(len(basis))",
+    Mutant("anti-invariance-witness-drops-a-row", "sbox.py",
+           "Subspace(s, basis)",
+           "Subspace(s, basis[1:])",
            ("tests/test_sbox.py::test_aes_anti_invariance_order_3_with_a_witness_at_dim_4",)),
     Mutant("anti-invariance-no-capacity-refusal", "gf2.py",
            '    if m > MAX_ENUM_DIM:\n        raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, '

@@ -9,15 +9,8 @@ written as hex by ``gf2.vec_to_hex``/``vec_from_hex``, the one vector
 codec: little-endian bytes, so "2b7e1516..." has 0x2b as the first byte,
 the standard byte-ordered notation of a key.
 
-``ks_apply`` is the chained-XOR step shared by every round,
-f(x) = A*x + E(rho(x4)): A replaces each word by the XOR of it and the
-words before it, and E(t) = (t, t, t, t) folds the image of the last
-word under a word permutation ``rho`` into every word:
-
-    (v1, v2, v3, v4) -> (v1+t, v1+v2+t, v1+v2+v3+t, v1+v2+v3+v4+t),  t = rho(v4)
-
-On packed states A is two shifted XORs and E(t) is t times
-1 + 2^n + 2^2n + 2^3n.  The AES word map ``aes_core`` is RotWord then
+``ks_apply`` is the step f(x) = A*x + E(rho(x4)) shared by every round
+(its docstring has the formula).  The AES word map ``aes_core`` is RotWord then
 SubWord (FIPS-197, section 5.2) on the word's four little-endian bytes:
 rotate them one place, so byte j takes byte j+1 mod 4, then send each
 byte through the S-box with ``bytes.translate``.  With it and a round-constant
@@ -32,12 +25,15 @@ over a 32-bit word map with one pass an array twin,
 columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
 forward step XORs rho(word 4) into word 1 and then runs the XOR across
 the words, three column XORs into one output array; the inverse step
-XORs each word with its neighbour, then rho(word 4) into word 1.  The twin
-XORs only the nonzero constants: a zero one, such as every constant of a
-power without ``constants``, is skipped rather than XORed as a broadcast
-row of zeros after each step.  The AES word map's twin gathers the S-box
-on the bytes as they lie and then rotates each word with two shifts.
-Other oracles have no twin and are evaluated per point.
+XORs each word with its neighbour, then rho(word 4) into word 1.  The AES
+word map's twin gathers the S-box on the bytes as they lie and then
+rotates each word with two shifts.  Other oracles have no twin and are
+evaluated per point.
+
+Powers, round constants and ``normalized`` all go through ``_chain``,
+on scalars and twins alike: a step, then an XOR by each constant, where
+None means no XOR.  The twin passes a zero constant, such as every one
+of a power without ``constants``, as None, not as a row of zeros.
 """
 
 from __future__ import annotations
@@ -50,9 +46,6 @@ import numpy as np
 from .gf2 import WORD, CapacityError, DimensionMismatch, vec_to_words
 
 WORD_BITS = 32
-
-# E(t) = t * _E32 = (t, t, t, t) for a 32-bit word t
-_E32 = ((1 << 128) - 1) // ((1 << 32) - 1)
 
 MAX_EXHAUSTIVE_POINTS = 1 << 20
 
@@ -129,20 +122,17 @@ class PermutationOracle:
         return cls(m, fwd.__getitem__, tuple(bwd).__getitem__, descriptor, table=fwd)
 
     def normalized(self) -> "PermutationOracle":
-        """Compose with the translation by the image of 0 so that 0 maps to 0.
-        The translation cancels in every derivative, so the transversal stays."""
+        """``_chain`` with the one constant c = f(0), so that 0 maps to 0; a
+        table is translated too, and then serves as the forward map.  The
+        translation cancels in every derivative, so the transversal stays."""
         c = self.forward(0)
         if c == 0:
             return self
-        fwd, bwd = self.forward, self.backward
-        many = None
-        if self.many is not None:
-            fwd_many, bwd_many = self.many
-            cw = vec_to_words([c], self.m)
-            many = (lambda xs: fwd_many(xs) ^ cw, lambda ys: bwd_many(ys ^ cw))
+        fwd, bwd = _chain(self.forward, self.backward, [c])
+        many = None if self.many is None else _chain(*self.many, vec_to_words([c], self.m))
         table = None if self._table is None else tuple(y ^ c for y in self._table)
         return PermutationOracle(
-            self.m, (lambda x: fwd(x) ^ c) if table is None else table.__getitem__, lambda y: bwd(y ^ c),
+            self.m, fwd if table is None else table.__getitem__, bwd,
             self.descriptor + "+fix0", many=many, table=table, transversal=self.transversal,
         )
 
@@ -213,16 +203,26 @@ def aes_core() -> PermutationOracle:
 # The operator on packed states
 
 
-def ks_apply(rho: PermutationOracle, x: int) -> int:
-    """f(x) = A*x + E(rho(x4)) on a packed 4n-bit state."""
-    n = rho.m
+def _ks_step(x, t, n: int):
+    """A*x + E(t) of ``ks_apply``, on a packed int or in place on a uint32 array."""
     mask = (1 << 4 * n) - 1
-    if not 0 <= x <= mask:
-        raise DimensionMismatch(f"state {x:#x} does not fit four {n}-bit words")
-    t = rho.forward(x >> 3 * n)
     x ^= (x << n) & mask
     x ^= (x << 2 * n) & mask
     return x ^ t * (mask // ((1 << n) - 1))
+
+
+def ks_apply(rho: PermutationOracle, x: int) -> int:
+    """f(x) = A*x + E(rho(x4)) on a packed 4n-bit state: A replaces each
+    word by the XOR of it and the words before it, and E(t) = (t, t, t, t):
+
+        (v1, v2, v3, v4) -> (v1+t, v1+v2+t, v1+v2+v3+t, v1+v2+v3+v4+t),  t = rho(v4)
+
+    On packed states A is two shifted XORs and E(t) is t times
+    1 + 2^n + 2^2n + 2^3n (``_ks_step``)."""
+    n = rho.m
+    if not 0 <= x < 1 << 4 * n:
+        raise DimensionMismatch(f"state {x:#x} does not fit four {n}-bit words")
+    return _ks_step(x, rho.forward(x >> 3 * n), n)
 
 
 def ks_inverse(rho: PermutationOracle, x: int) -> int:
@@ -262,19 +262,16 @@ def _ks_inverse_many(rho_fwd: Callable[[np.ndarray], np.ndarray], ys: np.ndarray
 
 def _ks_table(rho: PermutationOracle, constant: int) -> tuple[int, ...]:
     """The table of x -> ``ks_apply(rho, x)`` + constant over every 4n-bit
-    state, by the same shifts on a numpy range."""
+    state: ``_ks_step`` on a numpy range."""
     n = rho.m
-    mask = (1 << 4 * n) - 1
     xs = np.arange(1 << 4 * n, dtype=np.uint32)
     t = np.array(rho.table(), dtype=np.uint32)[xs >> 3 * n]
-    xs ^= (xs << n) & mask
-    xs ^= (xs << 2 * n) & mask
-    return tuple((xs ^ t * (mask // ((1 << n) - 1)) ^ constant).tolist())
+    return tuple((_ks_step(xs, t, n) ^ constant).tolist())
 
 
 def _chain(step: Callable, undo: Callable, constants: Sequence) -> tuple[Callable, Callable]:
-    """x -> step(x) + c for each c in turn, and its inverse; a constant of
-    None is no XOR at all."""
+    """x -> step(x) + c for each c in turn, and its inverse (powers, round
+    constants, ``normalized``); a constant of None is no XOR at all."""
 
     def fwd(x):
         for c in constants:
@@ -357,13 +354,13 @@ def aes128_expand_key(master: int) -> list[int]:
 
 def aes_round_constant_states(rounds: int) -> list[int]:
     """Per-round translations E(rc_i) = (rc_i, rc_i, rc_i, rc_i), i = 1..rounds,
-    for at most the ten rounds of AES-128; rc_i = x^(i-1) in the Rijndael
-    field, by repeated doubling."""
+    for at most the ten rounds of AES-128: the step at state 0 with t = rc_i,
+    x^(i-1) in the Rijndael field by repeated doubling."""
     if rounds > 10:
         raise ValueError(f"AES-128 has ten round constants, {rounds} requested")
     states, rc = [], 1
     for _ in range(rounds):
-        states.append(rc * _E32)
+        states.append(_ks_step(0, rc, WORD_BITS))
         rc <<= 1
         if rc >> 8:
             rc ^= 0x11B

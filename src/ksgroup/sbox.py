@@ -153,8 +153,7 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
                 if rank > d:
                     break
             else:
-                witness = Subspace._from_rref(s, basis, [(v & -v).bit_length() - 1 for v in basis])
-                return AntiInvariance(order=k - 1, max_tested=max_delta, witness=witness)
+                return AntiInvariance(order=k - 1, max_tested=max_delta, witness=Subspace(s, basis))
     return AntiInvariance(order=max_delta, max_tested=max_delta, witness=None)
 
 

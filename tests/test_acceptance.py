@@ -33,17 +33,7 @@ from ksgroup.keyschedule import (
 )
 from ksgroup.sbox import AES_SBOX, ddt, anti_invariance_order
 from test_gf2 import gaussian_binomial
-
-
-def linear_rows(fn, n):
-    """Basis images of a linear map (the caller guarantees linearity)."""
-    return tuple(fn(1 << i) for i in range(n))
-
-
-def rot_bricks_left(x, s, b):
-    """Shift the b s-bit bricks of x one position down: brick j takes the
-    old brick j+1, as RotWord does to the bytes of a word."""
-    return (x >> s) | ((x & ((1 << s) - 1)) << (s * (b - 1)))
+from test_invariants import linear_rows, rot_bricks_left
 
 
 def verdict(n, ok, detail):
