@@ -1,6 +1,6 @@
 """Timings behind BENCH_closure.json and BENCH_stable_runs.json: the
 growing and the batched closure round, a rewound closure, escapes scan,
-member draws and the operator's array twin.
+member draws, the operator's array twin and the full-space fresh check.
 
     PYTHONPATH=src python3 bench/closure.py
 
@@ -31,6 +31,13 @@ on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
   subspace, its ``residuals`` of the same 1024 states: the row gather of
   ``escapes`` and of the closure stream on its own, timed as the twin is,
   per call;
+* ``reduce.d128.full.ns`` -- ``Subspace.reduce`` on the full space
+  F_2^128 of ``CALLS`` more states from the same ``Random(0)``, per call;
+* ``member.d128.ns`` -- ``random_member`` over the 128 identity rows
+  (the full space's basis), ``CALLS`` draws from ``Random(0)``, per draw;
+* ``fresh.full.p4.1k.ms`` -- ``escapes`` of the same operator on the full
+  space, 1000 draws, ``Random(0)``: the per-point fresh check that a
+  closure reaching dim 128 runs;
 * ``lp_verify.seed0.ms`` -- one in-process ``lp-verify --seed 0`` with
   stdout captured;
 * ``chunk.<c>.lp_verify.seed0.ms`` -- the same with ``ESCAPE_CHUNK`` set
@@ -51,13 +58,13 @@ from time import perf_counter
 from unittest import mock
 
 from ksgroup import cli, invariants
-from ksgroup.gf2 import RowTables, vec_to_words
+from ksgroup.gf2 import RowTables, Subspace, random_member, vec_to_words
 from ksgroup.invariants import ClosureResult, closure_search, escapes, lp_pattern_subspace
 from ksgroup.keyschedule import aes_core, ks_oracle
 
 REPEATS = 7
 STABLE_ROUNDS = 16
-CALLS = 100  # kernel calls per timed run of the twin and residual figures
+CALLS = 100  # kernel calls per timed run of the twin, residual, reduce and member figures
 CHUNKS = (1024, 2048, 4096, 8192)  # ESCAPE_CHUNK values of the sweep
 
 
@@ -95,8 +102,19 @@ def main() -> None:
         for _ in range(CALLS):
             reducer.residuals(states)
 
+    def reduce_full() -> None:
+        for x in probes:
+            full.reduce(x)
+
+    def members() -> None:
+        rng = Random(0)
+        for _ in range(CALLS):
+            random_member(full.basis, rng)
+
     rng = Random(0)
     states = vec_to_words([rng.getrandbits(128) for _ in range(1024)], 128)
+    probes = [rng.getrandbits(128) for _ in range(CALLS)]
+    full = Subspace(128, [1 << i for i in range(128)])
     forward, backward = oracle.many
     reducer = RowTables.pivot_map(lp)
     # a rewind is the closure's one setstate call
@@ -118,6 +136,9 @@ def main() -> None:
             lambda: RowTables(lp.basis, 128).random_members(1024, Random(0))), 3),
         "twin.p4.1k.us": round(median_ms(twin) * 1000 / CALLS, 1),
         "residuals.d32.1k.us": round(median_ms(residuals) * 1000 / CALLS, 1),
+        "reduce.d128.full.ns": round(median_ms(reduce_full) * 1e6 / CALLS, 1),
+        "member.d128.ns": round(median_ms(members) * 1e6 / CALLS, 1),
+        "fresh.full.p4.1k.ms": round(median_ms(lambda: escapes(oracle, full, 1000, Random(0))), 3),
         "lp_verify.seed0.ms": round(median_ms(lp_verify), 3),
         **chunks,
     }, indent=2))

@@ -49,7 +49,7 @@ KP = "tests/test_kernel_properties.py::"
 
 MUTANTS = [
     Mutant("witness-recheck-skipped", "invariants.py",
-           "    if not is_linear_block(oracle, witness).ok:\n",
+           "    if not _linear_block(table, witness).ok:\n",
            "    if False:\n",
            (INV + "test_witness_recheck_refuses_a_non_block",)),
     Mutant("block-stops-at-its-own-seed", "invariants.py",
@@ -193,6 +193,18 @@ MUTANTS = [
            "Subspace(s, basis)",
            "Subspace(s, basis[1:])",
            ("tests/test_sbox.py::test_aes_anti_invariance_order_3_with_a_witness_at_dim_4",)),
+    Mutant("full-space-answers-before-its-range-check", "gf2.py",
+           "        check_vector(self.m, v)\n        if len(self.basis) == self.m:\n            return 0\n",
+           "        if len(self.basis) == self.m:\n            return 0\n        check_vector(self.m, v)\n",
+           ("tests/test_gf2.py::test_full_space_refuses_vectors_outside_it",)),
+    Mutant("matrix-apply-reads-high-bit-first", "gf2.py",
+           'bits = format(x, "b")[::-1].encode()',
+           'bits = format(x, "b").encode()',
+           (KP + "test_matrix_apply_against_the_bit_loop",)),
+    Mutant("matrix-apply-width-unchecked", "gf2.py",
+           "    check_vector(len(rows), x)\n",
+           "",
+           ("tests/test_gf2.py::test_matrix_apply_refuses_masks_outside_its_rows",)),
     Mutant("anti-invariance-no-capacity-refusal", "gf2.py",
            '    if m > MAX_ENUM_DIM:\n        raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, '
            'got {m}")\n',

@@ -16,7 +16,11 @@ members are drawn by ``random_member`` (``matrix_apply`` of one
 in one ``getrandbits`` call and so makes the identical draws.  The one
 exception is the seeds of ``search --seed-in-lp``: the CLI draws one
 ``getrandbits(1)`` per basis row so that its seeded reports replay, and
-applies that mask with ``matrix_apply`` too.
+applies that mask with ``matrix_apply`` too.  ``matrix_apply`` selects
+its rows with ``itertools.compress`` over the bits of the mask, low bit
+first, and refuses a mask with a bit past its last row or a negative one
+(``DimensionMismatch``).  ``Subspace.reduce`` of the full space is its
+range check alone: its RREF basis is the identity, so every remainder is 0.
 Every difference table of a map given as a numpy table is scanned by
 ``derivative``.
 
@@ -39,6 +43,8 @@ no ``Subspace`` per candidate; both refuse m above ``MAX_ENUM_DIM``.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections.abc import Iterable, Iterator, Sequence
 from random import Random
 
@@ -179,13 +185,13 @@ class RowTables:
 
 
 def matrix_apply(rows: Sequence[int], x: int) -> int:
-    """x times the matrix whose row i is the image of e_i."""
-    y = 0
-    while x:
-        low = x & -x
-        y ^= rows[low.bit_length() - 1]
-        x ^= low
-    return y
+    """x times the matrix whose row i is the image of e_i: the XOR of the
+    rows that ``itertools.compress`` selects by the bits of x, read low
+    bit first as a string of 0/1 bytes, so the selection runs in C.  A
+    mask outside 0..2^len(rows)-1 raises ``DimensionMismatch``."""
+    check_vector(len(rows), x)
+    bits = format(x, "b")[::-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return functools.reduce(operator.xor, itertools.compress(rows, bits), 0)
 
 
 @functools.cache
@@ -263,8 +269,12 @@ class Subspace:
         return self.dim == 0 or self.dim == self.m
 
     def reduce(self, v: int) -> int:
-        """Remainder of v after elimination against the basis."""
+        """Remainder of v after elimination against the basis.  The RREF
+        basis of the full space is the identity, so there the remainder is
+        0 once ``check_vector`` has passed, and the pivot loop is skipped."""
         check_vector(self.m, v)
+        if len(self.basis) == self.m:
+            return 0
         for p, row in zip(self.pivots, self.basis):
             if (v >> p) & 1:
                 v ^= row

@@ -21,7 +21,8 @@ Contents:
   a numpy scan of every point.
 * ``primitivity_check`` -- minimal blocks for every v != 0, in increasing
   order; Primitive only when all of them are the full space, Imprimitive
-  verdicts carry a witness that is re-certified with ``is_linear_block``.
+  verdicts carry a witness that is re-certified by ``is_linear_block``'s
+  exhaustive scan.
   The containment rule (Dixon and Mortimer, *Permutation Groups*, 1.5)
   cuts each growth short: a block holding a nonzero u is a subspace
   through u closed under the derivatives, so it holds the block of u, the
@@ -98,7 +99,12 @@ def is_linear_block(oracle: PermutationOracle, u: Subspace, mode: str = "exhaust
         return LinearBlockCheck(ok=True, reason="trivial partition")
     if 1 << oracle.m > MAX_EXHAUSTIVE_POINTS:
         return LinearBlockCheck(ok=None, reason=f"2^{oracle.m} points exceed the exhaustive budget")
-    table = np.array(oracle.table(), dtype=np.uint32)
+    return _linear_block(np.array(oracle.table(), dtype=np.uint32), u)
+
+
+def _linear_block(table: np.ndarray, u: Subspace) -> LinearBlockCheck:
+    """The scan of ``is_linear_block`` over a uint32 table of f, for a
+    caller that already holds that array."""
     reducer = RowTables.pivot_map(u)
     for w in u.basis:
         # one word per point: the exhaustive budget keeps m below 32
@@ -139,7 +145,9 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
     With an array twin and a proper U the draws are evaluated in chunks of
     ``ESCAPE_CHUNK``, in the per-point loop's order, so the count and the
     rng state at return equal that loop's.  At full dimension every member
-    is inside, and the loop stays per point.
+    is inside, and the loop stays per point: each draw is still taken and
+    evaluated, and its membership test is the range check of
+    ``Subspace.reduce``.
     """
     if oracle.m != u.m:
         raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
@@ -208,7 +216,7 @@ class BlockVerdict:
 PRECHECK_ENTRIES = 1 << 16  # seeds times transversal points per precheck chunk
 
 
-def _undecided_seeds(oracle: PermutationOracle) -> Iterator[int]:
+def _undecided_seeds(oracle: PermutationOracle, table: np.ndarray) -> Iterator[int]:
     """The nonzero seeds v, in increasing order, whose first derivative
     scan reaches no nonzero point below v.
 
@@ -216,10 +224,10 @@ def _undecided_seeds(oracle: PermutationOracle) -> Iterator[int]:
     full_below=v)``, whose rows then hold only v: it returns the full
     space exactly when min over the transversal of f(x+v)+f(x) is below
     v.  The test is made for a chunk of seeds at once, one numpy gather of
-    at most about ``PRECHECK_ENTRIES`` entries, and a chunk is built only
-    when the scan reaches it.
+    at most about ``PRECHECK_ENTRIES`` entries from ``table``, the
+    oracle's table as a uint32 array, and a chunk is built only when the
+    scan reaches it.
     """
-    table = np.array(oracle.table(), dtype=np.uint32)
     points = np.array(oracle.transversal, dtype=np.uint32)
     chunk = max(1, PRECHECK_ENTRIES // len(points))
     for start in range(1, 1 << oracle.m, chunk):
@@ -242,8 +250,10 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
     by ``min_block_subspace(oracle, v, full_below=v)``.  The first proper
     block holds no smaller seed and is grown to closure, so the witness
     and ``pairs_checked`` are those of growing every block in full.  An
-    Imprimitive witness is re-certified with the exhaustive
+    Imprimitive witness is re-certified by the scan of the exhaustive
     ``is_linear_block``, over every point, before the verdict is returned.
+    The table is converted to a uint32 array once, for the precheck and
+    the re-check.
     """
     m = oracle.m
     n_points = 1 << m
@@ -252,7 +262,8 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
             status="inconclusive", witness=None, pairs_checked=0,
             reason=f"2^{m} points exceed the exhaustive budget",
         )
-    for v in _undecided_seeds(oracle):
+    table = np.array(oracle.table(), dtype=np.uint32)
+    for v in _undecided_seeds(oracle, table):
         witness = min_block_subspace(oracle, v, full_below=v)
         if not witness.is_trivial:
             break
@@ -260,7 +271,7 @@ def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
         return BlockVerdict(
             status="primitive", witness=None, pairs_checked=n_points - 1,
         )
-    if not is_linear_block(oracle, witness).ok:
+    if not _linear_block(table, witness).ok:
         raise AssertionError("imprimitivity witness failed the linear-block re-check")
     return BlockVerdict(
         status="imprimitive", witness=witness,

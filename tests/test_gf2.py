@@ -12,6 +12,7 @@ from ksgroup.gf2 import (
     DimensionMismatch,
     Subspace,
     enumerate_subspaces,
+    matrix_apply,
     rref_bases,
     vec_from_hex,
     vec_to_hex,
@@ -173,6 +174,25 @@ def test_contains_sum_of_basis():
     s = Subspace(4, [0b0100, 0b1000])
     assert s.contains(0b1100)
     assert not s.contains(0b0010)
+
+
+@pytest.mark.parametrize("m", [1, 7, 32, 128])
+@pytest.mark.parametrize("bad", ["too wide", "negative", "float", "str"])
+def test_full_space_refuses_vectors_outside_it(m, bad):
+    # the full space answers by its range check alone, which must still refuse
+    v = {"too wide": 1 << m, "negative": -1, "float": 1.0, "str": "1"}[bad]
+    u = full_space(m)
+    for test in (u.reduce, u.contains):
+        with pytest.raises(DimensionMismatch):
+            test(v)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 128])
+def test_matrix_apply_refuses_masks_outside_its_rows(k):
+    rows = [random.Random(k).getrandbits(128) for _ in range(k)]
+    for mask in (-1, -(1 << k), 1 << k, (1 << (k + 8)) - 1):
+        with pytest.raises(DimensionMismatch):
+            matrix_apply(rows, mask)
 
 
 def test_closure_under_addition_sampled():

@@ -25,6 +25,7 @@ from ksgroup.gf2 import (
     Subspace,
     derivative,
     enumerate_subspaces,
+    matrix_apply,
     random_member,
     rref_insert,
     vec_to_words,
@@ -74,6 +75,24 @@ def old_sample(rows, rng):
         if (mask >> j) & 1:
             u ^= rows[j]
     return u
+
+
+def old_matrix_apply(rows, x):
+    """matrix_apply's loop over the set bits of x, lowest first."""
+    y = 0
+    while x:
+        low = x & -x
+        y ^= rows[low.bit_length() - 1]
+        x ^= low
+    return y
+
+
+def old_reduce(u, v):
+    """Subspace.reduce's pivot loop, which the full space no longer runs."""
+    for p, row in zip(u.pivots, u.basis):
+        if (v >> p) & 1:
+            v ^= row
+    return v
 
 
 def old_closure_residuals(vectors):
@@ -157,8 +176,37 @@ def test_residuals_match_echelon_without_back_substitution(case):
     assert tuple(rows[p] for p in sorted(rows)) == Subspace(m, vs).basis
 
 
+@st.composite
+def rows_and_mask(draw):
+    """0..160 rows of 128 bits and a mask that fits them: 0, all ones, a
+    single bit or any."""
+    k = draw(st.integers(0, 160))
+    rows = draw(st.lists(st.integers(0, 2**128 - 1), min_size=k, max_size=k))
+    single = st.integers(0, k - 1).map(lambda i: 1 << i) if k else st.just(0)
+    return rows, draw(st.one_of(st.just(0), st.just((1 << k) - 1), single, st.integers(0, (1 << k) - 1)))
+
+
 @BOUNDED
-@given(st.lists(st.integers(0, 255), max_size=10), st.integers(0, 2**32))
+@given(rows_and_mask())
+def test_matrix_apply_against_the_bit_loop(case):
+    rows, x = case
+    assert matrix_apply(rows, x) == old_matrix_apply(rows, x)
+
+
+@BOUNDED
+@given(st.sampled_from([1, 7, 32, 128]).flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(st.integers(0, 2**m - 1), max_size=m + 2),
+                        st.lists(st.integers(0, 2**m - 1), min_size=1, max_size=20))))
+def test_reduce_and_contains_against_the_pivot_loop(case):
+    m, vs, probes = case
+    for u in (Subspace(m, vs), full_space(m)):
+        for v in (*probes, *u.basis, 0, (1 << m) - 1):
+            assert u.reduce(v) == old_reduce(u, v)
+            assert u.contains(v) == (old_reduce(u, v) == 0)
+
+
+@BOUNDED
+@given(st.lists(st.integers(0, 2**128 - 1), max_size=128), st.integers(0, 2**32))
 def test_sampler_draws_like_the_inline_loop(rows, seed):
     new, old = Random(seed), Random(seed)
     for _ in range(20):
@@ -755,7 +803,8 @@ def test_closure_bench_script_runs(capsys, monkeypatch):
     figures = json.loads(capsys.readouterr().out)
     assert set(figures) == {"closure.first_round.ms", "closure.stable_round.ms", "closure.rewound.seed16.ms",
                             "escapes.d32.10k.ms", "members.d32.1k.ms", "twin.p4.1k.us",
-                            "residuals.d32.1k.us", "lp_verify.seed0.ms",
+                            "residuals.d32.1k.us", "reduce.d128.full.ns", "member.d128.ns",
+                            "fresh.full.p4.1k.ms", "lp_verify.seed0.ms",
                             *(f"chunk.{c}.lp_verify.seed0.ms" for c in (1024, 2048, 4096, 8192))}
 
 
