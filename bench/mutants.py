@@ -205,6 +205,23 @@ MUTANTS = [
            "    check_vector(len(rows), x)\n",
            "",
            ("tests/test_gf2.py::test_matrix_apply_refuses_masks_outside_its_rows",)),
+    # a pushed level that starts at steps[p] is no mutant: its candidates
+    # of pivot p all hit the used-pivot skip, so the walk yields the same
+    Mutant("rref-walk-reuses-a-used-pivot", "gf2.py",
+           "            if used & bit:\n                continue\n",
+           "",
+           (KP + "test_rref_walk_replays_the_recursion",
+            KP + "test_rref_bases_are_every_subspace_once_in_order")),
+    Mutant("rref-walk-skips-the-next-pivot", "gf2.py",
+           "stack.append((iter(steps[p + 1])",
+           "stack.append((iter(steps[p + 2])",
+           (KP + "test_rref_walk_replays_the_recursion",
+            KP + "test_rref_bases_are_every_subspace_once_in_order")),
+    Mutant("rref-walk-room-check-one-short", "gf2.py",
+           "            if m - p - 1 - ((used | v) >> (p + 1)).bit_count() >= left:\n",
+           "            if m - p - 1 - ((used | v) >> (p + 1)).bit_count() > left:\n",
+           (KP + "test_rref_walk_replays_the_recursion",
+            KP + "test_rref_bases_are_every_subspace_once_in_order")),
     Mutant("anti-invariance-no-capacity-refusal", "gf2.py",
            '    if m > MAX_ENUM_DIM:\n        raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, '
            'got {m}")\n',

@@ -15,6 +15,8 @@ AES S-box and an 8-bit table that fixes 0 and sends 1..255 to
 * ``enum.rref_bases.m8.d6.ms`` -- the bare walk of the 10 795 RREF bases
   of dimension 6 in F_2^8, most of the 11 050 candidates of a max_delta 2
   scan, with no table read: the enumeration's own share of a scan;
+* ``enum.rref_bases.m8.d5.ms`` -- the same walk of the 97 155 bases of
+  dimension 5, which ``certificate --delta 4`` scans past max_delta 2;
 * ``cli.sbox_audit_aes.ms``, ``cli.certificate_rot1.ms``,
   ``cli.certificate_delta4.ms`` -- one in-process ``cli.run`` of
   ``sbox-audit --aes``, ``certificate --rot-power 1`` and
@@ -68,8 +70,9 @@ def main() -> None:
     for name, (sb, max_delta, order) in cases.items():
         assert anti_invariance_order(sb, max_delta).order == order
         figures[name] = median_ms(lambda: anti_invariance_order(sb, max_delta))
-    assert sum(1 for _ in rref_bases(8, 6)) == 10_795
-    figures["enum.rref_bases.m8.d6.ms"] = median_ms(lambda: sum(1 for _ in rref_bases(8, 6)))
+    for d, count in ((6, 10_795), (5, 97_155)):
+        assert sum(1 for _ in rref_bases(8, d)) == count
+        figures[f"enum.rref_bases.m8.d{d}.ms"] = median_ms(lambda: sum(1 for _ in rref_bases(8, d)))
     for name, argv in {
         "cli.sbox_audit_aes.ms": ["sbox-audit", "--aes"],
         "cli.certificate_rot1.ms": ["certificate", "--rot-power", "1"],

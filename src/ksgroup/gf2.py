@@ -38,6 +38,7 @@ it.  ``enumerate_subspaces`` is lazy: it builds each RREF basis in the
 order it yields them, so a scan that stops early pays only for what it saw.
 Its bases come from ``rref_bases``, as row tuples for a scan that needs
 no ``Subspace`` per candidate; both refuse m above ``MAX_ENUM_DIM``.
+``rref_bases`` walks the bases depth first on one explicit stack.
 """
 
 from __future__ import annotations
@@ -321,30 +322,39 @@ class Subspace:
         return f"Subspace(m={self.m}, dim={self.dim}, basis=[{rows}])"
 
 
-def _rref_bases(m: int, k: int, low: int, used: int) -> Iterator[tuple[int, ...]]:
-    """Every RREF basis of k rows of F_2^m whose pivots are at least
-    ``low`` and are no bit of ``used`` (the earlier rows), in increasing
-    tuple order: the first row is tried in increasing order, and a row
-    that leaves fewer than k-1 pivot columns above its own is skipped."""
-    if k == 0:
-        yield ()
-        return
-    for v in range(1 << low, 1 << m, 1 << low):
-        p = _pivot(v)
-        if (used >> p) & 1 or m - p - 1 - ((used | v) >> (p + 1)).bit_count() < k - 1:
-            continue
-        for rest in _rref_bases(m, k - 1, p + 1, used | v):
-            yield (v, *rest)
-
-
 def rref_bases(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """The RREF basis of every k-dimensional subspace of F_2^m, rows by
-    increasing pivot, built lazily in increasing tuple order."""
+    increasing pivot, built lazily in increasing tuple order by one
+    depth-first walk.  A stack entry holds the rows chosen so far, their
+    bits and an iterator over the next row's candidates (``steps[low]``:
+    every row with pivot at least ``low``, paired with its pivot bit).  A
+    candidate whose pivot is a bit of an earlier row is skipped, a last
+    row completes a basis, and any other is pushed when enough free pivot
+    columns lie above its own for the rows still to choose."""
     if m > MAX_ENUM_DIM:
         raise CapacityError(f"enumeration supported for m <= {MAX_ENUM_DIM}, got {m}")
     if not 0 <= k <= m:
         raise ValueError(f"dimension {k} out of range for m={m}")
-    yield from _rref_bases(m, k, 0, 0)
+    if k == 0:
+        yield ()
+        return
+    steps = [[(v, v & -v) for v in range(1 << low, 1 << m, 1 << low)] for low in range(m + 1)]
+    stack = [(iter(steps[0]), (), 0)]
+    while stack:
+        candidates, prefix, used = stack[-1]
+        left = k - 1 - len(prefix)
+        for v, bit in candidates:
+            if used & bit:
+                continue
+            if not left:
+                yield (*prefix, v)
+                continue
+            p = bit.bit_length() - 1
+            if m - p - 1 - ((used | v) >> (p + 1)).bit_count() >= left:
+                stack.append((iter(steps[p + 1]), (*prefix, v), used | v))
+                break
+        else:
+            stack.pop()
 
 
 def enumerate_subspaces(m: int, dims: Iterable[int] | None = None) -> Iterator[Subspace]:

@@ -27,6 +27,7 @@ from ksgroup.gf2 import (
     enumerate_subspaces,
     matrix_apply,
     random_member,
+    rref_bases,
     rref_insert,
     vec_to_words,
 )
@@ -43,7 +44,7 @@ from ksgroup.sbox import (
     ddt,
     differential_profile,
 )
-from test_gf2 import full_space, intersect, vec_from_words
+from test_gf2 import full_space, gaussian_binomial, intersect, vec_from_words
 
 BOUNDED = settings(max_examples=150, deadline=None)
 
@@ -126,6 +127,20 @@ def old_hom(u, m1):
         assert not r
         hom_rows[(a & -a).bit_length() - 1] = member >> m1
     return tuple(hom_rows)
+
+
+def old_rref_bases(m, k, low=0, used=0):
+    """rref_bases's recursion: the first row in increasing order, then
+    every completion of it by a recursive call."""
+    if k == 0:
+        yield ()
+        return
+    for v in range(1 << low, 1 << m, 1 << low):
+        p = (v & -v).bit_length() - 1
+        if (used >> p) & 1 or m - p - 1 - ((used | v) >> (p + 1)).bit_count() < k - 1:
+            continue
+        for rest in old_rref_bases(m, k - 1, p + 1, used | v):
+            yield (v, *rest)
 
 
 # ---------------------------------------------------------------------
@@ -236,6 +251,25 @@ def test_difference_table_against_loop(perm, data):
     assert profile.delta == max(max(row) for row in rows[1:])
     assert profile.min_derivative_image == min(sum(1 for c in row if c) for row in rows[1:])
     json.dumps([ddt(sb), profile.delta, profile.min_derivative_image])  # plain ints only
+
+
+# ---------------------------------------------------------------------
+# The RREF basis walk against the recursion and against Subspace
+
+
+@pytest.mark.parametrize("m, k", [(m, k) for m in range(8) for k in range(m + 1)]
+                         + [(8, k) for k in (1, 2, 6, 7)])
+def test_rref_walk_replays_the_recursion(m, k):
+    assert list(rref_bases(m, k)) == list(old_rref_bases(m, k))
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_rref_bases_are_every_subspace_once_in_order(m):
+    for k in range(m + 1):
+        bases = list(rref_bases(m, k))
+        assert len(bases) == gaussian_binomial(m, k)
+        assert all(a < b for a, b in itertools.pairwise(bases))
+        assert all(Subspace(m, t).basis == t for t in bases)
 
 
 # ---------------------------------------------------------------------
@@ -816,6 +850,16 @@ def test_blocks_bench_script_runs(capsys, monkeypatch):
     figures = json.loads(capsys.readouterr().out)
     assert set(figures) == {"block.m12.all.ms", "block.m12.transversal.ms", "primitivity.n3.ms",
                             "table.n5.ms", "primitivity.affine.n5.ms"}
+
+
+def test_sbox_bench_script_runs(capsys, monkeypatch):
+    script = load_bench_script("sbox")
+    monkeypatch.setattr(script, "REPEATS", 1)
+    script.main()
+    figures = json.loads(capsys.readouterr().out)
+    assert set(figures) == {"anti.aes.d1.ms", "anti.aes.d2.ms", "anti.aes.d4.ms", "anti.shuffled.d2.ms",
+                            "enum.rref_bases.m8.d6.ms", "enum.rref_bases.m8.d5.ms",
+                            "cli.sbox_audit_aes.ms", "cli.certificate_rot1.ms", "cli.certificate_delta4.ms"}
 
 
 def test_mutant_list_matches_the_source():
