@@ -57,6 +57,10 @@ MUTANTS = [
            "        if min(*values, *rows.values()) <= full_below:\n",
            (INV + "test_full_below_one_grows_every_block_of_a_lift",
             INV + "test_early_stop_verdict_equals_full_growth")),
+    Mutant("grow-requeues-one-residual", "invariants.py",
+           "        queue += rref_insert(rows, values)\n",
+           "        queue += rref_insert(rows, values)[:1]\n",
+           (INV + "test_structured_source_verdict_equals_primitivity_check",)),
     Mutant("precheck-decides-its-own-seed", "invariants.py",
            "        decided = (table[seeds[:, None] ^ points] ^ table[points]).min(axis=1) < seeds\n",
            "        decided = (table[seeds[:, None] ^ points] ^ table[points]).min(axis=1) <= seeds\n",

@@ -1,44 +1,19 @@
 """Exact linear algebra over GF(2) using int-packed bit vectors.
 
 A vector of F_2^m is a plain Python int below 2**m: coordinate i lives in
-bit i, so the *first* coordinate of a tuple is the low-order bit.  Packed
-this way, vector addition is ``^`` and the vector routines stay allocation
-free.  Subspaces are kept in reduced row-echelon form with strictly
-increasing pivots, which makes the representation unique: structural
-equality of two ``Subspace`` objects is subspace equality.  All
-incremental elimination that keeps a basis goes through ``rref_insert``;
-the one elimination that keeps none is the rank count of
-``sbox.anti_invariance_order``, which reduces each image against an
-echelon list indexed by top bit and counts the rows.  All random
-members are drawn by ``random_member`` (``matrix_apply`` of one
-``getrandbits(len(rows))``, bit j selecting row j) or, for a batch, by
-``RowTables.random_members``, which takes the same Mersenne Twister words
-in one ``getrandbits`` call and so makes the identical draws.  The one
-exception is the seeds of ``search --seed-in-lp``: the CLI draws one
-``getrandbits(1)`` per basis row so that its seeded reports replay, and
-applies that mask with ``matrix_apply`` too.  ``matrix_apply`` selects
-its rows with ``itertools.compress`` over the bits of the mask, low bit
-first, and refuses a mask with a bit past its last row or a negative one
-(``DimensionMismatch``).  ``Subspace.reduce`` of the full space is its
-range check alone: its RREF basis is the identity, so every remainder is 0.
-Every difference table of a map given as a numpy table is scanned by
-``derivative``.
+bit i, so the *first* coordinate of a tuple is the low-order bit, and
+vector addition is ``^``.  Subspaces are kept in reduced row-echelon form
+with strictly increasing pivots, which makes the representation unique:
+structural equality of two ``Subspace`` objects is subspace equality.
 
-``RowTables`` is the one batch kernel: a linear map given by rows, applied
-to a batch of ``vec_to_words`` arrays through one 256-entry table per
-input byte that carries a nonzero row, each gathered with ``np.take``
-along axis 0.  Over a row list it draws random
-members; built by ``pivot_map`` it takes the RREF residual x + P(x) of a
-whole batch in one pass.
-
-``vec_to_hex``/``vec_from_hex`` are the one hex codec for vectors:
-little-endian bytes, so byte 0 (coordinates 0..7) is printed first.
-Subspace files, witnesses, AES keys, states and round-key words all use
-it.  ``enumerate_subspaces`` is lazy: it builds each RREF basis in the
-order it yields them, so a scan that stops early pays only for what it saw.
-Its bases come from ``rref_bases``, as row tuples for a scan that needs
-no ``Subspace`` per candidate; both refuse m above ``MAX_ENUM_DIM``.
-``rref_bases`` walks the bases depth first on one explicit stack.
+Each job has one routine.  ``rref_insert`` does every elimination that
+keeps a basis; the rank count of ``sbox.anti_invariance_order`` keeps
+none.  ``random_member`` and, for a batch, ``RowTables.random_members``
+draw every random member, except the seeds of ``search --seed-in-lp``
+(see the CLI).  ``RowTables`` is the one batch kernel, ``derivative``
+scans every difference table of a numpy table, ``vec_to_hex`` and
+``vec_from_hex`` are the one hex codec for vectors (little-endian bytes,
+byte 0 first), and ``rref_bases`` walks every RREF basis.
 """
 
 from __future__ import annotations

@@ -4,65 +4,35 @@ all translations of F_2^m.
 Contents:
 
 * ``is_linear_block`` -- does a subspace's coset partition survive a map,
-  checked exhaustively: every point against every basis direction, each
-  derivative reduced in one ``gf2.RowTables`` pass.  The answer is exact;
-  over budget the check refuses rather than guessing.
+  checked exhaustively, each derivative reduced in one ``gf2.RowTables``
+  pass.  Over budget the check refuses rather than guessing.
 * ``escapes`` -- the one sampled membership check: how many random
-  members of a subspace have an image outside it.  The closure's fresh
-  check and the pattern-subspace passes go through it.
-* ``min_block_subspace`` -- the minimal block through {0, v} of the group
-  generated by one oracle and the translations.  Every translation is in
-  the group, so that block is a subspace W with f(x+w)+f(x) in W for all
-  x, and it is grown by one Python scan of that derivative per new basis
-  vector w over the oracle's transversal: the 2^n states (0, 0, 0, z) of
-  a power-1 key-schedule operator, all 2^m points of any other table.  The
-  tests check it against a union-find over all 2^m points (Atkinson
-  1975), which assumes no linearity, and the verdicts built on it against
-  a numpy scan of every point.
+  members of a subspace have an image outside it.
+* ``_grow`` -- the one loop that grows a minimal block, from any spanning
+  set of derivative values, and the containment rule that cuts it short.
+  ``min_block_subspace`` grows it from the oracle's table over its
+  transversal.  The tests check it against a union-find over all 2^m
+  points (Atkinson 1975), which assumes no linearity, and against a second
+  source, the structured derivative of a power-1 lift.
 * ``primitivity_check`` -- minimal blocks for every v != 0, in increasing
-  order; Primitive only when all of them are the full space, Imprimitive
-  verdicts carry a witness that is re-certified by ``is_linear_block``'s
-  exhaustive scan.
-  The containment rule (Dixon and Mortimer, *Permutation Groups*, 1.5)
-  cuts each growth short: a block holding a nonzero u is a subspace
-  through u closed under the derivatives, so it holds the block of u, the
-  smallest such subspace.  Once every seed below v is known to have the
-  full block, a block of v that reaches one of them is the full space, and
-  only the first proper block is grown to closure.  Most seeds are decided
-  by their first derivative scan alone; that scan is made for a chunk of
-  seeds at once, one numpy gather over the transversal, and only the
-  undecided seeds are grown by ``min_block_subspace``.
+  order; Imprimitive verdicts carry a witness that is re-certified by
+  ``is_linear_block``'s exhaustive scan.
 * ``closure_search`` -- Monte-Carlo search for an invariant subspace
   containing a seed, for widths where tables are impossible.
 * brick sums, affineness tests, the SPN primitivity certificate, and the
   32-dimensional four-round pattern subspace with its verification.
 
-``closure_search`` and ``escapes`` sample a fixed row list and test
-membership in a fixed subspace, so for an oracle with an array twin
-(``PermutationOracle.many``) they evaluate their draws with
+For an oracle with an array twin (``PermutationOracle.many``),
+``closure_search`` and ``escapes`` evaluate their draws with
 ``gf2.RowTables`` in chunks of ``ESCAPE_CHUNK``.  A chunk costs about 140
-small numpy calls whatever its size (the member draw, each step of the
-twin both ways, two residual passes), so chunks are large.  An
-``escapes`` scan of a proper subspace adds up the escaping draws of each
-chunk.  A closure tries a stream when its quiet count, the draws since
-the last growth, reaches ``STREAM_AFTER``, so once per growth, wherever
-in a round that happens, and the stream builds its tables when it
-starts.  The stream is every draw left up to the next stable or
-max-rounds stop, scanned as one, and it is counted only if every image
-stays in the span.  At an image outside it, or a budget stop (checked
-between chunks), the rng is rewound to the stream's start and the draws
-run point by point; the next stream waits for the next growth.  The
-batches draw from the Python ``Random`` in the per-point order, so every
-result, count and rng state at return equals the per-point loop's.  Only
-the draws up to ``STREAM_AFTER`` past each growth and the draws of a
-rewound stream run point by point.
+small numpy calls whatever its size, so chunks are large.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from random import Random
 
@@ -144,10 +114,8 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
 
     With an array twin and a proper U the draws are evaluated in chunks of
     ``ESCAPE_CHUNK``, in the per-point loop's order, so the count and the
-    rng state at return equal that loop's.  At full dimension every member
-    is inside, and the loop stays per point: each draw is still taken and
-    evaluated, and its membership test is the range check of
-    ``Subspace.reduce``.
+    rng state at return equal that loop's.  At full dimension the loop
+    stays per point, each draw still taken and evaluated.
     """
     if oracle.m != u.m:
         raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
@@ -162,42 +130,41 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
 # Minimal blocks: translations are generators, so blocks are subspaces
 
 
-def min_block_subspace(oracle: PermutationOracle, v: int, *, full_below: int = 1) -> Subspace:
-    """Smallest subspace W containing v with f(x+w)+f(x) in W for all x, w
-    in W.  Equals the union-find block through {0, v} of <f, T_m>: with
-    all translations present, blocks through 0 are exactly such subspaces.
-    v must be a nonzero point of F_2^m.
+def _grow(m: int, v: int, images: Callable[[int], Collection[int]], full_below: int) -> Subspace:
+    """The minimal block through {0, v} of <f, T_m>: the smallest subspace W
+    of F_2^m holding v with f(x+w)+f(x) in W for all x, w in W.  With all
+    translations in the group, the blocks through 0 are exactly such
+    subspaces, so W can be grown from any source: ``images(w)`` is a
+    collection of nonzero vectors that spans the values of f(x+w)+f(x)
+    over all x.  It is called once per new basis vector w, and the values
+    outside the span are inserted and queued at once, so no w is read twice.
 
-    Each new basis vector w triggers one scan of f(x+w)+f(x), two table
-    lookups per point, and values outside the current span are absorbed
-    immediately, so no rescans are needed.  The points are the oracle's
-    transversal (``PermutationOracle.transversal``), at which the
-    derivative takes every value it takes: 2^n of them for the power-1
-    operator on 4n bits, all 2^m for any other oracle.
-
-    ``full_below`` is the caller's promise that every nonzero point below
-    it has the full space as its block.  By the containment rule a block
-    that holds a nonzero u holds the whole block of u: it is a subspace
-    through u closed under the derivatives, and the block of u is the
-    smallest one.  So before each scan's values are inserted, the full
-    space is returned if a value or a basis row of the span is a nonzero
-    point below ``full_below``.  The default of 1 promises nothing.
+    Containment rule (Dixon and Mortimer, *Permutation Groups*, 1.5): a
+    block holding a nonzero u holds the block of u, the smallest subspace
+    through u closed under the derivatives.  ``full_below`` is the caller's
+    promise that every nonzero point below it has the full space as its
+    block, so the full space is returned as soon as a value or a basis row
+    is below it.  The promise of 1 is empty.
     """
-    m = oracle.m
-    if not 0 < v < 1 << m:
-        raise ValueError(f"seed {v:#x} is not a nonzero point of F_2^{m}")
-    table, points = oracle.table(), oracle.transversal
     rows: dict[int, int] = {}
     queue = rref_insert(rows, [v])
     while queue and len(rows) < m:
-        w = queue.pop()
-        values = {table[x ^ w] ^ table[x] for x in points}
-        # f is a bijection and the rows are independent, so all are nonzero
+        values = images(queue.pop())
         if min(*values, *rows.values()) < full_below:
             return Subspace._from_rref(m, [1 << i for i in range(m)], range(m))
         queue += rref_insert(rows, values)
     pivots = sorted(rows)
     return Subspace._from_rref(m, [rows[p] for p in pivots], pivots)
+
+
+def min_block_subspace(oracle: PermutationOracle, v: int, *, full_below: int = 1) -> Subspace:
+    """``_grow`` from v, a nonzero point of F_2^m, with the values of
+    f(x+w)+f(x) at the oracle's transversal, two table lookups per point:
+    f is a bijection, so none is 0."""
+    if not 0 < v < 1 << oracle.m:
+        raise ValueError(f"seed {v:#x} is not a nonzero point of F_2^{oracle.m}")
+    table, points = oracle.table(), oracle.transversal
+    return _grow(oracle.m, v, lambda w: {table[x ^ w] ^ table[x] for x in points}, full_below)
 
 
 # ---------------------------------------------------------------------
@@ -218,15 +185,11 @@ PRECHECK_ENTRIES = 1 << 16  # seeds times transversal points per precheck chunk
 
 def _undecided_seeds(oracle: PermutationOracle, table: np.ndarray) -> Iterator[int]:
     """The nonzero seeds v, in increasing order, whose first derivative
-    scan reaches no nonzero point below v.
-
-    That scan is the first one of ``min_block_subspace(oracle, v,
-    full_below=v)``, whose rows then hold only v: it returns the full
-    space exactly when min over the transversal of f(x+v)+f(x) is below
-    v.  The test is made for a chunk of seeds at once, one numpy gather of
-    at most about ``PRECHECK_ENTRIES`` entries from ``table``, the
-    oracle's table as a uint32 array, and a chunk is built only when the
-    scan reaches it.
+    scan reaches no nonzero point below v.  At every other seed,
+    ``min_block_subspace(oracle, v, full_below=v)`` returns the full space
+    after that scan.  One numpy gather of at most about
+    ``PRECHECK_ENTRIES`` entries from ``table``, the oracle's table as
+    uint32, decides a chunk of seeds, built only when the scan reaches it.
     """
     points = np.array(oracle.transversal, dtype=np.uint32)
     chunk = max(1, PRECHECK_ENTRIES // len(points))
@@ -237,23 +200,14 @@ def _undecided_seeds(oracle: PermutationOracle, table: np.ndarray) -> Iterator[i
 
 
 def primitivity_check(oracle: PermutationOracle) -> BlockVerdict:
-    """Exhaustive minimal-block search for <f, T_m> over every v != 0.
-
-    Seeds are decided in increasing order, over the oracle's transversal,
-    and the search stops at the first proper block.  Containment rule: a
-    block holding a nonzero u holds the block of u, since it is a subspace
-    through u closed under the derivatives and the block of u is the
-    smallest one.  So at seed v, where every nonzero u < v has the full
-    block, a block that reaches such a u is the full space.  Most seeds
-    are decided by their first derivative scan, which ``_undecided_seeds``
-    makes for a chunk of seeds at once in numpy; only the rest are grown
-    by ``min_block_subspace(oracle, v, full_below=v)``.  The first proper
-    block holds no smaller seed and is grown to closure, so the witness
-    and ``pairs_checked`` are those of growing every block in full.  An
-    Imprimitive witness is re-certified by the scan of the exhaustive
-    ``is_linear_block``, over every point, before the verdict is returned.
-    The table is converted to a uint32 array once, for the precheck and
-    the re-check.
+    """Exhaustive minimal-block search for <f, T_m> over every v != 0, in
+    increasing order, stopping at the first proper block.  The seeds that
+    ``_undecided_seeds`` leaves are grown by ``min_block_subspace(oracle,
+    v, full_below=v)``.  The first proper block holds no point below its
+    seed, so it is grown to closure: the witness and ``pairs_checked`` are
+    those of growing every block in full.  The witness is re-certified by
+    the exhaustive scan of ``is_linear_block`` before the verdict is
+    returned; the table is converted to uint32 once, for both scans.
     """
     m = oracle.m
     n_points = 1 << m
@@ -360,8 +314,10 @@ def closure_search(
                 # STREAM_AFTER quiet draws, reached once per growth: scan the
                 # draws left up to the next stable or max-rounds stop as one
                 # stream, in chunks, and count it only if every image stays in
-                # the span.  Otherwise rewind to its start and go on point by
-                # point until the next growth
+                # the span.  At an escape, or a budget stop between chunks,
+                # rewind the rng to the stream's start and go on point by point
+                # until the next growth.  The chunks draw in the per-point
+                # order, so every result and rng state equals that loop's
                 order = sorted(rows)
                 span = Subspace._from_rref(m, [rows[p] for p in order], order)
                 end = min(grew + stable_rounds, max_rounds)

@@ -5,35 +5,18 @@ sits in bits 8j..8j+7, so the first byte is the low-order byte.  A state
 of four n-bit words is one packed 4n-bit int, word i in bits
 (i-1)n..in-1, so word 1 is the low word; ``unflatten_state`` splits it
 into the tuple ``(v1, v2, v3, v4)`` for printing.  States and words are
-written as hex by ``gf2.vec_to_hex``/``vec_from_hex``, the one vector
-codec: little-endian bytes, so "2b7e1516..." has 0x2b as the first byte,
-the standard byte-ordered notation of a key.
+written as hex by ``gf2.vec_to_hex``/``vec_from_hex``, so "2b7e1516..."
+has 0x2b as the first byte, the standard byte-ordered notation of a key.
 
-``ks_apply`` is the step f(x) = A*x + E(rho(x4)) shared by every round
-(its docstring has the formula).  The AES word map ``aes_core`` is RotWord then
-SubWord (FIPS-197, section 5.2) on the word's four little-endian bytes:
-rotate them one place, so byte j takes byte j+1 mod 4, then send each
-byte through the S-box with ``bytes.translate``.  With it and a round-constant
-translation the step is exactly one AES-128 round-key transformation,
-which is checked bit-for-bit against a word-oriented FIPS-197 reference
-in the tests.  SubBytes is ``AES_SBOX``, a ``PermutationOracle`` table
-like every S-box.
-
-``aes_core``, ``normalized`` (of an oracle with one) and ``ks_oracle``
-over a 32-bit word map with one pass an array twin,
-``PermutationOracle.many``: forward and backward on (N, 4) uint32 word
-columns, word 1 in column 0, which is the ``gf2.vec_to_words`` layout.  A
-forward step XORs rho(word 4) into word 1 and then runs the XOR across
-the words, three column XORs into one output array; the inverse step
-XORs each word with its neighbour, then rho(word 4) into word 1.  The AES
-word map's twin gathers the S-box on the bytes as they lie and then
-rotates each word with two shifts.  Other oracles have no twin and are
-evaluated per point.
-
-Powers, round constants and ``normalized`` all go through ``_chain``,
-on scalars and twins alike: a step, then an XOR by each constant, where
-None means no XOR.  The twin passes a zero constant, such as every one
-of a power without ``constants``, as None, not as a row of zeros.
+``ks_apply`` is the step f(x) = A*x + E(rho(x4)) shared by every round.
+With ``aes_core``, RotWord then SubWord (FIPS-197, section 5.2), and a
+round-constant translation it is exactly one AES-128 round-key
+transformation, which the tests check bit for bit against a
+word-oriented FIPS-197 reference.  ``aes_core``, ``normalized`` (of an
+oracle with one) and ``ks_oracle`` over a 32-bit word map with one pass
+on an array twin, ``PermutationOracle.many``; other oracles are
+evaluated per point.  Powers, round constants and ``normalized`` all go
+through ``_chain``, on scalars and twins alike.
 """
 
 from __future__ import annotations
@@ -73,10 +56,8 @@ class PermutationOracle:
 
     ``many`` is an optional array twin of the two directions (``Many``);
     an oracle without one is evaluated per point.  ``table`` is the
-    forward map on 0..2^m-1 if known (``from_table``, ``normalized`` of a
-    tabulated oracle, and ``ks_oracle`` at power 1, which builds it in
-    numpy), else ``table()`` computes it once, one ``forward`` call per
-    point.
+    forward map on 0..2^m-1 if known, else ``table()`` computes it once,
+    one ``forward`` call per point.
 
     ``transversal`` is a set of points at which every derivative
     f(x+w)+f(x) takes all of its values, whatever w is.  It is every point
@@ -305,8 +286,7 @@ def ks_oracle(
     of its values occurs at the state with z = x4.  Other powers keep all
     points: at power 2 most derivatives take values that no state (0, 0, 0, z)
     reaches.  At power 1 within ``MAX_EXHAUSTIVE_POINTS`` the operator's
-    table is built at once in numpy from rho's; any other operator is
-    tabulated one ``forward`` call per point.
+    table is built at once in numpy from rho's.
     """
     m = 4 * rho.m
     descriptor = f"ks({rho.descriptor})^{power}"
@@ -325,6 +305,7 @@ def ks_oracle(
     scalar = _chain(functools.partial(ks_apply, rho), functools.partial(ks_inverse, rho), constants)
     many = None
     if rho.many is not None and rho.m == WORD_BITS:
+        # a zero constant is None, so the twin makes no XOR for it
         rows = [row if c else None for c, row in zip(constants, vec_to_words(constants, m))]
         many = _chain(
             functools.partial(_ks_apply_many, rho.many[0]),

@@ -110,11 +110,7 @@ class AntiInvariance:
 
     When ``order < max_tested`` the blocking witness is the first subspace
     (in enumeration order) of dimension s-order-1 whose image is closed
-    under addition.  A candidate W of dimension d is a row tuple walked in
-    Gray-code order, dropped at the first image that takes the span of its
-    images past d; one whose 2^d images all go in with the span at d maps
-    onto that span, and only it is built as a ``Subspace``.  The span's
-    rank is counted in a top-bit echelon list, with no basis kept.
+    under addition.
     """
 
     order: int
@@ -132,9 +128,8 @@ def anti_invariance_order(sb: PermutationOracle, max_delta: int) -> AntiInvarian
     for k in range(1, max_delta + 1):
         d = s - k
         for basis in rref_bases(s, d):
-            # the image of an injective map has 2^d points; it is a subspace
-            # exactly when its span is no bigger.  slots[p] is the span's row
-            # with top bit p, or 0; acc walks W in Gray-code order from 0
+            # slots[p] is the span's row with top bit p, or 0; acc walks W in
+            # Gray-code order from 0
             slots = [0] * s
             rank = 0
             acc = 0

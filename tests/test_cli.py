@@ -12,7 +12,8 @@ import pytest
 
 from ksgroup import cli
 from ksgroup.cli import InputError, build_parser, run
-from ksgroup.invariants import lp_pattern_subspace
+from ksgroup.gf2 import Subspace
+from ksgroup.invariants import BlockVerdict, lp_pattern_subspace
 from test_gf2 import subspace_text
 
 
@@ -226,6 +227,33 @@ def test_primitivity_toy_consistent(capsys):
     assert rep["lifted"]["status"] in ("primitive", "imprimitive")
     assert rep["reduction_consistent"] is True
     assert rep["seed"] == 1
+
+
+def test_primitivity_reduction_inconsistent_reads_false(capsys, monkeypatch):
+    # toy map 1 is base-primitive and not affine, so the reduction predicts a
+    # primitive lift: an Imprimitive lifted verdict must read false, in a
+    # completed run
+    real = cli.primitivity_check
+
+    def imprimitive_lift(oracle):
+        if oracle.m == 12:
+            return BlockVerdict(status="imprimitive", witness=Subspace(12, [1]), pairs_checked=1)
+        return real(oracle)
+
+    monkeypatch.setattr(cli, "primitivity_check", imprimitive_lift)
+    rc, rep = run_json(capsys, ["primitivity", "--n", "3", "--rho", "random", "--seed", "1"])
+    assert rc == 0
+    assert (rep["base"]["status"], rep["rho_affine"]) == ("primitive", False)
+    assert rep["lifted"]["status"] == "imprimitive"
+    assert rep["reduction_consistent"] is False
+
+
+def test_primitivity_base_imprimitive_predicts_nothing(capsys):
+    # toy map 5 is base-imprimitive, so the reduction predicts nothing
+    rc, rep = run_json(capsys, ["primitivity", "--n", "3", "--rho", "random", "--seed", "5"])
+    assert rc == 0
+    assert rep["base"]["status"] == "imprimitive"
+    assert rep["reduction_consistent"] is True
 
 
 def test_primitivity_affine_has_witness(capsys):

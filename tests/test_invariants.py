@@ -1,5 +1,6 @@
 """Linear-block checks, minimal blocks, closure search, certificates."""
 
+import functools
 import random
 import tracemalloc
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from ksgroup.invariants import (
     spn_primitivity_certificate,
     verify_lp_subspace,
 )
-from ksgroup.keyschedule import aes_core
+from ksgroup.keyschedule import aes_core, ks_apply
 from ksgroup.sbox import AES_SBOX, anti_invariance_order, differential_profile, inversion_sbox
 from test_gf2 import full_space
 
@@ -754,6 +755,73 @@ def test_transversal_verdict_matches_unionfind_n2(seed):
     assert oracle.transversal is not None
     verdict = primitivity_check(oracle)
     assert (verdict.status, verdict.witness, verdict.pairs_checked) == unionfind_primitivity(oracle)
+
+
+def structured_source(rho):
+    """The ``images`` of ``invariants._grow`` for the power-1 lift of rho,
+    read from rho's 2^n-entry table alone, with no table of the lift.
+    f(x+w)+f(x) = A*w + E(rho(z+a)+rho(z)) with z = x4 and a = w4, so its
+    values span A*w + E(rho(a)+rho(0)) and E(V(a)), where V(a) is the span
+    of rho(z+a)+rho(z)+rho(a)+rho(0) over every z.  At a = 0 that is A*w
+    alone."""
+    n, t = rho.m, rho.table()
+
+    @functools.cache
+    def spread_basis(a):
+        rows = {}
+        rref_insert(rows, [t[z ^ a] ^ t[z] ^ t[a] ^ t[0] for z in range(1 << n)])
+        return [keyschedule._ks_step(0, b, n) for b in rows.values()]
+
+    def images(w):
+        a = w >> 3 * n
+        return [keyschedule._ks_step(w, t[a] ^ t[0], n), *spread_basis(a)]
+
+    return images
+
+
+def structured_primitivity(rho):
+    """(status, witness, pairs_checked) of the ordered seed scan of
+    ``_grow`` over ``structured_source``, each seed v with the promise
+    ``full_below=v`` and no precheck."""
+    m, images = 4 * rho.m, structured_source(rho)
+    for v in range(1, 1 << m):
+        block = invariants._grow(m, v, images, full_below=v)
+        if not block.is_trivial:
+            return "imprimitive", block, v
+    return "primitive", None, (1 << m) - 1
+
+
+STRUCTURED_MAPS = [
+    *(("random", 3, seed) for seed in range(40)),
+    *(("affine", 3, seed) for seed in range(20)),
+    *(("random", 4, seed) for seed in range(2)),
+]
+
+
+@pytest.mark.parametrize("kind, n, seed", STRUCTURED_MAPS)
+def test_structured_source_verdict_equals_primitivity_check(kind, n, seed):
+    # a second source of derivative values must give the table scan's
+    # status, witness and pairs_checked
+    draw = random_affine_word_permutation if kind == "affine" else random_nonaffine_word_permutation
+    rho = draw(n, Random(seed))
+    verdict = primitivity_check(ks_oracle(rho, 1))
+    assert (verdict.status, verdict.witness, verdict.pairs_checked) == structured_primitivity(rho)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_structured_source_spans_the_derivative_at_wide_words(n):
+    # 2^4n points are past any table: the derivative is evaluated point by
+    # point, over the states (0, 0, 0, z) and at random states
+    rng = Random(n)
+    rho = random_nonaffine_word_permutation(n, rng)
+    images = structured_source(rho)
+    states = [z << 3 * n for z in range(1 << n)]
+    for _ in range(50):
+        w = rng.getrandbits(4 * n) or 1
+        span = Subspace(4 * n, images(w))
+        assert span == Subspace(4 * n, [ks_apply(rho, x ^ w) ^ ks_apply(rho, x) for x in states])
+        for x in (rng.getrandbits(4 * n) for _ in range(2)):
+            assert ks_apply(rho, x ^ w) ^ ks_apply(rho, x) in span
 
 
 # ---------------------------------------------------------------------
