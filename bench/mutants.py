@@ -232,6 +232,17 @@ MUTANTS = [
            "",
            ("tests/test_cli.py::test_sbox_audit_too_wide_to_enumerate_exit_2",
             "tests/test_gf2.py::test_enumerate_capacity_refused")),
+    Mutant("goursat-factor-widths-unchecked", "goursat.py",
+           "        if not (self.left_image.m == self.left_kernel.m == self.m1\n"
+           "                and self.right_image.m == self.right_kernel.m == self.m2):\n"
+           '            raise GoursatInvariantError("left subspaces must lie in F_2^m1 and right subspaces in '
+           'F_2^m2")\n',
+           "",
+           ("tests/test_goursat.py::test_validate_refuses_each_malformed_field",)),
+    Mutant("goursat-hom-length-read-as-m2", "goursat.py",
+           "        if len(self.hom) != self.m1 or",
+           "        if len(self.hom) != self.m2 or",
+           ("tests/test_goursat.py::test_validate_refuses_each_malformed_field",)),
     Mutant("tower-splits-swapped", "goursat.py",
            '        "left_image_split": _level_report(decompose(g.left_image, n, n), g.left_image, with_hom),\n'
            '        "right_kernel_split": _level_report(decompose(g.right_kernel, n, n), g.right_kernel, '

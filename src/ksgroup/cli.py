@@ -289,14 +289,8 @@ def cmd_primitivity(args) -> tuple[dict, list[str]]:
     if args.rho != "aes":
         if args.mode == "sampled":
             raise InputError("--mode sampled applies only to --rho aes")
-        # 2^(4n) points against the exhaustive budget, compared by exponent
-        # so that a huge or negative --n builds no huge int
-        limit = MAX_EXHAUSTIVE_POINTS.bit_length() - 1
-        if 4 * n > limit:
-            raise InputError(f"toy verdicts need 4n <= {limit} bits")
-        least = 3 if args.rho == "random" else 1  # every map of F_2^n is affine for n <= 2
-        if n < least:
-            raise InputError(f"--rho {args.rho} needs --n >= {least}")
+        if args.rho == "random" and n < 3:  # every map of F_2^n is affine for n <= 2
+            raise InputError("--rho random needs --n >= 3")
     budget = _budget_ms(args) if sampled else None
     rng = Random(args.seed)
     if args.rho == "random":
@@ -475,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("primitivity", help="exhaustive toy-scale block-system check")
-    p.add_argument("--n", type=int, default=None,
+    # 2^(4n) points fit the exhaustive budget
+    p.add_argument("--n", type=_int_in(1, (MAX_EXHAUSTIVE_POINTS.bit_length() - 1) // 4), default=None,
                    help="word width in bits of a toy --rho (default 3)")
     p.add_argument("--rho", choices=("random", "affine", "aes"), default="random")
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive",

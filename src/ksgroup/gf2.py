@@ -170,17 +170,9 @@ def matrix_apply(rows: Sequence[int], x: int) -> int:
     return functools.reduce(operator.xor, itertools.compress(rows, bits), 0)
 
 
-@functools.cache
-def _points(n: int) -> np.ndarray:
-    """0..n-1 as a read-only index array, built once per table size."""
-    xs = np.arange(n, dtype=np.uint32)
-    xs.flags.writeable = False
-    return xs
-
-
 def derivative(table: np.ndarray, a: int) -> np.ndarray:
     """f(x + a) + f(x) for every point x, from a uint32 table of f."""
-    return table[_points(len(table)) ^ np.uint32(a)] ^ table
+    return table[np.arange(len(table), dtype=np.uint32) ^ np.uint32(a)] ^ table
 
 
 def vec_to_hex(v: int, m: int) -> str:

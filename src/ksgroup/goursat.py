@@ -50,26 +50,23 @@ class GoursatDecomposition:
         return self.left_image.dim - self.left_kernel.dim
 
     def validate(self) -> None:
-        checks = (
-            (self.left_kernel.sum(self.left_image) == self.left_image,
-             "left_kernel is not contained in left_image"),
-            (self.right_kernel.sum(self.right_image) == self.right_image,
-             "right_kernel is not contained in right_image"),
-            (len(self.hom) == self.m1,
-             "hom must have one row per coordinate of factor 1"),
-            (all(self.right_image.contains(matrix_apply(self.hom, a))
-                 for a in self.left_image.basis),
-             "hom does not map left_image into right_image"),
-            (all(self.right_kernel.contains(matrix_apply(self.hom, b))
-                 for b in self.left_kernel.basis),
-             "hom does not map left_kernel into right_kernel"),
-            (self.left_image.dim - self.left_kernel.dim
-             == self.right_image.dim - self.right_kernel.dim,
-             "quotient dimensions differ"),
-        )
-        for ok, message in checks:
-            if not ok:
-                raise GoursatInvariantError(message)
+        """Raise ``GoursatInvariantError`` at the first field that does not
+        fit a decomposition of a subspace of F_2^m1 x F_2^m2."""
+        if not (self.left_image.m == self.left_kernel.m == self.m1
+                and self.right_image.m == self.right_kernel.m == self.m2):
+            raise GoursatInvariantError("left subspaces must lie in F_2^m1 and right subspaces in F_2^m2")
+        if not all(map(self.left_image.contains, self.left_kernel.basis)):
+            raise GoursatInvariantError("left_kernel is not contained in left_image")
+        if not all(map(self.right_image.contains, self.right_kernel.basis)):
+            raise GoursatInvariantError("right_kernel is not contained in right_image")
+        if len(self.hom) != self.m1 or any(row >> self.m2 for row in self.hom):
+            raise GoursatInvariantError("hom must have one m2-bit row per coordinate of factor 1")
+        if not all(self.right_image.contains(matrix_apply(self.hom, a)) for a in self.left_image.basis):
+            raise GoursatInvariantError("hom does not map left_image into right_image")
+        if not all(self.right_kernel.contains(matrix_apply(self.hom, b)) for b in self.left_kernel.basis):
+            raise GoursatInvariantError("hom does not map left_kernel into right_kernel")
+        if self.quotient_dim != self.right_image.dim - self.right_kernel.dim:
+            raise GoursatInvariantError("quotient dimensions differ")
 
 
 def decompose(u: Subspace, m1: int, m2: int) -> GoursatDecomposition:
@@ -95,7 +92,7 @@ def decompose(u: Subspace, m1: int, m2: int) -> GoursatDecomposition:
     for p, row in zip(u.pivots, u.basis):
         if p < m1:
             hom_rows[p] = row >> m1
-    g = GoursatDecomposition(
+    return GoursatDecomposition(
         m1=m1,
         m2=m2,
         left_image=left_image,
@@ -104,19 +101,15 @@ def decompose(u: Subspace, m1: int, m2: int) -> GoursatDecomposition:
         right_kernel=right_kernel,
         hom=tuple(hom_rows),
     )
-    g.validate()
-    return g
 
 
 def reconstruct(g: GoursatDecomposition) -> Subspace:
-    """The subspace {(a, a*hom + d)}; inverse of decompose on valid data."""
+    """The subspace {(a, a*hom + d)}; inverse of decompose on valid data.
+    ``decompose`` builds valid data, so this is the one ``validate`` call."""
     g.validate()
     rows = [a | (matrix_apply(g.hom, a) << g.m1) for a in g.left_image.basis]
     rows += [d << g.m1 for d in g.right_kernel.basis]
-    out = Subspace(g.m1 + g.m2, rows)
-    if out.dim != g.left_image.dim + g.right_kernel.dim:
-        raise GoursatInvariantError("reconstructed dimension is not dim(left_image)+dim(right_kernel)")
-    return out
+    return Subspace(g.m1 + g.m2, rows)
 
 
 def _level_report(g: GoursatDecomposition, source: Subspace, with_hom: bool = True) -> dict:

@@ -462,6 +462,8 @@ PARSER_BOUNDS = [
     (["search", "--stable-rounds"], "0", "-1"),
     (["search", "--budget-ms"], "0", "-0.5"),
     (["primitivity", "--samples"], "256", "255"),
+    (["primitivity", "--n"], "5", "6"),
+    (["primitivity", "--n"], "1", "0"),
     (["primitivity", "--budget-ms"], "0", "-0.5"),
     (["lp-verify", "--samples"], "1", "0"),
     (["certificate", "--delta"], "2", "1"),
@@ -515,7 +517,7 @@ def test_parser_returns_the_seed_list():
 
 def test_toy_bound_message_names_the_budget(capsys):
     assert run(["primitivity", "--n", "6"]) == 2
-    assert capsys.readouterr().err == "input error: toy verdicts need 4n <= 20 bits\n"
+    assert capsys.readouterr().err == "input error: argument --n: must be in 1..5, got 6\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])

@@ -1,5 +1,6 @@
 """Goursat decomposition round-trips and structural invariants."""
 
+import dataclasses
 import random
 
 import pytest
@@ -146,6 +147,47 @@ def test_quotient_mismatch_raises():
     )
     with pytest.raises(GoursatInvariantError, match="quotient"):
         reconstruct(bad)
+
+
+# hom = (e0, e2) on F_2^2 -> F_2^3, so both hom rows are read and the
+# factors differ in width
+UNEVEN = decompose(Subspace(5, [0b00101, 0b10010, 0b11000]), 2, 3)
+
+MALFORMED = {
+    "hom-one-row-short": ({"hom": UNEVEN.hom[:-1]}, "hom must have"),
+    "hom-one-row-long": ({"hom": UNEVEN.hom + (0,)}, "hom must have"),
+    "hom-row-one-bit-wide": ({"hom": (UNEVEN.hom[0] | 1 << 3, *UNEVEN.hom[1:])}, "hom must have"),
+    "m1-off-by-one": ({"m1": 3}, "must lie in"),
+    "m2-off-by-one": ({"m2": 4}, "must lie in"),
+    "left-kernel-too-wide": ({"left_kernel": Subspace(3)}, "must lie in"),
+    "right-kernel-too-wide": ({"right_kernel": Subspace(4)}, "must lie in"),
+}
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED.values(), ids=MALFORMED)
+def test_validate_refuses_each_malformed_field(fields, message):
+    # the named error, not a DimensionMismatch from the arithmetic, and
+    # before reconstruct can build a subspace of the wrong ambient space
+    UNEVEN.validate()
+    bad = dataclasses.replace(UNEVEN, **fields)
+    with pytest.raises(GoursatInvariantError, match=message):
+        bad.validate()
+    with pytest.raises(GoursatInvariantError, match=message):
+        reconstruct(bad)
+
+
+def test_tower_report_validates_each_level_once(monkeypatch):
+    # decompose builds valid data, so only reconstruct validates
+    calls = []
+    validate = GoursatDecomposition.validate
+    monkeypatch.setattr(GoursatDecomposition, "validate", lambda g: calls.append(g) or validate(g))
+    u = lp_pattern_subspace()
+    g = decompose(u, 64, 64)
+    assert calls == []
+    assert reconstruct(g) == u
+    assert calls == [g]
+    tower_report(u)
+    assert len(calls) == 1 + 3
 
 
 def test_dimension_mismatch_rejected():
