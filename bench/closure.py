@@ -34,10 +34,11 @@ on ``PYTHONPATH`` and prints one JSON object.  Every input is fixed:
 * ``reduce.d128.full.ns`` -- ``Subspace.reduce`` on the full space
   F_2^128 of ``CALLS`` more states from the same ``Random(0)``, per call;
 * ``member.d128.ns`` -- ``random_member`` over the 128 identity rows
-  (the full space's basis), ``CALLS`` draws from ``Random(0)``, per draw;
+  (the full space's basis), ``CALLS`` draws from ``Random(0)``, per draw.
+  ``escapes`` takes such a member as its bare mask instead;
 * ``fresh.full.p4.1k.ms`` -- ``escapes`` of the same operator on the full
   space, 1000 draws, ``Random(0)``: the per-point fresh check that a
-  closure reaching dim 128 runs;
+  closure reaching dim 128 runs, one mask and one ``forward`` a draw;
 * ``lp_verify.seed0.ms`` -- one in-process ``lp-verify --seed 0`` with
   stdout captured;
 * ``chunk.<c>.lp_verify.seed0.ms`` -- the same with ``ESCAPE_CHUNK`` set

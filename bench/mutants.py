@@ -154,11 +154,16 @@ MUTANTS = [
            "    return sum([int(out.sum()) for out in _outside(oracle.many[:1], u.basis, u, samples, rng)][:1])\n",
            (KP + "test_batched_escapes_replays_the_per_point_loop",)),
     Mutant("escapes-skips-draws-at-full-dimension", "invariants.py",
-           "    if oracle.many is None or u.dim == u.m:\n",
-           "    if u.dim == u.m:\n        return 0\n    if oracle.many is None:\n",
-           (KP + "test_batched_closure_replays_the_per_point_loop",
-            KP + "test_batched_escapes_replays_the_per_point_loop",
-            KP + "test_escapes_at_full_dimension_takes_every_draw")),
+           "        return sum(not u.contains(oracle.forward(rng.getrandbits(u.m))) for _ in range(samples))\n",
+           "        return 0\n",
+           (KP + "test_escapes_at_full_dimension_takes_every_draw",
+            KP + "test_closure_reaching_dimension_128_replays_the_per_point_loop")),
+    # no mutant skips ``forward`` in the full-space branch: every image lies
+    # in the full space, so the count and the rng state stay as they are
+    Mutant("full-space-draw-narrowed", "invariants.py",
+           "oracle.forward(rng.getrandbits(u.m))",
+           "oracle.forward(rng.getrandbits(u.m - 1))",
+           (KP + "test_escapes_at_full_dimension_takes_every_draw",)),
     Mutant("ks-apply-width-unchecked", "keyschedule.py",
            '    if not 0 <= x < 1 << 4 * n:\n        raise DimensionMismatch(f"state {x:#x} does not fit four '
            '{n}-bit words")\n',
@@ -237,6 +242,11 @@ MUTANTS = [
            "                and self.right_image.m == self.right_kernel.m == self.m2):\n"
            '            raise GoursatInvariantError("left subspaces must lie in F_2^m1 and right subspaces in '
            'F_2^m2")\n',
+           "",
+           ("tests/test_goursat.py::test_validate_refuses_each_malformed_field",)),
+    Mutant("goursat-span-clause-dropped", "goursat.py",
+           "        if Subspace(self.m2, images + list(self.right_kernel.basis)) != self.right_image:\n"
+           '            raise GoursatInvariantError("hom(left_image) and right_kernel do not span right_image")\n',
            "",
            ("tests/test_goursat.py::test_validate_refuses_each_malformed_field",)),
     Mutant("goursat-hom-length-read-as-m2", "goursat.py",

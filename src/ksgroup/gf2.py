@@ -10,8 +10,10 @@ Each job has one routine.  ``rref_insert`` does every elimination that
 keeps a basis; the rank count of ``sbox.anti_invariance_order`` keeps
 none.  ``random_member`` and, for a batch, ``RowTables.random_members``
 draw every random member, except the seeds of ``search --seed-in-lp``
-(see the CLI).  ``RowTables`` is the one batch kernel, ``derivative``
-scans every difference table of a numpy table, ``vec_to_hex`` and
+(see the CLI) and the members of a full space, which are their own
+``getrandbits`` masks (the identity rule at ``Subspace.reduce``).
+``RowTables`` is the one batch kernel, ``derivative`` scans every
+difference table of a numpy table, ``vec_to_hex`` and
 ``vec_from_hex`` are the one hex codec for vectors (little-endian bytes,
 byte 0 first), and ``rref_bases`` walks every RREF basis.
 """
@@ -237,9 +239,13 @@ class Subspace:
         return self.dim == 0 or self.dim == self.m
 
     def reduce(self, v: int) -> int:
-        """Remainder of v after elimination against the basis.  The RREF
-        basis of the full space is the identity, so there the remainder is
-        0 once ``check_vector`` has passed, and the pivot loop is skipped."""
+        """Remainder of v after elimination against the basis.
+
+        Identity rule: the RREF basis of the full space is the identity.
+        So here the remainder is 0 once ``check_vector`` has passed, and
+        the pivot loop is skipped; and ``random_member`` over that basis
+        returns its ``getrandbits(m)`` mask unchanged, so ``escapes`` draws
+        a full space's members as bare masks."""
         check_vector(self.m, v)
         if len(self.basis) == self.m:
             return 0

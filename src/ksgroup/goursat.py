@@ -57,12 +57,13 @@ class GoursatDecomposition:
             raise GoursatInvariantError("left subspaces must lie in F_2^m1 and right subspaces in F_2^m2")
         if not all(map(self.left_image.contains, self.left_kernel.basis)):
             raise GoursatInvariantError("left_kernel is not contained in left_image")
-        if not all(map(self.right_image.contains, self.right_kernel.basis)):
-            raise GoursatInvariantError("right_kernel is not contained in right_image")
         if len(self.hom) != self.m1 or any(row >> self.m2 for row in self.hom):
             raise GoursatInvariantError("hom must have one m2-bit row per coordinate of factor 1")
-        if not all(self.right_image.contains(matrix_apply(self.hom, a)) for a in self.left_image.basis):
-            raise GoursatInvariantError("hom does not map left_image into right_image")
+        # with the two clauses below, the induced map of the quotients is
+        # onto and between spaces of one dimension: an isomorphism
+        images = [matrix_apply(self.hom, a) for a in self.left_image.basis]
+        if Subspace(self.m2, images + list(self.right_kernel.basis)) != self.right_image:
+            raise GoursatInvariantError("hom(left_image) and right_kernel do not span right_image")
         if not all(self.right_kernel.contains(matrix_apply(self.hom, b)) for b in self.left_kernel.basis):
             raise GoursatInvariantError("hom does not map left_kernel into right_kernel")
         if self.quotient_dim != self.right_image.dim - self.right_kernel.dim:

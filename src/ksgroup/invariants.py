@@ -114,14 +114,17 @@ def escapes(oracle: PermutationOracle, u: Subspace, samples: int, rng: Random) -
 
     With an array twin and a proper U the draws are evaluated in chunks of
     ``ESCAPE_CHUNK``, in the per-point loop's order, so the count and the
-    rng state at return equal that loop's.  At full dimension the loop
-    stays per point, each draw still taken and evaluated.
+    rng state at return equal that loop's.  At full dimension, for every
+    oracle, each draw is still taken and evaluated point by point, but its
+    member is its mask (the identity rule at ``Subspace.reduce``).
     """
     if oracle.m != u.m:
         raise DimensionMismatch(f"oracle and subspace dimensions differ: {oracle.m} != {u.m}")
     if samples < 0:
         raise ValueError(f"samples must be at least 0, got {samples}")
-    if oracle.many is None or u.dim == u.m:
+    if u.dim == u.m:
+        return sum(not u.contains(oracle.forward(rng.getrandbits(u.m))) for _ in range(samples))
+    if oracle.many is None:
         return sum(not u.contains(oracle.forward(random_member(u.basis, rng))) for _ in range(samples))
     return sum(int(out.sum()) for out in _outside(oracle.many[:1], u.basis, u, samples, rng))
 

@@ -161,6 +161,13 @@ MALFORMED = {
     "m2-off-by-one": ({"m2": 4}, "must lie in"),
     "left-kernel-too-wide": ({"left_kernel": Subspace(3)}, "must lie in"),
     "right-kernel-too-wide": ({"right_kernel": Subspace(4)}, "must lie in"),
+    # every clause but the span holds, yet the data reconstructs to
+    # {(a, 0)}, whose right image is 0, not F_2^2
+    "hom-image-and-kernel-short-of-right-image": (
+        {"m1": 2, "m2": 2, "left_image": full_space(2), "left_kernel": Subspace(2),
+         "right_image": full_space(2), "right_kernel": Subspace(2), "hom": (0, 0)}, "span right_image"),
+    # UNEVEN's right kernel is span(0b110)
+    "right-kernel-outside-right-image": ({"right_image": Subspace(3, [0b001, 0b100])}, "span right_image"),
 }
 
 

@@ -814,12 +814,53 @@ def test_batched_escapes_replays_the_per_point_loop(case):
     assert rng.getstate() == ref.getstate()
 
 
-def test_escapes_at_full_dimension_takes_every_draw():
-    # nothing escapes the full space, yet its draws are taken as the
-    # per-point loop takes them; escape_cases never reach dimension 128
-    rng, ref = Random(0), Random(0)
-    assert escapes(LP4, full_space(128), 7, rng) == per_point_escapes(LP4, full_space(128), 7, ref) == 0
+TABLE3 = PermutationOracle.from_table((5, 3, 0, 6, 1, 7, 2, 4), "table3")
+FULL_SPACE_ORACLES = {
+    "table-m3": TABLE3,  # no array twin
+    "lift-m12": ks_oracle(TABLE3, 1),
+    **{f"aes-p{p}": ks_oracle(aes_core().normalized(), p) for p in (1, 4)},
+    **{f"aes-p{p}-constants": ks_oracle(aes_core(), p, aes_round_constant_states(p)).normalized()
+       for p in (1, 4)},
+}
+
+
+@pytest.mark.parametrize("samples", [0, 1, 7, 1000])
+@pytest.mark.parametrize("name", FULL_SPACE_ORACLES)
+def test_escapes_at_full_dimension_takes_every_draw(name, samples):
+    # nothing escapes the full space, yet its draws are taken and evaluated
+    # as the per-point loop takes them; escape_cases never reach it.  A draw
+    # of m - 1 bits takes as many twister words as one of m bits at these
+    # widths, so the points passed to forward are compared too
+    oracle = FULL_SPACE_ORACLES[name]
+    points = []
+
+    def forward(x):
+        points.append(x)
+        return oracle.forward(x)
+
+    logged = PermutationOracle(oracle.m, forward, oracle.backward, many=oracle.many)
+    full = full_space(oracle.m)
+    rng, ref = Random(samples), Random(samples)
+    points.clear()  # the constructor's inverse check calls forward
+    assert escapes(logged, full, samples, rng) == 0
+    drawn = points[:]
+    points.clear()
+    assert per_point_escapes(logged, full, samples, ref) == 0
+    assert drawn == points and len(points) == samples
     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("name", ["aes-p1", "aes-p4-constants"])
+def test_closure_reaching_dimension_128_replays_the_per_point_loop(name):
+    # the search fills F_2^128 and then runs its 1000-draw fresh check there
+    oracle = FULL_SPACE_ORACLES[name]
+    seeds = [Random(name).getrandbits(128)]
+    expected, ref_rng = per_point_closure_search(oracle, seeds)
+    RecordedRandom.made.clear()
+    with mock.patch.object(invariants, "Random", RecordedRandom):
+        got = closure_search(oracle, seeds)
+    assert got == expected and got.reached_full and got.fresh_invariance_ok
+    assert RecordedRandom.made[-1].getstate() == ref_rng.getstate()
 
 
 def load_bench_script(name):
